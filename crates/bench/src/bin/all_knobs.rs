@@ -1,13 +1,13 @@
 //! All-knobs smoke run (DESIGN.md §10): one cell with every runtime knob
 //! engaged simultaneously — multiplexed producer engine, producer-side
-//! batching with a linger window, consumer prefetch thread, and an
+//! batching with a linger window, consumer look-ahead, and an
 //! explicitly-sized compute pool. The staged runtime must compose all of
 //! them: the run must conserve every message and report zero errors.
 //!
 //! This is the CI canary for knob interactions: each knob's own suite
 //! exercises it in isolation, while this binary fails fast if two knobs
-//! regress only in combination (e.g. a batcher flush racing the prefetch
-//! thread's sentinel pause).
+//! regress only in combination (e.g. a batcher flush racing the
+//! consumer's sentinel pause).
 //!
 //! Usage: `cargo run -p pilot-bench --release --bin all_knobs`
 //! (honours `PILOT_BENCH_QUICK` / `PILOT_BENCH_MESSAGES`).

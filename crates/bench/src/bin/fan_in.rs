@@ -1,25 +1,17 @@
 //! Cell fan-in sweep (DESIGN.md §9, §12): one cell scaled from 1k to 64k
-//! edge devices at a **fixed aggregate message count**, with the consumer
-//! side in both shapes — the experiment behind `results_fan_in.csv`.
+//! edge devices at a **fixed aggregate message count** — the experiment
+//! behind the `reactor` rows of `results_fan_in.csv`.
 //!
 //! Every run multiplexes its devices onto a small, constant producer
 //! engine, so producer-side threads stay flat while the partition count
-//! grows 64×. The consumer side runs each device count twice:
+//! grows 64×. The consumer side runs one member *per partition* (the
+//! paper's 1:1 ratio), all driven by a fixed pool of reactor threads.
+//! Members park on the broker's arrival registry and on transfer
+//! deadlines instead of blocking, so 64k members cost 64k state machines —
+//! not 64k OS threads — and thousands of simulated transfers overlap.
 //!
-//! * **tasks** — the thread-backed shape: a constant pool of 4 consumer
-//!   members, each multiplexing thousands of partitions through the
-//!   multi-partition fetch. Threads stay flat, but every batch transfer
-//!   blocks its member for the link's propagation delay, so at most 4
-//!   transfers are ever in flight.
-//! * **reactor** — the event-driven core (`reactor_threads`): one member
-//!   *per partition* (the paper's 1:1 ratio), all driven by a fixed pool
-//!   of reactor threads. Members park on the broker's arrival registry
-//!   and on transfer deadlines instead of blocking, so 64k members cost
-//!   64k state machines — not 64k OS threads — and thousands of simulated
-//!   transfers overlap.
-//!
-//! The acceptance curve is the reactor column: per-message overhead at
-//! 64k devices must stay within 2× of the 1k-device anchor.
+//! The acceptance curve: per-message overhead at 64k devices must stay
+//! within 2× of the 1k-device anchor.
 //!
 //! Usage: `cargo run -p pilot-bench --release --bin fan_in`
 //! (honours `PILOT_BENCH_QUICK`; `PILOT_BENCH_FAN_IN_TOTAL` overrides the
@@ -30,8 +22,6 @@ use std::time::Instant;
 
 /// Producer engine workers — constant across the sweep.
 const PRODUCER_THREADS: usize = 8;
-/// Consumer members in the thread-backed shape.
-const TASK_PROCESSORS: usize = 4;
 
 /// Reactor pool width: small in CI smoke runs, 8 for the full sweep.
 fn reactor_threads() -> usize {
@@ -64,17 +54,10 @@ fn total_messages() -> usize {
     }
 }
 
-/// One consumer shape at one device count.
-struct Shape {
-    label: &'static str,
-    processors: Option<usize>,
-    reactor_threads: Option<usize>,
-}
-
 fn main() {
     println!(
         "# fan_in — device fan-in sweep at fixed aggregate messages, \
-         multiplexed producers, consumer tasks vs reactor"
+         multiplexed producers, one consumer member per device on the reactor"
     );
     println!(
         "devices,producer_threads,consumer,processors,reactor_threads,consumer_threads,\
@@ -83,75 +66,57 @@ fn main() {
     );
     let total = total_messages();
     let rt = reactor_threads();
-    let mut reactor_rows: Vec<(usize, f64)> = Vec::new();
+    let mut rows: Vec<(usize, f64)> = Vec::new();
     for devices in device_sweep() {
-        let shapes = [
-            Shape {
-                label: "tasks",
-                processors: Some(TASK_PROCESSORS),
-                reactor_threads: None,
-            },
-            Shape {
-                label: "reactor",
-                // One member per partition — the fan-in the reactor exists
-                // to make affordable.
-                processors: None,
-                reactor_threads: Some(rt),
-            },
-        ];
-        for shape in shapes {
-            let messages_per_device = (total / devices).max(1);
-            let opts = CellOpts {
-                points: 25,
-                devices,
-                processors: shape.processors,
-                messages_per_device,
-                producer_threads: Some(PRODUCER_THREADS),
-                reactor_threads: shape.reactor_threads,
-                ..CellOpts::default()
-            };
-            let t0 = Instant::now();
-            let s = run_cell(&opts);
-            let wall = t0.elapsed();
-            let messages = devices * messages_per_device;
-            let overhead_us = wall.as_micros() as f64 / messages as f64;
-            let consumer_threads = shape.reactor_threads.unwrap_or(TASK_PROCESSORS);
-            println!(
-                "{},{},{},{},{},{},{},{},{:.1},{:.2},{:.2},{:.2},{:.2},{}",
-                devices,
-                PRODUCER_THREADS,
-                shape.label,
-                shape.processors.unwrap_or(devices),
-                shape.reactor_threads.unwrap_or(0),
-                consumer_threads,
-                messages,
-                opts.points,
-                wall.as_secs_f64() * 1e3,
-                overhead_us,
-                s.throughput_msgs,
-                s.latency_p50_ms,
-                s.latency_p99_ms,
-                s.errors,
-            );
-            assert_eq!(s.messages as usize, messages, "messages lost at fan-in");
-            assert_eq!(s.errors, 0, "errors at fan-in");
-            if shape.reactor_threads.is_some() {
-                reactor_rows.push((devices, overhead_us));
-            }
-        }
+        let messages_per_device = (total / devices).max(1);
+        let opts = CellOpts {
+            points: 25,
+            devices,
+            // One member per partition — the fan-in the reactor exists to
+            // make affordable.
+            processors: None,
+            messages_per_device,
+            producer_threads: Some(PRODUCER_THREADS),
+            reactor_threads: Some(rt),
+            ..CellOpts::default()
+        };
+        let t0 = Instant::now();
+        let s = run_cell(&opts);
+        let wall = t0.elapsed();
+        let messages = devices * messages_per_device;
+        let overhead_us = wall.as_micros() as f64 / messages as f64;
+        println!(
+            "{},{},reactor,{},{},{},{},{},{:.1},{:.2},{:.2},{:.2},{:.2},{}",
+            devices,
+            PRODUCER_THREADS,
+            devices,
+            rt,
+            rt,
+            messages,
+            opts.points,
+            wall.as_secs_f64() * 1e3,
+            overhead_us,
+            s.throughput_msgs,
+            s.latency_p50_ms,
+            s.latency_p99_ms,
+            s.errors,
+        );
+        assert_eq!(s.messages as usize, messages, "messages lost at fan-in");
+        assert_eq!(s.errors, 0, "errors at fan-in");
+        rows.push((devices, overhead_us));
     }
-    // The acceptance curve: reactor overhead at the largest fan-in vs the
-    // smallest (1k-device) anchor must stay within 2×.
-    if let (Some(&(ad, a)), Some(&(ld, l))) = (reactor_rows.first(), reactor_rows.last()) {
+    // The acceptance curve: overhead at the largest fan-in vs the smallest
+    // (1k-device) anchor must stay within 2×.
+    if let (Some(&(ad, a)), Some(&(ld, l))) = (rows.first(), rows.last()) {
         let ratio = l / a;
         eprintln!(
-            "reactor overhead {ld} devices / {ad} devices = {ratio:.2}x \
+            "overhead {ld} devices / {ad} devices = {ratio:.2}x \
              ({l:.2} us vs {a:.2} us per message)"
         );
         if ld > ad {
             assert!(
                 ratio <= 2.0,
-                "reactor per-message overhead grew {ratio:.2}x from {ad} to {ld} devices \
+                "per-message overhead grew {ratio:.2}x from {ad} to {ld} devices \
                  (acceptance bound: 2x)"
             );
         }

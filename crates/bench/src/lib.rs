@@ -69,19 +69,19 @@ pub struct CellOpts {
     pub batch_max_bytes: usize,
     /// Producer batch linger window.
     pub linger: Duration,
-    /// Consumer prefetch queue depth (0 = no prefetch thread).
+    /// Consumer look-ahead depth (batches in flight ahead of processing).
     pub prefetch_depth: usize,
     /// Multiplex all devices onto this many producer engine workers
     /// (None = one producer task per device, the seed behaviour). The
     /// edge pilot is provisioned with this many cores instead of one per
     /// device — how 1024-device cells run on small hosts.
     pub producer_threads: Option<usize>,
-    /// Drive all consumer members from this many reactor threads
-    /// (None = one thread-backed cloud task per member, the seed
-    /// behaviour). With the reactor on, the cloud pilot is provisioned
-    /// for the reactor pool rather than one core per member — how
-    /// 64k-member cells (`processors = devices`, the paper's 1:1 ratio)
-    /// run on small hosts. See DESIGN.md §12.
+    /// Drive all consumer members from this many reactor threads (None =
+    /// the cloud pilot's cores: one per processor, 10 at least). With it
+    /// set, the cloud pilot is provisioned for the reactor pool rather
+    /// than one core per member — how 64k-member cells (`processors =
+    /// devices`, the paper's 1:1 ratio) run on small hosts. See DESIGN.md
+    /// §12.
     pub reactor_threads: Option<usize>,
     /// Width of the intra-task compute pool shared by the cloud
     /// processors (None = one lane per cloud core, the default sizing).
@@ -126,7 +126,7 @@ impl Default for CellOpts {
 
 impl CellOpts {
     /// Turn on the pipelined transport: batch up to `batch_max_bytes`
-    /// with a 2 ms linger on the producer side and prefetch two batches
+    /// with a 2 ms linger on the producer side and look two batches
     /// ahead on the consumer side.
     pub fn pipelined(mut self, batch_max_bytes: usize) -> Self {
         self.batch_max_bytes = batch_max_bytes;
@@ -155,9 +155,9 @@ pub fn default_messages(geo: Geo) -> usize {
 /// or bigger if the cell needs more processors.
 pub fn provision(svc: &PilotComputeService, opts: &CellOpts) -> (Pilot, Pilot) {
     let procs = opts.processors.unwrap_or(opts.devices);
-    // With the reactor on, the cloud pilot hosts `reactor_threads`
-    // polling threads — not one task per member — so its core count
-    // follows the pool, however many members the cell runs.
+    // The cloud pilot hosts the reactor's polling threads — not one task
+    // per member — so with `reactor_threads` set its core count follows
+    // the pool, however many members the cell runs.
     let cloud_tasks = opts.reactor_threads.unwrap_or(procs);
     let edge_cores = opts.producer_threads.unwrap_or(opts.devices);
     let edge = svc

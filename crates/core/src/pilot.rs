@@ -10,6 +10,7 @@ use pilot_broker::Broker;
 use pilot_dataflow::{Client, LocalCluster};
 use pilot_metrics::EnergyModel;
 use pilot_params::ParameterServer;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,6 +23,8 @@ struct PilotInner {
     failure: Mutex<Option<String>>,
     broker: Mutex<Option<Broker>>,
     params: Mutex<Option<ParameterServer>>,
+    /// Busy time billed through [`Pilot::record_busy`].
+    hosted_busy_ns: AtomicU64,
 }
 
 /// A pilot job. Obtain from [`crate::PilotComputeService::create_pilot`];
@@ -47,6 +50,7 @@ impl Pilot {
                 failure: Mutex::new(None),
                 broker: Mutex::new(None),
                 params: Mutex::new(None),
+                hosted_busy_ns: AtomicU64::new(0),
             }),
         }
     }
@@ -206,10 +210,22 @@ impl Pilot {
         }
     }
 
-    /// Energy estimate: cluster busy time at the class's active wattage,
-    /// the rest of the uptime at idle wattage.
+    /// Bill `busy` core-time to this pilot for work its cores did outside
+    /// the cluster's task slots — a framework the pilot hosts on threads of
+    /// its own (a pipeline's consumer reactor) reports its busy time here
+    /// so [`Pilot::energy`] keeps accounting for it.
+    pub fn record_busy(&self, busy: Duration) {
+        self.inner
+            .hosted_busy_ns
+            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Energy estimate: busy time (cluster tasks plus
+    /// [`Pilot::record_busy`]) at the class's active wattage, the rest of
+    /// the uptime at idle wattage.
     pub fn energy(&self) -> EnergyModel {
         let mut m = EnergyModel::new(self.desc.class);
+        m.record_busy(self.inner.hosted_busy_ns.load(Ordering::Relaxed) as f64 / 1e9);
         if let Some(cluster) = self.inner.cluster.lock().as_ref() {
             m.record_busy(cluster.stats().busy_secs);
         }

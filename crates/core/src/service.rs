@@ -334,6 +334,9 @@ mod tests {
         let e = pilot.energy();
         assert!(e.busy_secs() >= 0.04, "busy={}", e.busy_secs());
         assert!(e.joules() > 0.0);
+        // Busy time of a hosted framework's own threads adds to the tasks'.
+        pilot.record_busy(Duration::from_millis(200));
+        assert!(pilot.energy().busy_secs() >= e.busy_secs() + 0.2);
     }
 
     #[test]

@@ -365,8 +365,9 @@ impl ControllerCore {
         (to < cur).then_some(Action::SetBatchMaxBytes { from: cur, to })
     }
 
-    /// Deepening only helps members that already prefetch (the shape is
-    /// fixed at spawn), so a zero depth is left alone.
+    /// Policy: a pipeline configured without look-ahead keeps depth 0 —
+    /// the controller deepens a window the operator opened, it does not
+    /// open one (any member would honour a live depth at its next poll).
     fn deepen_prefetch(&self, obs: &Observation) -> Option<Action> {
         let cur = obs.prefetch_depth;
         let to = (cur + 1).min(self.cfg.bounds.max_prefetch);

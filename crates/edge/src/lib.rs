@@ -29,7 +29,7 @@
 //! * [`runtime`] — the running pipeline as a *staged engine*: every task
 //!   (producer engine workers on the edge pilot, consumer members on the
 //!   cloud pilot, partition:consumer ratio 1:1 by default) follows one
-//!   `Stage` lifecycle — spawn → step → drain → abort — with sentinel-based
+//!   lifecycle — spawn → step → drain — with sentinel-based
 //!   termination and dynamic processor scaling via consumer-group
 //!   rebalancing. See DESIGN.md §10 for the module map.
 //! * [`deployment`] — the paper's deployment modalities (cloud-centric /
@@ -43,11 +43,9 @@
 //!   (DESIGN.md §15): a control thread maps lag + bottleneck attribution
 //!   onto typed actions over the live knob table — consumer pool, compute
 //!   width, batching, prefetch, fetch budget, model placement — with
-//!   hysteresis, per-knob cooldowns, and an append-only action journal.
-//! * [`adapt`] — the lag-driven autoscaler (Section V's "dynamically scale
-//!   resources across the continuum at runtime based on the application's
-//!   objectives"); now the pinned-bounds, lag-only special case of the
-//!   controller.
+//!   hysteresis, per-knob cooldowns, and an append-only action journal
+//!   (Section V's "dynamically scale resources across the continuum at
+//!   runtime based on the application's objectives").
 //! * [`planner`] — analytic capacity planning: predict throughput,
 //!   bottleneck, and the latency floor of a deployment before running it
 //!   (the conclusion's "optimal resource layout").
@@ -57,7 +55,6 @@
 //! * [`summary`] — [`RunSummary`], the per-run digest (throughput, latency
 //!   quantiles, bottleneck) the experiment harness prints.
 
-pub mod adapt;
 pub mod control;
 pub mod deployment;
 pub mod faas;
@@ -70,7 +67,6 @@ pub mod runtime;
 pub mod summary;
 pub mod windows;
 
-pub use adapt::{AutoScalerConfig, ScalingEvent};
 pub use control::{
     Action, BottleneckStage, ControlBounds, ControlEvent, ControllerConfig, MigrationPolicy,
 };

@@ -43,8 +43,6 @@ pub struct PipelineConfig {
     pub rate_per_device: f64,
     /// Max records per consumer fetch.
     pub fetch_max: usize,
-    /// Blocking-poll timeout per consumer loop iteration.
-    pub poll_timeout: Duration,
     /// Broker retention.
     pub retention: RetentionPolicy,
     /// Wire codec for blocks crossing the network (paper Section II-D:
@@ -74,12 +72,16 @@ pub struct PipelineConfig {
     /// (there is no batcher for the window to apply to, so it would
     /// silently do nothing).
     pub linger: Duration,
-    /// Batches each consumer fetches ahead of processing. `0` (the
-    /// default) disables prefetch: the consumer pays the broker→cloud
-    /// transfer inline between fetch and process, exactly as before. Any
-    /// positive value moves fetch + transfer onto a per-consumer prefetch
-    /// thread with a queue of this depth (backpressure), so batch N+1
-    /// crosses the WAN while batch N is processed.
+    /// Batches each consumer keeps in flight on the broker→cloud link
+    /// ahead of the one it is processing. `0` (the default) fetches and
+    /// transfers batch N+1 only after batch N is processed. At depth `d`
+    /// the consumer fetches and reserves up to `d` further batches while
+    /// the front one is in flight or being processed, so batch N+1 crosses
+    /// the link while batch N is in `process_cloud`. The window is a queue
+    /// of non-blocking link reservations inside the consumer's state
+    /// machine — no extra thread — and the depth is re-read at every
+    /// fetch, so it can be tuned live. Offsets are committed only through
+    /// processed records at any depth.
     pub prefetch_depth: usize,
     /// Edge producer engine. `None` (the default) runs one producer task
     /// per device (the paper's "edge devices are simulated with a Dask
@@ -102,20 +104,15 @@ pub struct PipelineConfig {
     /// [`RunningPipeline::telemetry`]. `Some(0)` is rejected by
     /// [`Self::validate`].
     pub telemetry_sample_ms: Option<u64>,
-    /// The event-driven consumer core. `None` (the default) runs one
-    /// thread-backed cloud task per consumer member, requiring
-    /// `processors` cloud cores — exactly as before. `Some(k)` drives
-    /// *every* member as a waker-based state machine on a fixed pool of
-    /// `k` reactor threads: a parked member costs no thread, fetch readiness
-    /// comes from the broker's arrival registry (exact wakeups, no
-    /// `notify_all` herd), and broker→cloud transfers park on the link
-    /// reservation's deadline instead of sleeping — the fan-in scale-out
-    /// for the consumer side, where thread-per-member tops out around 1k
-    /// members. Message sets and span chains are identical between the
-    /// two shapes under a fixed seed; `prefetch_depth` is subsumed (the
-    /// reactor's deadline-parked transfers already overlap the WAN with
-    /// other members' processing). `Some(0)` is rejected by
-    /// [`Self::validate`].
+    /// Threads of the reactor that drives the consumer members. Every
+    /// member is a waker-based state machine on this fixed pool: a parked
+    /// member costs no thread, fetch readiness comes from the broker's
+    /// arrival registry (exact wakeups, no `notify_all` herd), and
+    /// broker→cloud transfers park on the link reservation's deadline
+    /// instead of sleeping — so `processors` may exceed the pool by orders
+    /// of magnitude. `None` (the default) sizes the pool from the cloud
+    /// pilot's core count; `Some(k)` overrides it and must not exceed
+    /// that count. `Some(0)` is rejected by [`Self::validate`].
     pub reactor_threads: Option<usize>,
     /// Durable broker log. `None` (the default) keeps the seed's
     /// memory-only commit log: nothing touches disk, nothing survives the
@@ -170,7 +167,6 @@ impl Default for PipelineConfig {
             topic: None,
             rate_per_device: 0.0,
             fetch_max: 4,
-            poll_timeout: Duration::from_millis(20),
             retention: RetentionPolicy::default(),
             codec: pilot_datagen::Codec::F64,
             compute_threads: None,
@@ -395,8 +391,8 @@ impl EdgeToCloudPipeline {
         self
     }
 
-    /// Batches each consumer prefetches ahead of processing (0 = off, the
-    /// default). See [`PipelineConfig::prefetch_depth`].
+    /// Batches each consumer keeps in flight ahead of processing (0 = none,
+    /// the default). See [`PipelineConfig::prefetch_depth`].
     pub fn prefetch_depth(mut self, depth: usize) -> Self {
         self.config.prefetch_depth = depth;
         self
@@ -417,9 +413,8 @@ impl EdgeToCloudPipeline {
         self
     }
 
-    /// Drive all consumer members on a fixed pool of `n` reactor threads
-    /// instead of one cloud task per member. See
-    /// [`PipelineConfig::reactor_threads`].
+    /// Drive the consumer members on `n` reactor threads instead of one
+    /// per cloud-pilot core. See [`PipelineConfig::reactor_threads`].
     pub fn reactor_threads(mut self, n: usize) -> Self {
         self.config.reactor_threads = Some(n);
         self
@@ -503,10 +498,10 @@ impl EdgeToCloudPipeline {
         // Knob consistency (devices/processors > 0, no zero-width pools,
         // no linger without batching) — see `PipelineConfig::validate`.
         cfg.validate()?;
-        // One core per edge task, one per consumer — the paper's task
-        // granularity. The multiplexed engine needs `producer_threads`
-        // edge cores; thread-per-device needs one per device. Undersized
-        // pilots would deadlock, so reject them.
+        // One core per edge task — the paper's task granularity. The
+        // multiplexed engine needs `producer_threads` edge cores;
+        // thread-per-device needs one per device. Undersized pilots would
+        // deadlock, so reject them.
         let edge_tasks = cfg.producer_threads.unwrap_or(cfg.devices);
         if edge.description().cores < edge_tasks {
             return Err(PipelineError::Capacity(format!(
@@ -518,18 +513,14 @@ impl EdgeToCloudPipeline {
                 cfg.producer_threads
             )));
         }
-        // The reactor multiplexes every member onto `reactor_threads`
-        // threads, so the cloud pilot only needs cores for those; the
-        // thread-backed default needs one per processor.
-        let cloud_tasks = cfg.reactor_threads.unwrap_or(cfg.processors);
-        if cloud.description().cores < cloud_tasks {
+        // The reactor multiplexes every consumer member onto its threads
+        // (one per cloud core unless overridden), so the cloud pilot needs
+        // a core per reactor thread, however many processors run on them.
+        let cloud_cores = cloud.description().cores;
+        if let Some(k) = cfg.reactor_threads.filter(|&k| k > cloud_cores) {
             return Err(PipelineError::Capacity(format!(
-                "cloud pilot has {} cores but {} consumer-side tasks were \
-                 requested ({} processors, reactor_threads = {:?})",
-                cloud.description().cores,
-                cloud_tasks,
-                cfg.processors,
-                cfg.reactor_threads
+                "cloud pilot has {cloud_cores} cores but {k} reactor threads \
+                 were requested"
             )));
         }
         runtime::start(self, edge, cloud, broker_pilot)
@@ -587,11 +578,22 @@ mod tests {
         let edge = active_pilot(&svc, 1);
         let cloud = active_pilot(&svc, 1);
         let err = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge.clone())
+            .pilot_cloud_processing(cloud.clone())
+            .produce_function(datagen_produce_factory(DataGenConfig::paper(5), 1))
+            .process_cloud_function(baseline_factory())
+            .devices(4)
+            .start()
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::Capacity(_)), "{err}");
+        // More reactor threads than cloud cores is rejected too; more
+        // processors than cores is not (members share the reactor).
+        let err = EdgeToCloudPipeline::builder()
             .pilot_edge(edge)
             .pilot_cloud_processing(cloud)
             .produce_function(datagen_produce_factory(DataGenConfig::paper(5), 1))
             .process_cloud_function(baseline_factory())
-            .devices(4)
+            .reactor_threads(2)
             .start()
             .unwrap_err();
         assert!(matches!(err, PipelineError::Capacity(_)), "{err}");

@@ -59,20 +59,18 @@ impl TransportConfig {
     }
 }
 
-/// Consumer-stage configuration (fetch, prefetch, and processor pool).
+/// Consumer-stage configuration (fetch, look-ahead, and processor pool).
 #[derive(Debug, Clone)]
 pub struct ConsumerConfig {
-    /// Initial consumer-task count.
+    /// Initial consumer-member count.
     pub processors: usize,
-    /// Batches each consumer fetches ahead of processing (0 = fetch
-    /// inlined in the processing loop, the default).
+    /// Batches each consumer keeps in flight on the broker→cloud link
+    /// ahead of the one it is processing (0 = none, the default).
     pub prefetch_depth: usize,
     /// Max records per partition per fetch.
     pub fetch_max: usize,
-    /// Blocking-poll timeout per consumer loop iteration.
-    pub poll_timeout: Duration,
-    /// Reactor threads driving every member as a waker-based state machine
-    /// (`None` = one thread-backed cloud task per member, the default).
+    /// Reactor threads driving the consumer members (`None` = the cloud
+    /// pilot's core count, the default).
     pub reactor_threads: Option<usize>,
 }
 
@@ -97,9 +95,8 @@ impl PipelineConfig {
     ///   workers would strand every device ([`PipelineError::Config`]);
     /// * `compute_threads == Some(0)` — a width-0 compute pool cannot run
     ///   anything ([`PipelineError::Config`]);
-    /// * `reactor_threads == Some(0)` — an event-driven consumer core with
-    ///   no reactor threads would never poll any member
-    ///   ([`PipelineError::Config`]);
+    /// * `reactor_threads == Some(0)` — a reactor with no threads would
+    ///   never poll any consumer member ([`PipelineError::Config`]);
     /// * `linger > 0` with `batch_max_bytes == 0` — the linger window only
     ///   exists inside the batcher, so this combination used to be a silent
     ///   no-op; it is now an error so the intent (batching) is explicit
@@ -135,8 +132,8 @@ impl PipelineConfig {
         }
         if self.reactor_threads == Some(0) {
             return Err(PipelineError::Config(
-                "reactor_threads must be > 0 when set (use None for \
-                 thread-backed consumer tasks)"
+                "reactor_threads must be > 0 when set (use None for the \
+                 cloud pilot's core count)"
                     .into(),
             ));
         }
@@ -245,7 +242,6 @@ impl PipelineConfig {
                 processors: self.processors,
                 prefetch_depth: self.prefetch_depth,
                 fetch_max: self.fetch_max,
-                poll_timeout: self.poll_timeout,
                 reactor_threads: self.reactor_threads,
             },
         })
@@ -486,6 +482,7 @@ mod tests {
         let dedicated = PipelineConfig::default().resolve().unwrap();
         assert_eq!(dedicated.producer.engine, ProducerEngineKind::Dedicated);
         assert!(!dedicated.transport.batching());
+        // Unset = sized from the cloud pilot's cores at `start()`.
         assert_eq!(dedicated.consumer.reactor_threads, None);
     }
 }

@@ -1,72 +1,141 @@
-//! The consumer stage: group membership, fetch, broker→cloud transport,
-//! and cloud processing — one implementation for both consumer shapes.
+//! The consumer stage: one group member as a polled state machine on the
+//! pipeline's reactor — the only way a pipeline consumes.
 //!
-//! A [`ConsumerStage`] is either **inline** (prefetch depth 0, the
-//! default): the [`Fetcher`] runs in the processing task and each record
-//! pays its broker→cloud transfer between fetch and process — or
-//! **prefetching** (`prefetch_depth > 0`): the same `Fetcher` moves onto a
-//! dedicated thread that fetches and transfers batch N+1 (one link
-//! reservation per batch) while the stage processes batch N, connected by
-//! a depth-bounded queue (backpressure). The [`Processor`] — decode
-//! scratch, hot-swappable cloud function, counters, span recording — is
-//! identical in both shapes.
+//! Every member is a [`ConsumerStage`], a [`ReactorTask`] driven by the
+//! [`pilot_dataflow::LocalExecutor`]'s fixed pool of threads (the cloud
+//! pilot's cores unless `reactor_threads` overrides it). The stage never
+//! blocks a reactor thread waiting for data or for a link reservation:
 //!
-//! Commit policy (at-least-once): offsets commit once per poll round after
-//! processing (inline) or after queueing (prefetch — records handed to the
-//! processing side count as delivered), plus a final commit on drain.
+//! * **Fetch** goes through [`Fetcher::poll_ready`] → the broker's arrival
+//!   registry. No data means the member's waker is armed on exactly the
+//!   partitions it watches and the task returns `Pending`; the append that
+//!   makes a watched partition non-empty re-queues it. Ten thousand parked
+//!   members cost an appender one waker, not a `notify_all` herd.
+//! * **Broker→cloud transport** reserves the link for a whole batch and
+//!   parks on the reservation's *deadline* (`PendingUntil`) — the reactor
+//!   thread is free to poll other members while the simulated bytes are in
+//!   flight.
+//!
+//! A poll round is sync → fetch → reserve → (park) → process → commit over
+//! a FIFO window of fetched batches. `prefetch_depth` (a live
+//! [`TuneTable`](super::TuneTable) cell, re-read every poll) is the
+//! look-ahead of that window: at depth 0 the next batch is fetched and
+//! reserved only after the current one is processed; at depth `d` up to
+//! `d` further batches are fetched and reserved while the front one is in
+//! flight or being processed, so batch N+1 crosses the link while batch N
+//! is in `process_cloud`.
+//!
+//! # Delivery contract (at-least-once)
+//!
+//! * A partition's sentinel travels through the window in order: the
+//!   partition is marked done only after every record fetched ahead of the
+//!   sentinel has been processed.
+//! * Offsets are committed only through processed records — one commit
+//!   per processed batch. A member stopped (scale-down, abort, failure)
+//!   with batches still in the window leaves them uncommitted, so its
+//!   successor redelivers them.
+//! * A partition changes hands only between batches: a member holds the
+//!   partition's [`Claims`] entry from before it processes a batch until
+//!   the commit, and a member handed new partitions by a rebalance reads
+//!   their committed offsets only once none of them is claimed. A resize
+//!   of a healthy pool therefore delivers nothing twice; redelivery is
+//!   left to members that fail or are aborted mid-batch.
 
 use super::sentinel;
 use super::spans::{metric_msg_id, HotCounters};
-use super::stage::{Stage, StepOutcome};
 use super::Shared;
 use crate::faas::CloudFn;
 use pilot_broker::consumer::PartitionBatches;
-use pilot_broker::{Consumer, Record};
+use pilot_broker::{Consumer, GroupId, Offset, Record, TopicId};
+use pilot_dataflow::{ReactorPoll, ReactorTask};
 use pilot_metrics::Component;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
-/// Records fetched (and transferred) from one partition, plus the
-/// wall-clock window their shared broker→cloud transfer occupied.
-struct FetchedBatch {
-    partition: usize,
-    records: Vec<Record>,
-    net_start_us: u64,
-    net_end_us: u64,
+/// Per partition, how many members are between "about to process a batch
+/// of it" and "committed that batch". It is what orders a rebalance
+/// against a batch in progress: the processing side claims the partition
+/// and *then* re-checks the group generation; the side taking a partition
+/// over reads the generation and *then* checks the claim. Whichever way
+/// the two interleave, either the old owner sees the new generation and
+/// drops the batch, or the new owner sees the claim and waits for the
+/// commit.
+pub(crate) struct Claims(Vec<AtomicU32>);
+
+impl Claims {
+    pub(crate) fn new(partitions: usize) -> Self {
+        Self((0..partitions).map(|_| AtomicU32::new(0)).collect())
+    }
+
+    fn claim(&self, partition: usize) -> Claim<'_> {
+        let slot = &self.0[partition];
+        slot.fetch_add(1, Ordering::SeqCst);
+        Claim(slot)
+    }
+
+    fn claimed(&self, partition: usize) -> bool {
+        self.0[partition].load(Ordering::SeqCst) > 0
+    }
+}
+
+/// One held entry of [`Claims`]; dropping it releases the partition.
+struct Claim<'a>(&'a AtomicU32);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What a generation check found.
+enum Membership {
+    /// Same generation, same assignment.
+    Unchanged,
+    /// The group rebalanced, but a former owner of one of this member's
+    /// new partitions is still inside a batch of it: not subscribed yet,
+    /// check again shortly.
+    HandingOver,
+    /// The group rebalanced: the consumer was rebuilt from the committed
+    /// offsets, so anything fetched but uncommitted will be fetched again.
+    Reassigned,
 }
 
 /// One member's view of the consumer group: assignment, rebalance
-/// tracking, and the multi-partition fetch. Used directly by the inline
-/// shape, owned by the prefetch thread otherwise, and embedded in the
-/// reactor stage (`super::reactor`) — membership logic exists once.
-pub(super) struct Fetcher {
+/// tracking, the multi-partition fetch, and the offset commit.
+struct Fetcher {
     shared: Arc<Shared>,
     member: String,
     group: String,
-    pub(super) consumer: Consumer,
+    group_id: GroupId,
+    topic_id: TopicId,
+    consumer: Consumer,
     my_gen: u64,
     parts: Vec<usize>,
 }
 
 impl Fetcher {
-    /// Resolve the member's assignment (membership is normally registered
-    /// at spawn time so the first poll sees the final assignment; join
-    /// here as a fallback) and subscribe to it.
-    pub(super) fn new(shared: Arc<Shared>, member: String) -> Result<Self, String> {
+    /// A fetcher for `member`, which the control plane has already joined
+    /// to the group. It starts with no partitions and a generation no
+    /// group ever has, so the first [`Fetcher::sync`] — at the member's
+    /// first poll, not at spawn — reads the assignment and the committed
+    /// offsets as they are *then*: whatever the previous owner of a
+    /// partition commits between this member's spawn and its first poll is
+    /// not fetched again.
+    fn new(shared: Arc<Shared>, member: String) -> Result<Self, String> {
         let group = shared.group();
-        let (my_gen, parts) = shared
-            .coordinator
-            .assignment(&member)
-            .unwrap_or_else(|| shared.coordinator.join(&member));
-        let consumer = Self::subscribe(&shared, &group, &parts)?;
+        let consumer = Self::subscribe(&shared, &group, &[])?;
         Ok(Self {
+            group_id: shared.broker.group_id(&group),
+            topic_id: shared.broker.topic_id(&shared.topic),
             shared,
             member,
             group,
             consumer,
-            my_gen,
-            parts,
+            my_gen: 0,
+            parts: Vec::new(),
         })
     }
 
@@ -84,61 +153,68 @@ impl Fetcher {
         Ok(consumer)
     }
 
-    /// Re-subscribe if the group generation moved. `Ok(false)` means this
-    /// member is no longer part of the group (retired by a scale-down) and
-    /// the caller should finish.
-    pub(super) fn sync(&mut self) -> Result<bool, String> {
-        if self.shared.coordinator.generation() != self.my_gen {
-            match self.shared.coordinator.assignment(&self.member) {
-                Some((g, p)) => {
-                    self.my_gen = g;
-                    self.parts = p;
-                    self.consumer = Self::subscribe(&self.shared, &self.group, &self.parts)?;
-                }
-                None => return Ok(false),
-            }
+    /// Re-subscribe if the group generation moved.
+    fn sync(&mut self) -> Result<Membership, String> {
+        if self.current() {
+            return Ok(Membership::Unchanged);
         }
-        Ok(true)
+        match self.shared.coordinator.assignment(&self.member) {
+            Some((_, p)) if p.iter().any(|&p| self.shared.claims.claimed(p)) => {
+                Ok(Membership::HandingOver)
+            }
+            Some((g, p)) => {
+                // No former owner is mid-batch, and none can start one now
+                // (it would see the new generation first): the committed
+                // offsets read below are final.
+                self.my_gen = g;
+                self.parts = p;
+                self.consumer = Self::subscribe(&self.shared, &self.group, &self.parts)?;
+                Ok(Membership::Reassigned)
+            }
+            // Only the member itself leaves the group, as its last act.
+            None => Err(format!("{} is polled but not in its group", self.member)),
+        }
+    }
+
+    /// Whether the group still is at the generation this member last
+    /// synced to.
+    fn current(&self) -> bool {
+        self.shared.coordinator.generation() == self.my_gen
     }
 
     /// Nothing to fetch: no assignment, or every assigned partition
     /// already finished.
-    pub(super) fn idle(&self) -> bool {
+    fn idle(&self) -> bool {
         self.parts.is_empty() || self.consumer.all_paused()
     }
 
-    /// One multi-partition fetch for everything this member owns: a single
-    /// blocking wait on the topic's arrival condvar, however many
-    /// partitions are assigned (a member owning 128 partitions of a
-    /// 1024-device cell pays one wakeup, not 128 poll timeouts). The fetch
+    /// One non-blocking multi-partition fetch for everything this member
+    /// owns. `Ok(None)` means no data was ready and `waker` is armed on
+    /// the topic's arrival registry — the next append to a watched
+    /// partition wakes it (exact wake, no timeout polling). The fetch
     /// budget is a live [`TuneTable`](super::TuneTable) cell, re-read per
     /// poll.
-    fn poll(&mut self) -> Result<Vec<(usize, Vec<Record>)>, String> {
-        self.consumer
-            .poll_many(
-                self.shared.tune.fetch_max(),
-                self.shared.consumer.poll_timeout,
-            )
-            .map_err(|e| e.to_string())
-    }
-
-    /// Non-blocking readiness variant of [`Fetcher::poll`] for the reactor
-    /// stage: `Ok(None)` means no data was ready and `waker` is armed on
-    /// the topic's arrival registry — the next append to a watched
-    /// partition wakes it (exact wake, no timeout polling).
-    pub(super) fn poll_ready(
-        &mut self,
-        waker: &std::task::Waker,
-    ) -> Result<Option<PartitionBatches>, String> {
+    fn poll_ready(&mut self, waker: &Waker) -> Result<Option<PartitionBatches>, String> {
         self.consumer
             .poll_many_ready(self.shared.tune.fetch_max(), waker)
             .map_err(|e| e.to_string())
     }
+
+    /// Commit `partition` through `next_offset` (exclusive): every record
+    /// below it has been processed.
+    fn commit_through(&self, partition: usize, next_offset: Offset) {
+        self.shared.broker.commit_offset_by_id(
+            self.group_id,
+            self.topic_id,
+            partition,
+            next_offset,
+        );
+    }
 }
 
-/// The cloud-side processing state shared by all consumer shapes: the
-/// hot-swappable function, cached counters, and the decode scratch.
-pub(super) struct Processor {
+/// The cloud-side processing state: the hot-swappable function, cached
+/// counters, and the decode scratch.
+struct Processor {
     fn_gen: u64,
     func: CloudFn,
     counters: HotCounters,
@@ -150,7 +226,7 @@ pub(super) struct Processor {
 }
 
 impl Processor {
-    pub(super) fn new(shared: &Shared) -> Self {
+    fn new(shared: &Shared) -> Self {
         let (fn_gen, factory) = shared.cloud_slot.current();
         Self {
             fn_gen,
@@ -161,7 +237,7 @@ impl Processor {
     }
 
     /// Re-instantiate the cloud function if it was hot-swapped.
-    pub(super) fn refresh(&mut self, shared: &Shared) {
+    fn refresh(&mut self, shared: &Shared) {
         let (g, factory) = shared.cloud_slot.current();
         if g != self.fn_gen {
             self.fn_gen = g;
@@ -170,18 +246,16 @@ impl Processor {
     }
 
     /// Decode one non-sentinel record and run the cloud function on it,
-    /// recording the Network span over `[net_start_us, net_end_us]` (the
-    /// record's transfer window — per-batch wall clock under prefetch) and
-    /// a CloudProcessor span covering decode + invoke. Returns 1 on
-    /// success, 0 when the invocation failed (the error span is recorded;
-    /// the stream continues — fault isolation).
-    pub(super) fn process(
+    /// recording the Network span over the batch's transfer window and a
+    /// CloudProcessor span covering decode + invoke. Returns 1 on success,
+    /// 0 when the invocation failed (the error span is recorded; the
+    /// stream continues — fault isolation).
+    fn process(
         &mut self,
         shared: &Shared,
         partition: usize,
         record: &Record,
-        net_start_us: u64,
-        net_end_us: u64,
+        flight: &Flight,
     ) -> Result<u64, String> {
         let ctx = &shared.ctx;
         let spans = shared.spans();
@@ -201,8 +275,8 @@ impl Processor {
         spans.record(
             mid,
             Component::Network(shared.link_broker_cloud.name().to_string()),
-            net_start_us,
-            net_end_us,
+            flight.net_start_us,
+            flight.net_end_us,
             bytes,
         );
         match (self.func)(ctx, &self.scratch) {
@@ -211,376 +285,280 @@ impl Processor {
                 self.counters.messages_processed.incr();
                 Ok(1)
             }
-            Err(msg) => {
-                spans.record_error(mid, Component::CloudProcessor, p0, spans.now_us(), bytes);
-                self.counters.process_errors.incr();
+            Err(_msg) => {
                 // A failing function invocation is recorded and the stream
                 // continues — one bad message must not kill the processor
                 // (fault isolation).
-                let _ = msg;
+                spans.record_error(mid, Component::CloudProcessor, p0, spans.now_us(), bytes);
+                self.counters.process_errors.incr();
                 Ok(0)
             }
         }
     }
 }
 
-/// Hard cap on a prefetch channel's capacity: the admission gate (the live
-/// `prefetch_depth` knob) bounds the queue below this; the channel itself
-/// only backstops a knob raised beyond it.
-const PREFETCH_QUEUE_CAP: usize = 64;
-
-/// Where this stage's records come from.
-enum Source {
-    /// Fetch + broker→cloud transfer inlined in the processing task
-    /// (prefetch depth 0, the default). Boxed: the fetcher (consumer
-    /// positions, pause set, scratch) dwarfs the prefetch variant.
-    Inline(Box<Fetcher>),
-    /// A prefetch thread owns the [`Fetcher`]; batches arrive through a
-    /// depth-bounded queue, errors travel through the same queue.
-    Prefetch {
-        rx: Option<mpsc::Receiver<Result<FetchedBatch, String>>>,
-        quit: Arc<AtomicBool>,
-        /// Batches currently in the queue — the admission-gate counter the
-        /// prefetch loop checks against the live `prefetch_depth` knob.
-        queued: Arc<AtomicUsize>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    },
+/// A batch's reserved broker→cloud transfer: when it lands, and the
+/// simulated window it occupies on the link (the Network span of every
+/// record aboard).
+#[derive(Clone, Copy)]
+struct Flight {
+    deadline: Instant,
+    net_start_us: u64,
+    net_end_us: u64,
 }
 
-/// One consumer member as a [`Stage`]: stepping processes one poll round
-/// (inline) or one prefetched batch; draining commits and leaves the
-/// group.
+/// Records fetched from one partition, on their way to the processor.
+struct Batch {
+    partition: usize,
+    /// The non-sentinel records, in offset order.
+    records: Vec<Record>,
+    /// One past the last fetched record (sentinel included): the offset to
+    /// commit once the batch is processed.
+    next_offset: Offset,
+    /// The partition's end-of-stream sentinel followed `records`.
+    ends_stream: bool,
+    /// `Some` once the transfer is reserved on the link.
+    flight: Option<Flight>,
+}
+
+/// Idle members re-poll at least this often even if no wake reaches them.
+/// Rebalances, completion, and shutdown all `wake_all` the executor, so
+/// the timer is only a coarse backstop — at 64k members a tighter idle
+/// pace would saturate the pool with no-op polls during the drain tail.
+const IDLE_BACKSTOP: Duration = Duration::from_secs(1);
+
+/// How soon a member waiting for a former owner's batch to commit looks
+/// again. The wait lasts one batch of one other member at most.
+const HANDOVER_RETRY: Duration = Duration::from_millis(1);
+
+/// One consumer member as a reactor task. Polling advances the round
+/// state machine by one bounded step; the first poll resolves the group
+/// assignment and subscribes.
 pub(crate) struct ConsumerStage {
     shared: Arc<Shared>,
     member: String,
-    proc: Processor,
-    source: Source,
+    stop: Arc<AtomicBool>,
+    fetcher: Fetcher,
+    /// Built at the first batch, on a reactor thread: instantiating the
+    /// cloud function (a model ensemble, say) is the member's work, not
+    /// `start()`'s.
+    proc: Option<Processor>,
+    /// Fetched batches in delivery order; the reserved ones are a prefix.
+    window: VecDeque<Batch>,
+    /// Reserved batches not yet processed: the reserved prefix of
+    /// `window`, plus the popped batch while it is being processed.
+    reserved: usize,
+    processed: u64,
 }
 
 impl ConsumerStage {
-    pub(crate) fn new(shared: Arc<Shared>, member: String) -> Result<Self, String> {
-        let proc = Processor::new(&shared);
-        // The shape is picked from the *live* knob at member spawn: depth 0
-        // inlines the fetch; depth > 0 spawns the prefetch thread, whose
-        // queue admission then tracks the knob live (a scaled-up member
-        // joining after a `set_prefetch_depth` gets the new shape).
-        let depth = shared.tune.prefetch_depth();
-        let source = if depth == 0 {
-            Source::Inline(Box::new(Fetcher::new(Arc::clone(&shared), member.clone())?))
-        } else {
-            // Capacity covers the deepest admissible knob so the gate (not
-            // the channel) is what bounds the queue as the knob moves.
-            let (tx, rx) = mpsc::sync_channel(depth.max(PREFETCH_QUEUE_CAP));
-            let quit = Arc::new(AtomicBool::new(false));
-            let queued = Arc::new(AtomicUsize::new(0));
-            let thread = {
-                let shared2 = Arc::clone(&shared);
-                let member2 = member.clone();
-                let quit2 = Arc::clone(&quit);
-                let queued2 = Arc::clone(&queued);
-                std::thread::spawn(move || prefetch_loop(shared2, member2, &quit2, &queued2, &tx))
-            };
-            Source::Prefetch {
-                rx: Some(rx),
-                quit,
-                queued,
-                thread: Some(thread),
-            }
-        };
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        member: String,
+        stop: Arc<AtomicBool>,
+    ) -> Result<Self, String> {
+        let fetcher = Fetcher::new(Arc::clone(&shared), member.clone())?;
         Ok(Self {
             shared,
             member,
-            proc,
-            source,
+            stop,
+            fetcher,
+            proc: None,
+            window: VecDeque::new(),
+            reserved: 0,
+            processed: 0,
         })
     }
 
-    /// Stop the prefetch thread (if any), commit when `commit` (on orderly
-    /// shutdown the inline shape commits its final positions; the prefetch
-    /// thread commits its own on exit), and release group membership.
-    fn close(&mut self, commit: bool) -> Result<(), String> {
-        let mut failure: Option<String> = None;
-        match &mut self.source {
-            Source::Inline(fetcher) => {
-                if commit {
-                    fetcher.consumer.commit();
-                }
-            }
-            Source::Prefetch {
-                rx,
-                quit,
-                queued,
-                thread,
-            } => {
-                quit.store(true, Ordering::Relaxed);
-                // Drain the queue before dropping it: the drain unblocks a
-                // fetcher parked on a full queue, and each dequeued batch
-                // decrements the occupancy gauge, so post-shutdown
-                // telemetry reads zero instead of leaking the queued count.
-                //
-                // Queued batches are already *committed* (the fetcher
-                // commits after queueing — records handed to the
-                // processing side count as delivered), so the orderly
-                // drain must still process them: a successor member reads
-                // from the committed offset and would never redeliver
-                // them. Discarding here would silently lose delivered
-                // records on a scale-down retirement. Only the abort path
-                // (a failing run) drops them.
-                if commit {
-                    self.proc.refresh(&self.shared);
-                }
-                if let Some(rx) = rx.take() {
-                    loop {
-                        match rx.try_recv() {
-                            Ok(item) => {
-                                if let Ok(batch) = item {
-                                    queued.fetch_sub(1, Ordering::Relaxed);
-                                    if let Some(g) = self.shared.stage_gauges() {
-                                        g.prefetch_occupancy.decr();
-                                    }
-                                    if !commit || failure.is_some() {
-                                        continue;
-                                    }
-                                    for record in &batch.records {
-                                        if sentinel::is_sentinel(record) {
-                                            self.shared.sentinels.mark_done(batch.partition);
-                                            continue;
-                                        }
-                                        if let Err(e) = self.proc.process(
-                                            &self.shared,
-                                            batch.partition,
-                                            record,
-                                            batch.net_start_us,
-                                            batch.net_end_us,
-                                        ) {
-                                            // Keep draining (the fetcher
-                                            // must unpark), but surface
-                                            // the first failure.
-                                            failure = Some(e);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(mpsc::TryRecvError::Empty) => match thread {
-                                // Fetcher still live (it observes `quit` at
-                                // its next loop top, a bounded poll away).
-                                Some(t) if !t.is_finished() => {
-                                    std::thread::sleep(Duration::from_millis(1))
-                                }
-                                _ => break,
-                            },
-                            Err(mpsc::TryRecvError::Disconnected) => break,
-                        }
-                    }
-                }
-                if let Some(t) = thread.take() {
-                    let _ = t.join();
-                }
-            }
+    /// Record how many batches are reserved, keeping the shared
+    /// `consumer.prefetch_occupancy` gauge (batches reserved *ahead of*
+    /// the one being waited for or processed, summed over members) in
+    /// step.
+    fn set_reserved(&mut self, reserved: usize) {
+        if let Some(g) = self.shared.stage_gauges() {
+            let ahead = |n: usize| n.saturating_sub(1) as i64;
+            g.prefetch_occupancy
+                .add(ahead(reserved) - ahead(self.reserved));
         }
+        self.reserved = reserved;
+    }
+
+    /// Drop every fetched-but-unprocessed batch. They are uncommitted, so
+    /// whoever owns their partitions next fetches them again.
+    fn discard_window(&mut self) {
+        self.window.clear();
+        self.set_reserved(0);
+    }
+
+    /// Finish the task: leave the group, and on failure raise the shared
+    /// stop flag so one failing member stops the pipeline. Nothing is
+    /// committed here — processed batches already are, and the window's
+    /// remainder must stay uncommitted for a successor to redeliver.
+    fn complete(&mut self, result: Result<u64, String>) -> ReactorPoll {
+        if result.is_err() {
+            self.shared.stop_all.store(true, Ordering::Relaxed);
+        }
+        self.discard_window();
         self.shared.coordinator.leave(&self.member);
-        match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        ReactorPoll::Complete(result)
     }
-}
 
-impl Stage for ConsumerStage {
-    fn step(&mut self) -> Result<StepOutcome, String> {
-        if self.shared.sentinels.all_done() {
-            return Ok(StepOutcome::Finished);
+    /// Fetch one round into the window. `Ok(Some(park))` means the round
+    /// added nothing, and how to park if the window is empty as well.
+    fn fetch(&mut self, waker: &Waker) -> Result<Option<ReactorPoll>, String> {
+        if self.fetcher.idle() {
+            // Nothing assigned (or all assigned partitions finished): no
+            // arrival can wake us.
+            return Ok(Some(ReactorPoll::PendingUntil(
+                Instant::now() + IDLE_BACKSTOP,
+            )));
         }
-        match &mut self.source {
-            Source::Inline(fetcher) => {
-                if !fetcher.sync()? {
-                    // Retired by a scale-down rebalance.
-                    return Ok(StepOutcome::Finished);
-                }
-                self.proc.refresh(&self.shared);
-                if fetcher.idle() {
-                    // Nothing assigned (or all assigned partitions
-                    // finished): idle politely until rebalance or
-                    // completion.
-                    std::thread::sleep(self.shared.consumer.poll_timeout);
-                    return Ok(StepOutcome::Idle);
-                }
-                let batches = fetcher.poll()?;
-                if batches.is_empty() {
-                    return Ok(StepOutcome::Idle);
-                }
-                let spans = self.shared.spans();
-                let mut processed = 0u64;
-                for (p, records) in batches {
-                    for record in records {
-                        if sentinel::is_sentinel(&record) {
-                            self.shared.sentinels.mark_done(p);
-                            let _ = fetcher.consumer.pause(p);
-                            continue;
-                        }
-                        // Broker → cloud transport, paid inline.
-                        let n0 = spans.now_us();
-                        self.shared
-                            .link_broker_cloud
-                            .transfer(record.value.len() as u64);
-                        let n1 = spans.now_us();
-                        processed += self.proc.process(&self.shared, p, &record, n0, n1)?;
-                    }
-                }
-                fetcher.consumer.commit();
-                Ok(StepOutcome::Progress(processed))
+        let Some(batches) = self.fetcher.poll_ready(waker)? else {
+            // Waker armed on the arrival registry: the next append to a
+            // watched partition re-queues us.
+            return Ok(Some(ReactorPoll::Pending));
+        };
+        let fetched_into = self.window.len();
+        for (partition, mut records) in batches {
+            let Some(last) = records.last() else { continue };
+            let next_offset = last.offset + 1;
+            let fetched = records.len();
+            records.retain(|r| !sentinel::is_sentinel(r));
+            let ends_stream = records.len() < fetched;
+            if ends_stream {
+                // Nothing follows a sentinel: stop polling the partition
+                // now; it is marked done when the batch is processed.
+                let _ = self.fetcher.consumer.pause(partition);
             }
-            Source::Prefetch { rx, queued, .. } => {
-                let batch = match rx
-                    .as_ref()
-                    .expect("receiver lives until drain/abort")
-                    .recv_timeout(self.shared.consumer.poll_timeout)
-                {
-                    Ok(Ok(batch)) => {
-                        queued.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(g) = self.shared.stage_gauges() {
-                            g.prefetch_occupancy.decr();
-                        }
-                        batch
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    Err(mpsc::RecvTimeoutError::Timeout) => return Ok(StepOutcome::Idle),
-                    // Fetch thread exited (e.g. retired by a scale-down).
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(StepOutcome::Finished),
-                };
-                self.proc.refresh(&self.shared);
-                let mut processed = 0u64;
-                for record in &batch.records {
-                    if sentinel::is_sentinel(record) {
-                        self.shared.sentinels.mark_done(batch.partition);
-                        continue;
-                    }
-                    processed += self.proc.process(
-                        &self.shared,
-                        batch.partition,
-                        record,
-                        batch.net_start_us,
-                        batch.net_end_us,
-                    )?;
-                }
-                Ok(StepOutcome::Progress(processed))
-            }
+            self.window.push_back(Batch {
+                partition,
+                records,
+                next_offset,
+                ends_stream,
+                flight: None,
+            });
         }
+        if self.window.len() == fetched_into {
+            // The broker had something for us, but no record (an
+            // auto-reset retry that read nothing): yield instead of
+            // fetching again inside this poll.
+            return Ok(Some(ReactorPoll::Ready));
+        }
+        Ok(None)
     }
 
-    fn drain(&mut self) -> Result<(), String> {
-        self.close(true)
-    }
-
-    /// Failure path: same shutdown minus the offset commit (positions past
-    /// a failed record must stay uncommitted) and minus processing of
-    /// already-queued batches. Also fixes the seed's serial consumer
-    /// leaving its group membership dangling on error.
-    fn abort(&mut self) {
-        let _ = self.close(false);
-    }
-}
-
-/// The prefetch thread: owns the [`Fetcher`], pays the broker→cloud
-/// transfer per batch (one reservation, propagation charged once), and
-/// hands completed batches to the stage through the admission-gated queue
-/// (the gate parks this thread while the processor is `prefetch_depth`
-/// batches behind — backpressure against the *live* knob, so a controller
-/// can deepen or shallow the window mid-run). Offsets commit only after a
-/// round's batches are safely queued; a send failure means the stage
-/// exited, so offsets stay uncommitted and a successor redelivers
-/// (at-least-once).
-fn prefetch_loop(
-    shared: Arc<Shared>,
-    member: String,
-    quit: &AtomicBool,
-    queued: &AtomicUsize,
-    tx: &mpsc::SyncSender<Result<FetchedBatch, String>>,
-) {
-    let mut fetcher = match Fetcher::new(Arc::clone(&shared), member) {
-        Ok(f) => f,
-        Err(e) => {
-            let _ = tx.send(Err(e));
+    /// Reserve the broker→cloud link for every unreserved batch among the
+    /// first `1 + depth` of the window. The reservation object is dropped
+    /// immediately — the link accounted the busy window at reserve time;
+    /// only the deadline matters here. A sentinel-only batch carries no
+    /// bytes and lands at once.
+    fn reserve_window(&mut self, depth: usize) {
+        let limit = self.window.len().min(1 + depth);
+        if self.reserved >= limit {
             return;
         }
-    };
-    let spans = shared.spans();
-    while !quit.load(Ordering::Relaxed) && !shared.stopping() && !shared.sentinels.all_done() {
-        match fetcher.sync() {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        }
-        if fetcher.idle() {
-            std::thread::sleep(shared.consumer.poll_timeout);
-            continue;
-        }
-        let batches = match fetcher.poll() {
-            Ok(b) => b,
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        };
-        if batches.is_empty() {
-            continue;
-        }
-        for (p, records) in batches {
-            // Pay the broker → cloud transfer for the whole batch while
-            // the stage chews on earlier batches: one reservation, transit
-            // for the summed bytes, propagation once.
-            let sizes: Vec<u64> = records
-                .iter()
-                .filter(|r| !sentinel::is_sentinel(r))
-                .map(|r| r.value.len() as u64)
-                .collect();
+        let spans = self.shared.spans();
+        for batch in self.window.range_mut(self.reserved..limit) {
+            let bytes: u64 = batch.records.iter().map(|r| r.value.len() as u64).sum();
+            let now = Instant::now();
             let net_start_us = spans.now_us();
-            if !sizes.is_empty() {
-                shared.link_broker_cloud.reserve_batch(&sizes).wait();
-            }
-            let net_end_us = spans.now_us();
-            if records.iter().any(sentinel::is_sentinel) {
-                // Sentinel forwarded: stop polling this partition even
-                // before the stage marks it done.
-                let _ = fetcher.consumer.pause(p);
-            }
-            let batch = FetchedBatch {
-                partition: p,
-                records,
-                net_start_us,
-                net_end_us,
+            let deadline = if batch.records.is_empty() {
+                now
+            } else {
+                self.shared.link_broker_cloud.reserve(bytes).deadline()
             };
-            // Admission gate: park while the stage is a full window behind
-            // the *live* depth knob (clamped to ≥ 1 — a live 0 cannot turn
-            // this thread back inline). The channel capacity only backstops
-            // knobs raised beyond `PREFETCH_QUEUE_CAP`.
-            while queued.load(Ordering::Relaxed) >= shared.tune.prefetch_depth().max(1)
-                && !quit.load(Ordering::Relaxed)
-                && !shared.stopping()
-            {
-                std::thread::sleep(Duration::from_micros(200));
+            batch.flight = Some(Flight {
+                deadline,
+                net_start_us,
+                net_end_us: net_start_us
+                    + deadline.saturating_duration_since(now).as_micros() as u64,
+            });
+        }
+        self.set_reserved(limit);
+    }
+}
+
+impl ReactorTask for ConsumerStage {
+    fn poll(&mut self, waker: &Waker) -> ReactorPoll {
+        loop {
+            if self.shared.stopping() || self.shared.sentinels.all_done() {
+                return self.complete(Ok(self.processed));
             }
-            // Occupancy is incremented before the (blocking) send so the
-            // gauge can never dip negative against the stage's decrement;
-            // a failed send (stage gone) undoes it.
-            queued.fetch_add(1, Ordering::Relaxed);
-            if let Some(g) = shared.stage_gauges() {
-                g.prefetch_occupancy.incr();
+            if self.stop.load(Ordering::Relaxed) {
+                // Retired by a scale-down. Leaving bumped the generation:
+                // wake the survivors so they pick the orphaned partitions
+                // up now — one that is idle would otherwise sleep out its
+                // backstop first.
+                let done = self.complete(Ok(self.processed));
+                self.shared.reactor.wake_all();
+                return done;
             }
-            if tx.send(Ok(batch)).is_err() {
-                queued.fetch_sub(1, Ordering::Relaxed);
-                if let Some(g) = shared.stage_gauges() {
-                    g.prefetch_occupancy.decr();
+            // Checked before every batch, not only before a fetch: after a
+            // rebalance the window may hold partitions that now belong to
+            // another member.
+            match self.fetcher.sync() {
+                Ok(Membership::Unchanged) => {}
+                Ok(Membership::Reassigned) => self.discard_window(),
+                Ok(Membership::HandingOver) => {
+                    self.discard_window();
+                    return ReactorPoll::PendingUntil(Instant::now() + HANDOVER_RETRY);
                 }
-                return;
+                Err(e) => return self.complete(Err(e)),
+            }
+            let depth = self.shared.tune.prefetch_depth();
+            // Top the window up to one batch plus the look-ahead.
+            let mut park = None;
+            while self.window.len() <= depth {
+                match self.fetch(waker) {
+                    Ok(None) => {}
+                    Ok(Some(until)) => {
+                        park = Some(until);
+                        break;
+                    }
+                    Err(e) => return self.complete(Err(e)),
+                }
+            }
+            self.reserve_window(depth);
+            let Some(flight) = self.window.front().and_then(|b| b.flight) else {
+                return park.expect("an empty window left the fetch loop by parking");
+            };
+            if Instant::now() < flight.deadline {
+                return ReactorPoll::PendingUntil(flight.deadline);
+            }
+            // The front batch landed (a zero-latency link completes inline
+            // instead of bouncing through the timer heap): claim its
+            // partition, process it, commit through it, and only then
+            // honour its sentinel.
+            let shared = Arc::clone(&self.shared);
+            let partition = self.window.front().expect("front checked above").partition;
+            let _claim = shared.claims.claim(partition);
+            if !self.fetcher.current() {
+                // Rebalanced since the sync above; the partition may be
+                // another member's by now. Back to the top to find out.
+                continue;
+            }
+            let batch = self.window.pop_front().expect("front checked above");
+            let proc = self.proc.get_or_insert_with(|| Processor::new(&shared));
+            proc.refresh(&shared);
+            for record in &batch.records {
+                match proc.process(&shared, partition, record, &flight) {
+                    Ok(n) => self.processed += n,
+                    Err(e) => return self.complete(Err(e)),
+                }
+            }
+            // Only now does the batch stop counting as reserved: while it
+            // was being processed the rest of the window was ahead of it.
+            self.set_reserved(self.reserved - 1);
+            self.fetcher.commit_through(partition, batch.next_offset);
+            if batch.ends_stream {
+                shared.sentinels.mark_done(partition);
+            }
+            // A poll that processed a batch yields before it fetches again
+            // (Ready, not another fetch), so a hot member cannot starve its
+            // reactor thread's siblings; the window keeps flying meanwhile.
+            if self.window.len() <= depth {
+                return ReactorPoll::Ready;
             }
         }
-        // Commit only after the fetched batches are safely queued.
-        fetcher.consumer.commit();
     }
-    fetcher.consumer.commit();
 }

@@ -5,67 +5,35 @@
 //! stage finish and drain; `abort()` raises `stop_all` so stages drain at
 //! their next step boundary; and *dropping* a mid-run pipeline now aborts
 //! and joins everything with a bounded grace period, so a dropped handle
-//! cannot leak producer, consumer, or prefetch threads.
+//! cannot leak producer tasks or reactor threads.
 
 use super::consumer::ConsumerStage;
-use super::reactor::ReactorConsumerStage;
-use super::{stage, Shared};
+use super::Shared;
 use crate::faas::{CloudFactory, Context};
 use crate::pipeline::PipelineError;
 use crate::summary::RunSummary;
 use parking_lot::Mutex;
-use pilot_dataflow::{Client, ReactorHandle, TaskFuture, TaskState};
+use pilot_core::Pilot;
+use pilot_dataflow::{ReactorHandle, TaskFuture};
 use pilot_metrics::{PipelineReport, TelemetryFrame, TelemetrySampler};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a consumer member runs: its own cloud task (thread-backed, the
-/// default) or the shared reactor (`reactor_threads = Some(k)`). The
-/// control plane treats both uniformly through this handle.
-pub(crate) enum ConsumerHandle {
-    Task(TaskFuture),
-    Reactor(ReactorHandle),
-}
-
-impl ConsumerHandle {
-    fn is_finished(&self) -> bool {
-        match self {
-            Self::Task(f) => f.is_finished(),
-            Self::Reactor(h) => h.is_finished(),
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), String>> {
-        match self {
-            Self::Task(f) => f
-                .wait_timeout(timeout)
-                .map(|r| r.map(|_| ()).map_err(|e| e.to_string())),
-            Self::Reactor(h) => h.wait_timeout(timeout).map(|r| r.map(|_| ())),
-        }
-    }
-
-    /// Scheduler state of the backing cloud task. `None` for reactor
-    /// members: they are driven by dedicated reactor threads, so the
-    /// starvation eviction that watches for never-scheduled tasks does
-    /// not apply.
-    fn task_state(&self) -> Option<TaskState> {
-        match self {
-            Self::Task(f) => f.state(),
-            Self::Reactor(_) => None,
-        }
-    }
-}
-
 /// The shared control surface of a running pipeline: everything a monitor
-/// thread (e.g. the [`crate::adapt::AutoScaler`]) needs to observe and
-/// adapt it. Internal — applications hold a [`RunningPipeline`].
+/// thread (the [`crate::control::Controller`]) needs to observe and adapt
+/// it. Internal — applications hold a [`RunningPipeline`].
 pub(crate) struct PipelineCtl {
     pub(crate) shared: Arc<Shared>,
-    consumers: Mutex<Vec<(String, Arc<AtomicBool>, ConsumerHandle)>>,
-    retired: Mutex<Vec<ConsumerHandle>>,
-    cloud_client: Client,
+    /// The cloud pilot, billed for the reactor's busy time: the reactor
+    /// threads stand for its cores, though they are not its task slots.
+    cloud: Pilot,
+    /// Reactor poll time already billed to `cloud`, in microseconds.
+    billed_us: AtomicU64,
+    /// Live members: name, per-member stop flag, reactor task handle.
+    consumers: Mutex<Vec<(String, Arc<AtomicBool>, ReactorHandle)>>,
+    /// Members retired by a scale-down, joined at `wait()`/drop.
+    retired: Mutex<Vec<ReactorHandle>>,
     next_member: AtomicUsize,
     /// The telemetry sampler thread, when `telemetry_sample_ms` is set.
     /// Stopped explicitly at the end of `wait()` (so the final frame sees
@@ -76,35 +44,27 @@ pub(crate) struct PipelineCtl {
 impl PipelineCtl {
     pub(crate) fn new(
         shared: Arc<Shared>,
-        cloud_client: Client,
+        cloud: Pilot,
         telemetry: Option<TelemetrySampler>,
     ) -> Self {
         Self {
             shared,
+            cloud,
+            billed_us: AtomicU64::new(0),
             consumers: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
-            cloud_client,
             next_member: AtomicUsize::new(0),
             telemetry,
         }
     }
 
-    /// Register the next consumer member with the coordinator *before* its
-    /// task runs, so partition assignment is stable from the first poll
-    /// (no startup rebalance churn).
-    pub(crate) fn join_member(&self) -> String {
-        let member = format!(
-            "processor-{}",
-            self.next_member.fetch_add(1, Ordering::Relaxed)
-        );
-        self.shared.coordinator.join(&member);
-        member
-    }
-
-    /// Register `n` members in **one** coordinator rebalance (the batch
-    /// variant of [`PipelineCtl::join_member`] — O(n) instead of O(n²)
-    /// at startup).
-    pub(crate) fn join_members(&self, n: usize) -> Vec<String> {
+    /// Add `n` consumer members. All of them join the group in **one**
+    /// coordinator rebalance — O(n), where n sequential joins cost O(n²)
+    /// assignment writes (minutes at 64k members) — and *before* any of
+    /// their tasks is spawned, so a member's first poll already sees the
+    /// final assignment (no startup rebalance, no redelivery). Each member
+    /// then runs as a task on the pipeline's reactor.
+    pub(crate) fn spawn_consumers(&self, n: usize) -> Result<(), PipelineError> {
         let members: Vec<String> = (0..n)
             .map(|_| {
                 format!(
@@ -114,57 +74,37 @@ impl PipelineCtl {
             })
             .collect();
         self.shared.coordinator.join_many(&members);
-        members
-    }
-
-    fn spawn_consumer(&self) -> Result<(), PipelineError> {
-        let member = self.join_member();
-        self.spawn_joined_consumer(member)
-    }
-
-    /// Start the consumer for an already-joined member: a reactor task
-    /// when the event-driven core is on, a dedicated cloud task otherwise.
-    /// With the reactor on, `prefetch_depth` is subsumed — the reactor
-    /// stage's deadline-parked link reservations already overlap transfer
-    /// with other members' processing, without a prefetch thread.
-    pub(crate) fn spawn_joined_consumer(&self, member: String) -> Result<(), PipelineError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = match &self.shared.reactor {
-            Some(executor) => {
-                let stage = ReactorConsumerStage::new(
-                    Arc::clone(&self.shared),
-                    member.clone(),
-                    Arc::clone(&stop),
-                )
-                .map_err(PipelineError::Task)?;
-                ConsumerHandle::Reactor(
-                    executor.spawn(&format!("process-cloud-{member}"), Box::new(stage)),
-                )
-            }
-            None => {
-                let member2 = member.clone();
-                ConsumerHandle::Task(stage::spawn(
-                    &self.cloud_client,
-                    &format!("process-cloud-{member}"),
-                    Arc::clone(&self.shared),
-                    Some(Arc::clone(&stop)),
-                    move |shared| {
-                        ConsumerStage::new(Arc::clone(shared), member2).map(|s| Box::new(s) as _)
-                    },
-                )?)
-            }
-        };
-        self.consumers.lock().push((member, stop, handle));
+        for member in members {
+            let stop = Arc::new(AtomicBool::new(false));
+            let stage =
+                ConsumerStage::new(Arc::clone(&self.shared), member.clone(), Arc::clone(&stop))
+                    .map_err(PipelineError::Task)?;
+            let handle = self
+                .shared
+                .reactor
+                .spawn(&format!("process-cloud-{member}"), Box::new(stage));
+            self.consumers.lock().push((member, stop, handle));
+        }
         Ok(())
     }
 
-    /// Re-queue every parked reactor task so it observes freshly raised
-    /// stop flags (a task parked on the arrival registry is only woken by
-    /// data otherwise). No-op without the reactor.
+    /// Re-queue every parked member so it observes freshly raised stop
+    /// flags or a new group generation (a member parked on the arrival
+    /// registry is only woken by data otherwise).
     pub(crate) fn wake_reactor(&self) {
-        if let Some(executor) = &self.shared.reactor {
-            executor.wake_all();
-        }
+        self.shared.reactor.wake_all();
+    }
+
+    /// Join the reactor threads (every member has settled) and bill the
+    /// time they spent inside member polls to the cloud pilot — what the
+    /// pilot's energy accounting sees of consumer work. Idempotent: a
+    /// second call bills only what accrued since the first (nothing).
+    fn shutdown_reactor(&self) {
+        self.shared.reactor.shutdown();
+        let total = self.shared.reactor.poll_time_us();
+        let billed = self.billed_us.swap(total, Ordering::Relaxed);
+        self.cloud
+            .record_busy(Duration::from_micros(total.saturating_sub(billed)));
     }
 
     pub(crate) fn processor_count(&self) -> usize {
@@ -212,7 +152,7 @@ impl PipelineCtl {
                 return Ok(());
             }
             if current < n {
-                self.spawn_consumer()?;
+                self.spawn_consumers(1)?;
             } else {
                 let (_, stop, handle) = self.consumers.lock().pop().expect("non-empty");
                 stop.store(true, Ordering::Relaxed);
@@ -232,12 +172,10 @@ impl PipelineCtl {
 pub struct RunningPipeline {
     pub(crate) ctl: Arc<PipelineCtl>,
     producers: Vec<TaskFuture>,
-    /// The attached control loop — the full feedback controller
-    /// (`attach_controller` / `PipelineConfig::controller`) or the legacy
-    /// lag-only autoscaler (`autoscale`, a pinned-bounds special case of
-    /// the same loop). One slot: attaching either replaces the other.
-    /// `Arc`'d so the gateway's `/control/journal` handler can read the
-    /// journal without holding a `RunningPipeline` reference.
+    /// The attached feedback controller (`attach_controller` /
+    /// `PipelineConfig::controller`). One slot: attaching replaces the
+    /// previous one. `Arc`'d so the gateway's `/control/journal` handler
+    /// can read the journal without holding a `RunningPipeline` reference.
     pub(crate) scaler: Arc<Mutex<Option<crate::control::ControllerHandle>>>,
     /// The observability gateway, when [`PipelineConfig::gateway`] is set.
     /// Lives here (not in [`PipelineCtl`]): its handlers capture
@@ -297,7 +235,7 @@ impl RunningPipeline {
     }
 
     /// Total consumer-group lag: records produced but not yet consumed.
-    /// The autoscaler's input signal; also useful for dashboards.
+    /// The controller's input signal; also useful for dashboards.
     pub fn lag(&self) -> u64 {
         self.ctl.total_lag()
     }
@@ -310,32 +248,18 @@ impl RunningPipeline {
     }
 
     /// Scale the consumer pool to `n` members at runtime; partitions are
-    /// rebalanced across the new member set. During the rebalance, records
-    /// in flight at the old owner may be redelivered to the new one
-    /// (at-least-once, as in Kafka); distinct-message accounting in the
-    /// run summary is unaffected.
+    /// rebalanced across the new member set. A partition changes hands
+    /// between batches — its new owner waits for the batch the old owner
+    /// is processing to be committed — so the resize itself delivers
+    /// nothing twice (delivery stays at-least-once, as in Kafka, for
+    /// members that fail mid-batch).
     pub fn scale_processors(&self, n: usize) -> Result<(), PipelineError> {
         self.ctl.scale_processors(n)
     }
 
-    /// Attach a lag-driven autoscaler (paper Section V: "a distributed
-    /// workload management system that can select, acquire and dynamically
-    /// scale resources across the continuum at runtime based on the
-    /// application's objectives"). Replaces any previously attached scaler.
-    ///
-    /// This is the legacy, lag-only special case of
-    /// [`RunningPipeline::attach_controller`]: every knob except the
-    /// processor count is pinned, and no attribution runs.
-    pub fn autoscale(&self, config: crate::adapt::AutoScalerConfig) {
-        let handle = crate::adapt::AutoScaler::spawn(Arc::clone(&self.ctl), config);
-        if let Some(old) = self.scaler.lock().replace(handle) {
-            old.stop();
-        }
-    }
-
     /// Attach the feedback controller (DESIGN.md §15), closing the
     /// telemetry→knob loop over this pipeline. Replaces any previously
-    /// attached controller or autoscaler. Called automatically by the
+    /// attached controller. Called automatically by the
     /// runtime when [`PipelineConfig::controller`] is set.
     ///
     /// [`PipelineConfig::controller`]: crate::pipeline::PipelineConfig::controller
@@ -344,18 +268,6 @@ impl RunningPipeline {
         if let Some(old) = self.scaler.lock().replace(handle) {
             old.stop();
         }
-    }
-
-    /// Processor-scaling decisions made by the attached control loop so
-    /// far, in the legacy [`ScalingEvent`](crate::adapt::ScalingEvent)
-    /// shape (enriched with the attributed bottleneck and the gauge
-    /// snapshot). Non-processor actions are in
-    /// [`RunningPipeline::control_events`].
-    pub fn scaling_events(&self) -> Vec<crate::adapt::ScalingEvent> {
-        self.control_events()
-            .iter()
-            .filter_map(crate::adapt::ScalingEvent::from_control)
-            .collect()
     }
 
     /// The attached control loop's full action journal: every applied
@@ -426,37 +338,18 @@ impl RunningPipeline {
         }
         // 2. Consumers drain all partitions (skipped when the run was
         // aborted — consumers exit on `stop_all` without draining).
-        let grace = Instant::now() + Duration::from_millis(500);
-        let mut evicted: HashSet<String> = HashSet::new();
         while !self.ctl.all_done() && !self.ctl.is_stopped() {
             if Instant::now() >= deadline {
                 self.abort();
                 return Err(PipelineError::Timeout);
             }
-            for (member, stop, handle) in self.ctl.consumers.lock().iter() {
-                // Surface consumer crashes instead of spinning to timeout.
+            // Surface consumer crashes instead of spinning to timeout.
+            for (_, _, handle) in self.ctl.consumers.lock().iter() {
                 if handle.is_finished() {
                     if let Some(Err(e)) = handle.wait_timeout(Duration::ZERO) {
                         self.abort();
                         return Err(PipelineError::Task(e));
                     }
-                }
-                // Starvation eviction: a member whose task still has no
-                // worker core after the grace period (e.g. its pilot is
-                // oversubscribed by another pipeline) must not hold
-                // partitions hostage — hand them to live members. Reactor
-                // members report no task state and are exempt: the
-                // executor's threads always run them.
-                if Instant::now() > grace
-                    && !evicted.contains(member)
-                    && matches!(
-                        handle.task_state(),
-                        Some(TaskState::Pending) | Some(TaskState::Ready)
-                    )
-                {
-                    stop.store(true, Ordering::Relaxed);
-                    self.ctl.shared.coordinator.leave(member);
-                    evicted.insert(member.clone());
                 }
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -477,23 +370,20 @@ impl RunningPipeline {
                 return Err(PipelineError::Timeout);
             }
         }
-        // Retired members (scale-downs) may still be draining their
-        // committed prefetch queues; those records count as delivered, so
-        // the run is not over — and the span store not complete — until
-        // they finish. Join them under the same deadline as live members.
+        // Retired members (scale-downs) may still be inside their last
+        // poll; the span store is not complete until they finish. Join
+        // them under the same deadline as live members.
         for handle in std::mem::take(&mut *self.ctl.retired.lock()) {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match handle.wait_timeout(remaining.max(Duration::from_millis(100))) {
                 None => return Err(PipelineError::Timeout),
                 Some(Err(e)) => return Err(PipelineError::Task(e)),
-                Some(Ok(())) => {}
+                Some(Ok(_)) => {}
             }
         }
         // Every reactor task is settled; join the reactor threads now so
         // a completed wait() leaves no pool threads behind.
-        if let Some(executor) = &self.ctl.shared.reactor {
-            executor.shutdown();
-        }
+        self.ctl.shutdown_reactor();
         // The gateway goes down before the sampler: its SSE streams poll
         // the sampler, and shutdown() joins the worker threads, so no
         // handler can observe a stopped telemetry plane.
@@ -545,9 +435,7 @@ impl Drop for RunningPipeline {
         for handle in std::mem::take(&mut *self.ctl.retired.lock()) {
             let _ = handle.wait_timeout(GRACE);
         }
-        if let Some(executor) = &self.ctl.shared.reactor {
-            executor.shutdown();
-        }
+        self.ctl.shutdown_reactor();
         if let Some(t) = &self.ctl.telemetry {
             t.stop();
         }

@@ -6,8 +6,8 @@
 //! ```text
 //!  edge pilot                     broker pilot                cloud pilot
 //!  ┌───────────────┐   link      ┌──────────────┐   link     ┌──────────────┐
-//!  │ producer task ├────────────▶│ topic, 1 part│◀───────────┤ consumer task│
-//!  │  (per device) │  e→broker   │  per device  │  broker→c  │ (per proc.)  │
+//!  │ producer task ├────────────▶│ topic, 1 part│◀───────────┤ consumer     │
+//!  │  (per device) │  e→broker   │  per device  │  broker→c  │ member/proc. │
 //!  └───────────────┘             │ param server │            └──────────────┘
 //!                                └──────────────┘
 //! ```
@@ -21,22 +21,20 @@
 //!
 //! # Module map (DESIGN.md §10)
 //!
-//! Every runtime task is a `stage::Stage` (spawn → step → drain → abort)
-//! driven by `stage::drive`; the cross-cutting concerns each live in
-//! exactly one module:
+//! Producer workers are tasks on the edge pilot (step → drain, the first
+//! error raising `stop_all`); consumer members are polled state machines
+//! on one reactor sized from the cloud pilot. The cross-cutting concerns
+//! each live in exactly one module:
 //!
-//! * `stage` — the shared lifecycle and uniform error propagation;
 //! * [`config`] — validated per-stage sub-configs resolved from the flat
 //!   [`PipelineConfig`](crate::pipeline::PipelineConfig) at `start()`;
 //! * `producer` — `DeviceProducer` state + the deadline-queue
 //!   `ProducerEngine`; thread-per-device is the one-device/one-worker
 //!   configuration of the same engine;
-//! * `consumer` — the `ConsumerStage` (membership, fetch, transport,
-//!   processing); serial consumption is the prefetch-depth-0 shape with
-//!   the fetch step inlined;
-//! * `reactor` — the `ReactorConsumerStage`: the same consumer round as a
-//!   waker-based state machine on a fixed pool of reactor threads
-//!   (`reactor_threads = Some(k)`; DESIGN.md §12);
+//! * `consumer` — the `ConsumerStage`, the one consumer implementation:
+//!   membership, fetch, broker→cloud transport, processing and commit as
+//!   a waker-based state machine on a fixed pool of reactor threads
+//!   (DESIGN.md §12); the delivery contract is stated there, once;
 //! * `batch` — producer-side batching (accumulate / flush / double
 //!   buffer) of the pipelined transport;
 //! * `sentinel` — the end-of-stream protocol and per-partition tracker;
@@ -55,9 +53,11 @@
 //! producers batch encoded messages
 //! and ship each batch over one non-blocking link reservation, completing
 //! the previous batch (wait + per-message append) while the next one is
-//! encoding; consumers move fetch + broker→cloud transfer onto a bounded
-//! prefetch thread so batch N+1 crosses the WAN while batch N is in
-//! `process_cloud`. Per-message metric spans are preserved in both modes:
+//! encoding; consumers fetch and reserve up to `prefetch_depth` batches
+//! ahead of the one being processed — a look-ahead window over
+//! non-blocking link reservations, no extra thread — so batch N+1 crosses
+//! the link while batch N is in `process_cloud`. Per-message metric spans
+//! are preserved in both modes:
 //! every message of a batch gets its own Network/Broker/CloudProcessor
 //! spans (network spans share the batch's wall-clock window, carrying the
 //! message's own byte count).
@@ -69,9 +69,10 @@
 //! workers multiplexing every device over one deadline queue, so a
 //! 1024-device cell needs `k` edge cores instead of 1024. Per-device
 //! message sets are identical between the two shapes under a fixed seed.
-//! Consumers always fetch via one multi-partition `poll_many` (one shared
-//! condvar wait per member, not one timeout per partition), pausing
-//! partitions whose sentinel arrived.
+//! On the consumer side any number of members share `reactor_threads`
+//! threads (default: the cloud pilot's cores); each member fetches all its
+//! partitions in one non-blocking sweep and parks on the broker's arrival
+//! registry, pausing partitions whose sentinel arrived.
 //!
 //! **Adaptation** (paper Section II-D): [`RunningPipeline::replace_cloud_function`]
 //! hot-swaps the processing function (consumers re-instantiate on the next
@@ -85,10 +86,8 @@ mod consumer;
 mod ctl;
 mod gateway;
 mod producer;
-mod reactor;
 pub(crate) mod sentinel;
 mod spans;
-mod stage;
 pub mod telemetry;
 pub mod tune;
 
@@ -101,7 +100,7 @@ pub use tune::TuneTable;
 
 use crate::faas::{Context, SwappableCloudFactory};
 use crate::pipeline::{EdgeToCloudPipeline, PipelineError};
-use config::{ConsumerConfig, ProducerConfig, TransportConfig};
+use config::{ProducerConfig, TransportConfig};
 use pilot_broker::{Broker, GroupCoordinator};
 use pilot_core::Pilot;
 use pilot_metrics::{JobSpans, MetricsRegistry, TelemetrySampler};
@@ -123,12 +122,13 @@ pub(crate) struct Shared {
     pub(crate) topic: String,
     pub(crate) producer: ProducerConfig,
     pub(crate) transport: TransportConfig,
-    pub(crate) consumer: ConsumerConfig,
     pub(crate) link_edge_broker: Link,
     pub(crate) link_broker_cloud: Link,
     pub(crate) cloud_slot: SwappableCloudFactory,
     pub(crate) coordinator: GroupCoordinator,
     pub(crate) sentinels: SentinelTracker,
+    /// Which partitions have a batch between processing and commit.
+    pub(crate) claims: consumer::Claims,
     pub(crate) stop_all: AtomicBool,
     /// Live knob cells the stages re-read at loop/poll boundaries; seeded
     /// from the resolved configs, so an untouched table is bit-identical
@@ -138,10 +138,8 @@ pub(crate) struct Shared {
     /// `telemetry_sample_ms` is unset) keeps every hot-path update a single
     /// null check.
     pub(crate) gauges: Option<Arc<StageGauges>>,
-    /// The shared reactor driving `ReactorConsumerStage` members; `None`
-    /// (the default, when `reactor_threads` is unset) keeps consumers on
-    /// their thread-backed cloud tasks.
-    pub(crate) reactor: Option<Arc<pilot_dataflow::LocalExecutor>>,
+    /// The reactor driving every consumer member.
+    pub(crate) reactor: pilot_dataflow::LocalExecutor,
 }
 
 impl Shared {
@@ -228,13 +226,15 @@ pub(crate) fn start(
     let gauges = cfg
         .telemetry_sample_ms
         .map(|_| Arc::new(StageGauges::new(&metrics, cfg.devices)));
-    // Event-driven consumer core (off by default): a fixed pool of
-    // reactor threads drives every member as a waker-based state machine,
-    // so member count no longer dictates cloud-side thread count.
-    let reactor = stages
-        .consumer
-        .reactor_threads
-        .map(|k| Arc::new(pilot_dataflow::LocalExecutor::new(k)));
+    // A fixed pool of reactor threads drives every consumer member as a
+    // waker-based state machine: the cloud pilot's cores unless overridden,
+    // however many members the pipeline runs.
+    let reactor = pilot_dataflow::LocalExecutor::new(
+        stages
+            .consumer
+            .reactor_threads
+            .unwrap_or_else(|| cloud.description().cores),
+    );
     let ctx = Context::new(
         job_id,
         cfg.devices,
@@ -250,7 +250,6 @@ pub(crate) fn start(
         topic,
         producer: stages.producer,
         transport: stages.transport,
-        consumer: stages.consumer,
         link_edge_broker: builder.link_edge_broker.clone(),
         link_broker_cloud: builder.link_broker_cloud.clone(),
         cloud_slot: SwappableCloudFactory::new(
@@ -258,6 +257,7 @@ pub(crate) fn start(
         ),
         coordinator: GroupCoordinator::new(cfg.devices),
         sentinels: SentinelTracker::new(cfg.devices),
+        claims: consumer::Claims::new(cfg.devices),
         stop_all: AtomicBool::new(false),
         tune,
         gauges,
@@ -277,27 +277,14 @@ pub(crate) fn start(
     let edge_client = edge
         .client()
         .map_err(|e| PipelineError::Task(e.to_string()))?;
-    let cloud_client = cloud
-        .client()
-        .map_err(|e| PipelineError::Task(e.to_string()))?;
-
     let fns = Arc::new(ProducerFns {
         produce: builder.produce_factory.clone().expect("validated"),
         edge: builder.edge_factory.clone(),
     });
     let producers = producer::spawn_producers(&edge_client, &shared, &fns)?;
 
-    let ctl = Arc::new(PipelineCtl::new(shared, cloud_client, sampler));
-    // Join every startup member before submitting any consumer task, so
-    // the first poll already sees the final assignment (no startup
-    // rebalance, no at-least-once redelivery). The batch join is one
-    // rebalance for the whole pool — O(n), where n sequential joins cost
-    // O(n²) assignment writes (minutes at 64k members). Scale events later
-    // may still redeliver in-flight batches — inherent to consumer-group
-    // semantics and documented on `scale_processors`.
-    for member in ctl.join_members(cfg.processors) {
-        ctl.spawn_joined_consumer(member)?;
-    }
+    let ctl = Arc::new(PipelineCtl::new(shared, cloud, sampler));
+    ctl.spawn_consumers(cfg.processors)?;
     let running = RunningPipeline::new(ctl, producers);
     // Close the loop last: the controller's first tick already sees every
     // startup member and the seeded tune table.

@@ -21,10 +21,10 @@ use super::batch::{Batcher, PendingMsg};
 use super::config::ProducerEngineKind;
 use super::sentinel;
 use super::spans::metric_msg_id;
-use super::stage::{Stage, StepOutcome};
 use super::{ProducerFns, Shared};
 use parking_lot::{Condvar, Mutex};
 use pilot_broker::Record;
+use pilot_dataflow::{Client, Payload, Resources, TaskError, TaskFuture};
 use pilot_metrics::{Component, Gauge};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -273,9 +273,21 @@ impl ProducerEngine {
     }
 }
 
-/// One worker [`Stage`] of a producer engine: pop the earliest-due device,
-/// step it one message, requeue it. Progress is counted per stepped
-/// message, so the task's payload equals the messages this worker sent.
+/// One worker of a producer engine — a task on the edge pilot: pop the
+/// earliest-due device, step it one message, requeue it.
+///
+/// ```text
+///   spawn ──▶ step ──▶ step ──▶ … ──▶ done ──▶ drain ──▶ Ok(messages sent)
+///               │                      ▲
+///               │   stop_all ──────────┘   (a stopped worker still drains:
+///               │                           flush batches, append sentinels)
+///               └──▶ Err ──▶ stop_all ──▶ Err(e)
+/// ```
+///
+/// The first worker to fail raises the shared `stop_all` flag, stopping
+/// every other worker (and consumer member) at its next step boundary,
+/// and surfaces the error through its task future to
+/// `RunningPipeline::wait`.
 pub(crate) struct ProducerWorker {
     shared: Arc<Shared>,
     engine: Arc<ProducerEngine>,
@@ -294,27 +306,49 @@ impl ProducerWorker {
         self.engine.device_finished();
         res
     }
-}
 
-impl Stage for ProducerWorker {
-    fn step(&mut self) -> Result<StepOutcome, String> {
+    /// Run the worker through its lifecycle; returns the messages it sent.
+    fn run(&self) -> Result<u64, String> {
+        let mut sent = 0u64;
+        let stepped = loop {
+            if self.shared.stopping() {
+                break Ok(());
+            }
+            match self.step() {
+                Ok(Some(n)) => sent += n,
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        match stepped.and_then(|()| self.drain()) {
+            Ok(()) => Ok(sent),
+            Err(e) => {
+                self.shared.stop_all.store(true, Ordering::Relaxed);
+                Err(e)
+            }
+        }
+    }
+
+    /// One bounded unit of work: the messages sent (0 when no device was
+    /// due), or `None` once every device of the engine has finished.
+    fn step(&self) -> Result<Option<u64>, String> {
         match self.engine.try_pop(self.shared.stopping()) {
-            Popped::Done => Ok(StepOutcome::Finished),
-            Popped::Idle => Ok(StepOutcome::Idle),
+            Popped::Done => Ok(None),
+            Popped::Idle => Ok(Some(0)),
             Popped::Device(mut state) => {
                 if self.shared.stopping() {
                     // Raced with a stop after the pop: drain, don't step.
                     self.retire(&mut state)?;
-                    return Ok(StepOutcome::Progress(0));
+                    return Ok(Some(0));
                 }
                 match state.step(&self.shared) {
                     Ok(true) => {
                         self.engine.push(state);
-                        Ok(StepOutcome::Progress(1))
+                        Ok(Some(1))
                     }
                     Ok(false) => {
                         self.retire(&mut state)?;
-                        Ok(StepOutcome::Progress(0))
+                        Ok(Some(0))
                     }
                     Err(e) => {
                         // A failed device fails the run; retire it first so
@@ -331,7 +365,7 @@ impl Stage for ProducerWorker {
     /// devices: drain every one — flush its batches, append its sentinel —
     /// exactly like the threaded seed path, so consumers terminate instead
     /// of waiting for sentinels that would never come.
-    fn drain(&mut self) -> Result<(), String> {
+    fn drain(&self) -> Result<(), String> {
         loop {
             match self.engine.try_pop(true) {
                 Popped::Done => return Ok(()),
@@ -341,18 +375,31 @@ impl Stage for ProducerWorker {
             }
         }
     }
+}
 
-    fn abort(&mut self) {}
+/// Submit a task that builds a worker and runs it. The worker is built
+/// *inside* the task, so a dedicated device's pacing epoch starts when the
+/// task starts, not when it was submitted.
+fn spawn_worker(
+    client: &Client,
+    name: &str,
+    shared: &Arc<Shared>,
+    make: impl FnOnce(&Arc<Shared>) -> ProducerWorker + Send + 'static,
+) -> Result<TaskFuture, TaskError> {
+    let shared = Arc::clone(shared);
+    client.submit_full(name, Resources::default(), &[], move |_| {
+        make(&shared).run().map(|n| Arc::new(n) as Payload)
+    })
 }
 
 /// Spawn the producer stage: one worker task per device (dedicated), or
 /// `workers` tasks sharing one engine (multiplexed). Returns the task
 /// futures in spawn order.
 pub(crate) fn spawn_producers(
-    client: &pilot_dataflow::Client,
+    client: &Client,
     shared: &Arc<Shared>,
     fns: &Arc<ProducerFns>,
-) -> Result<Vec<pilot_dataflow::TaskFuture>, pilot_dataflow::TaskError> {
+) -> Result<Vec<TaskFuture>, TaskError> {
     let mut producers = Vec::new();
     // Telemetry: one shared depth gauge across every engine of this
     // pipeline (a dedicated engine per device still sums correctly).
@@ -369,13 +416,9 @@ pub(crate) fn spawn_producers(
             }
             for w in 0..workers {
                 let engine2 = Arc::clone(&engine);
-                let fut = super::stage::spawn(
-                    client,
-                    &format!("produce-mux-{w}"),
-                    Arc::clone(shared),
-                    None,
-                    move |shared| Ok(Box::new(ProducerWorker::new(Arc::clone(shared), engine2))),
-                )?;
+                let fut = spawn_worker(client, &format!("produce-mux-{w}"), shared, |shared| {
+                    ProducerWorker::new(Arc::clone(shared), engine2)
+                })?;
                 producers.push(fut);
             }
         }
@@ -387,15 +430,14 @@ pub(crate) fn spawn_producers(
             for device in 0..shared.producer.devices {
                 let fns2 = Arc::clone(fns);
                 let depth2 = depth.clone();
-                let fut = super::stage::spawn(
+                let fut = spawn_worker(
                     client,
                     &format!("produce-edge-{device}"),
-                    Arc::clone(shared),
-                    None,
+                    shared,
                     move |shared| {
                         let engine = Arc::new(ProducerEngine::new(1, depth2));
                         engine.push(DeviceProducer::new(shared, device, &fns2));
-                        Ok(Box::new(ProducerWorker::new(Arc::clone(shared), engine)))
+                        ProducerWorker::new(Arc::clone(shared), engine)
                     },
                 )?;
                 producers.push(fut);

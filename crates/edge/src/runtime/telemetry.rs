@@ -30,8 +30,9 @@ pub const GAUGE_PRODUCER_QUEUE_DEPTH: &str = "producer.deadline_queue_depth";
 /// Stable gauge name: encoded bytes aboard in-flight producer batches
 /// (reservation issued, messages not yet appended).
 pub const GAUGE_INFLIGHT_BATCH_BYTES: &str = "producer.inflight_batch_bytes";
-/// Stable gauge name: batches queued between the prefetch threads and the
-/// consumer stages (summed over all consumers).
+/// Stable gauge name: batches in flight on the broker→cloud link ahead of
+/// the one each consumer is waiting for or processing (the look-ahead
+/// window in use, summed over all consumers; 0 at `prefetch_depth` 0).
 pub const GAUGE_PREFETCH_OCCUPANCY: &str = "consumer.prefetch_occupancy";
 /// Stable gauge name: jobs currently running inside the cloud compute pool.
 pub const GAUGE_COMPUTE_POOL_OCCUPANCY: &str = "cloud.compute_pool_occupancy";
@@ -50,12 +51,11 @@ pub const GAUGE_NET_BROKER_CLOUD_BUSY: &str = "net.broker_cloud.busy_us";
 /// `broker.lag.p<N>`.
 pub const GAUGE_BROKER_LAG_TOTAL: &str = "broker.lag.total";
 /// Stable gauge name: reactor tasks queued ready to poll (consumer members
-/// with data or an expired timer, waiting for a reactor thread). Stays 0
-/// when the event-driven core is off.
+/// with data or an expired timer, waiting for a reactor thread).
 pub const GAUGE_REACTOR_READY_DEPTH: &str = "consumer.reactor.ready_queue_depth";
 /// Stable gauge name: cumulative µs the reactor threads spent inside task
 /// polls (the reactor's busy time; compare against wall clock × threads
-/// for utilisation). Stays 0 when the event-driven core is off.
+/// for utilisation).
 pub const GAUGE_REACTOR_POLL_US: &str = "consumer.reactor.poll_us";
 /// Stable gauge name: bytes appended to the durable broker log but not yet
 /// covered by an fsync. Stays 0 when `log_dir` is unset.
@@ -87,7 +87,7 @@ pub(crate) struct StageGauges {
     pub(crate) producer_queue_depth: Arc<Gauge>,
     /// Bytes aboard in-flight producer batches.
     pub(crate) inflight_batch_bytes: Arc<Gauge>,
-    /// Batches queued between prefetch threads and consumer stages.
+    /// Look-ahead batches in flight ahead of the consumers' front batch.
     pub(crate) prefetch_occupancy: Arc<Gauge>,
     /// Compute-pool occupancy (pull — refreshed by the sampler probe).
     compute_pool_occupancy: Arc<Gauge>,
@@ -99,8 +99,7 @@ pub(crate) struct StageGauges {
     /// Consumer lag, one gauge per partition plus the total (pull).
     lag_total: Arc<Gauge>,
     lag_partitions: Vec<Arc<Gauge>>,
-    /// Reactor ready-queue depth and cumulative poll time (pull; zero
-    /// unless the event-driven consumer core is on).
+    /// Reactor ready-queue depth and cumulative poll time (pull).
     reactor_ready_depth: Arc<Gauge>,
     reactor_poll_us: Arc<Gauge>,
     /// Storage-engine gauges (pull; all but `segment_count` stay zero
@@ -188,11 +187,8 @@ impl StageGauges {
                 let Some(g) = reactor.gauges.as_deref() else {
                     return;
                 };
-                let Some(executor) = &reactor.reactor else {
-                    return;
-                };
-                g.reactor_ready_depth.set(executor.ready_depth());
-                g.reactor_poll_us.set(executor.poll_time_us() as i64);
+                g.reactor_ready_depth.set(reactor.reactor.ready_depth());
+                g.reactor_poll_us.set(reactor.reactor.poll_time_us() as i64);
             }),
             Box::new(move || {
                 let Some(g) = storage.gauges.as_deref() else {

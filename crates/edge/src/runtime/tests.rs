@@ -169,7 +169,7 @@ fn scale_to_zero_rejected() {
 }
 
 #[test]
-fn reactor_end_to_end_run() {
+fn more_members_than_reactor_threads() {
     let svc = PilotComputeService::new();
     let (edge, cloud) = pilots(&svc, 4, 2);
     let summary = EdgeToCloudPipeline::builder()
@@ -178,7 +178,7 @@ fn reactor_end_to_end_run() {
         .produce_function(datagen_produce_factory(DataGenConfig::paper(25), 8))
         .process_cloud_function(baseline_factory())
         .devices(4)
-        .reactor_threads(2) // 4 members on 2 reactor threads: fine
+        .reactor_threads(1) // override: 4 members share 1 of the 2 cores
         .run(WAIT)
         .unwrap();
     assert_eq!(summary.messages, 32, "4 devices × 8 messages");
@@ -191,51 +191,6 @@ fn reactor_end_to_end_run() {
         .report
         .component(&Component::Network("loopback".into()))
         .is_some());
-}
-
-#[test]
-fn reactor_scale_down_retires_members() {
-    let svc = PilotComputeService::new();
-    let (edge, cloud) = pilots(&svc, 4, 2);
-    let running = EdgeToCloudPipeline::builder()
-        .pilot_edge(edge)
-        .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 20))
-        .process_cloud_function(baseline_factory())
-        .devices(4)
-        .rate_per_device(100.0)
-        .reactor_threads(2)
-        .start()
-        .unwrap();
-    assert_eq!(running.processor_count(), 4);
-    std::thread::sleep(Duration::from_millis(50));
-    // A retired reactor member is parked on the arrival registry; the
-    // scale-down must wake it so it observes its stop flag and leaves.
-    running.scale_processors(1).unwrap();
-    assert_eq!(running.processor_count(), 1);
-    let summary = running.wait(WAIT).unwrap();
-    assert_eq!(summary.messages, 80, "4 devices × 20 messages");
-    assert_eq!(summary.errors, 0);
-}
-
-#[test]
-fn reactor_abort_wakes_parked_members() {
-    let svc = PilotComputeService::new();
-    let (edge, cloud) = pilots(&svc, 2, 2);
-    let running = EdgeToCloudPipeline::builder()
-        .pilot_edge(edge)
-        .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 100_000))
-        .process_cloud_function(baseline_factory())
-        .devices(2)
-        .rate_per_device(50.0) // trickle: members spend the run parked
-        .reactor_threads(2)
-        .start()
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    running.abort();
-    let summary = running.wait(Duration::from_secs(10)).unwrap();
-    assert!(summary.messages < 100_000);
 }
 
 #[test]

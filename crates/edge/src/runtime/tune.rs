@@ -11,8 +11,8 @@
 //! |-------------------|----------------------------------------------------|
 //! | `batch_max_bytes` | every `DeviceProducer::step` / `Batcher::push`     |
 //! | `linger_us`       | every `Batcher::push`                              |
-//! | `prefetch_depth`  | every prefetch-loop send (queue admission gate)    |
-//! | `fetch_max`       | every `Fetcher::poll` / `poll_ready`               |
+//! | `prefetch_depth`  | every `ConsumerStage` poll (look-ahead window size)|
+//! | `fetch_max`       | every `Fetcher::poll_ready`                        |
 //! | `compute_width`   | every published `ComputePool` job (via `set_width`)|
 //! | `processors`      | mirror of the live consumer count (`scale_processors`) |
 //!
@@ -37,7 +37,8 @@ pub struct TuneTable {
     batch_max_bytes: AtomicUsize,
     /// Linger window in microseconds for the first message of a batch.
     linger_us: AtomicU64,
-    /// Prefetch-queue admission depth (batches a consumer may run ahead).
+    /// Look-ahead depth (batches a consumer keeps in flight ahead of the
+    /// one it is processing).
     prefetch_depth: AtomicUsize,
     /// Max records per partition per fetch (clamped to ≥ 1 on read).
     fetch_max: AtomicUsize,
@@ -84,15 +85,15 @@ impl TuneTable {
             .store(linger.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Current prefetch admission depth.
+    /// Current look-ahead depth.
     pub fn prefetch_depth(&self) -> usize {
         self.prefetch_depth.load(Ordering::Relaxed)
     }
 
-    /// Set the prefetch admission depth. The consumer *shape* (inline vs
-    /// prefetch thread) is fixed at member spawn from the then-current
-    /// value; on a prefetching member the live value gates queue admission,
-    /// clamped to ≥ 1 (a live 0 cannot turn the thread back inline).
+    /// Set the look-ahead depth. Every consumer re-reads it at its next
+    /// poll: a deeper window fetches and reserves further ahead at once, a
+    /// shallower one (0 included) stops fetching until the batches already
+    /// in flight are processed.
     pub fn set_prefetch_depth(&self, depth: usize) {
         self.prefetch_depth.store(depth, Ordering::Relaxed);
     }

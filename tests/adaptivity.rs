@@ -2,12 +2,13 @@
 //! replacement without new pilots, processor scaling, and fault isolation.
 
 use pilot_core::{PilotComputeService, PilotDescription};
-use pilot_datagen::DataGenConfig;
+use pilot_datagen::{DataGenConfig, DataGenerator};
 use pilot_edge::processors::{baseline_factory, datagen_produce_factory, paper_model_factory};
-use pilot_edge::{CloudFactory, Context, EdgeToCloudPipeline, ProcessOutcome};
+use pilot_edge::{CloudFactory, Context, EdgeToCloudPipeline, ProcessOutcome, ProduceFactory};
+use pilot_metrics::{Component, MetricsRegistry};
 use pilot_ml::ModelKind;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -99,22 +100,81 @@ fn scale_up_during_burst() {
 
 #[test]
 fn scale_down_preserves_completeness() {
+    // Scale 4 → 1 with the survivor idle: device 0 ends after two
+    // messages, devices 1–3 keep streaming to members that a 10 ms
+    // function keeps inside a batch. Those members leave the group only
+    // after their batch — after `scale_processors` returned — and each
+    // leave orphans a live partition. No message may be lost, and the
+    // survivor has to take a partition over when its member leaves, not
+    // when its own idle timer (1 s) next fires.
+    const STREAMING: u64 = 30;
     let (edge, cloud) = pilots(4, 4);
+    let registry = MetricsRegistry::new();
+    let produce: ProduceFactory = Arc::new(|_ctx, device| {
+        let mut generator = DataGenerator::new(DataGenConfig::paper(20).with_seed(device as u64));
+        let mut remaining = if device == 0 { 2 } else { STREAMING };
+        Box::new(move |_ctx| {
+            if remaining == 0 {
+                return None;
+            }
+            remaining -= 1;
+            if device != 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Some(generator.next_block())
+        })
+    });
+    let slow: CloudFactory = Arc::new(|_ctx| {
+        Box::new(|_ctx: &Context, _block| {
+            std::thread::sleep(Duration::from_millis(10));
+            Ok(ProcessOutcome::default())
+        })
+    });
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(200), 15))
-        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .produce_function(produce)
+        .process_cloud_function(slow)
+        .metrics(registry.clone())
         .devices(4)
-        .rate_per_device(200.0)
         .start()
         .unwrap();
+    let job_id = running.job_id();
+    // Start times of a device's CloudProcessor spans (the metric id carries
+    // the device above bit 40).
+    let processed = |device: u64| -> Vec<u64> {
+        let mut starts: Vec<u64> = registry
+            .snapshot()
+            .iter()
+            .filter(|s| s.job_id == job_id && s.component == Component::CloudProcessor)
+            .filter(|s| s.msg_id >> 40 == device)
+            .map(|s| s.start_us)
+            .collect();
+        starts.sort_unstable();
+        starts
+    };
+    let t0 = Instant::now();
+    while processed(0).len() < 2 {
+        assert!(t0.elapsed() < WAIT, "device 0 never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Let the survivor consume the sentinel and park idle.
     std::thread::sleep(Duration::from_millis(30));
     running.scale_processors(1).unwrap();
     assert_eq!(running.processor_count(), 1);
     let summary = running.wait(WAIT).unwrap();
-    // At-least-once during the rebalance: no message may be LOST.
-    assert_eq!(summary.messages, 60, "all distinct messages observed");
+    assert_eq!(summary.messages, 2 + 3 * STREAMING, "no message lost");
+    for device in 1..4 {
+        let stall_us = processed(device)
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap();
+        assert!(
+            stall_us < 500_000,
+            "partition {device} sat unowned for {stall_us} µs after its member retired"
+        );
+    }
 }
 
 #[test]
@@ -147,10 +207,10 @@ fn poison_messages_do_not_stop_the_stream() {
 }
 
 #[test]
-fn oversubscribed_cloud_pilot_recovers_via_eviction() {
+fn foreign_task_on_cloud_pilot_cannot_strand_a_member() {
     // Occupy all-but-one cloud core with a long foreign task, then ask for
-    // 2 processors. One consumer task can never start; the runtime must
-    // evict its membership and let the live consumer drain everything.
+    // 2 processors. Consumer members run on the pipeline's reactor, not in
+    // the pilot's task slots, so both drain their partitions regardless.
     let (edge, cloud) = pilots(2, 2);
     let blocker = cloud
         .client()

@@ -356,7 +356,6 @@ fn controller_off_leaves_zero_footprint() {
         .start()
         .unwrap();
     assert!(running.control_events().is_empty(), "journal must be empty");
-    assert!(running.scaling_events().is_empty());
     std::thread::sleep(Duration::from_millis(60));
     let frames = running.telemetry();
     let summary = running.wait(WAIT).unwrap();
@@ -440,5 +439,65 @@ fn controller_scales_up_under_lag_and_journals_the_cause() {
     );
     let summary = running.wait(WAIT).unwrap();
     assert_eq!(summary.messages, 240);
+    assert_eq!(summary.errors, 0);
+}
+
+/// The lag-only autoscaler as a controller config: every knob except the
+/// consumer pool pinned (min = max = current), attribution off. Under lag
+/// it may only grow the pool, never past `max_processors`, and it leaves
+/// every other knob alone.
+#[test]
+fn pinned_bounds_controller_only_scales_processors_within_max() {
+    let (edge, cloud) = pilots(2, 2);
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 40))
+        .process_cloud_function(slow_processor(4))
+        .devices(2)
+        .processors(1)
+        .compute_threads(1)
+        .rate_per_device(150.0)
+        .controller(ControllerConfig {
+            tick: Duration::from_millis(20),
+            hysteresis: 1,
+            cooldown: Duration::ZERO,
+            lag_bound: 5,
+            lag_low: 0,
+            bounds: ControlBounds {
+                min_processors: 1,
+                max_processors: 2,
+                min_compute: 1,
+                max_compute: 1,
+                min_batch_bytes: 0,
+                max_batch_bytes: 0,
+                min_prefetch: 0,
+                max_prefetch: 0,
+                min_fetch_max: PipelineConfig::default().fetch_max,
+                max_fetch_max: PipelineConfig::default().fetch_max,
+            },
+            use_attribution: false,
+            ..ControllerConfig::default()
+        })
+        .start()
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(running.processor_count() <= 2);
+    let events = running.control_events();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.action, Action::ScaleProcessors { from: 1, to: 2 })),
+        "expected the scale-up to 2, got {events:?}"
+    );
+    for e in &events {
+        assert!(
+            matches!(e.action, Action::ScaleProcessors { to, .. } if to <= 2),
+            "pinned knob moved, or the pool passed its ceiling: {e:?}"
+        );
+        assert!(e.cause.bottleneck.is_none(), "attribution was off: {e:?}");
+    }
+    let summary = running.wait(WAIT).unwrap();
+    assert_eq!(summary.messages, 80);
     assert_eq!(summary.errors, 0);
 }

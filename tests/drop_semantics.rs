@@ -87,16 +87,57 @@ fn drop_aborts_default_pipeline() {
 
 #[test]
 fn drop_aborts_pipelined_multiplexed_pipeline() {
-    // All the threaded machinery at once: engine workers, producer-side
-    // batching with a linger window, and the consumer prefetch thread.
-    // Drop must flush open batches before the sentinel and join the
-    // prefetch thread (quit flag + channel disconnect), not leak it.
+    // All the machinery at once: engine workers, producer-side batching
+    // with a linger window, and consumer look-ahead. Drop must flush open
+    // batches before the sentinel and abandon the batches in flight.
     drop_mid_run(8, |b| {
         b.producer_threads(2)
             .batch_max_bytes(16 * 1024)
             .linger(Duration::from_millis(2))
             .prefetch_depth(2)
     });
+}
+
+#[test]
+fn drop_with_lookahead_in_flight_zeroes_occupancy() {
+    // A slow cloud function behind unthrottled producers keeps each
+    // consumer's look-ahead window full; dropping the pipeline then must
+    // abandon those batches and hand their share of the
+    // `consumer.prefetch_occupancy` gauge back.
+    use pilot_edge::faas::{CloudFactory, Context, ProcessOutcome};
+    use pilot_edge::runtime::telemetry::GAUGE_PREFETCH_OCCUPANCY;
+    use std::sync::Arc;
+
+    let (edge, cloud) = pilots(2, 2);
+    let registry = pilot_metrics::MetricsRegistry::new();
+    let slow: CloudFactory = Arc::new(|_ctx| {
+        Box::new(|_ctx: &Context, _block| {
+            std::thread::sleep(Duration::from_millis(5));
+            Ok(ProcessOutcome::default())
+        })
+    });
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 100_000))
+        .process_cloud_function(slow)
+        .metrics(registry.clone())
+        .devices(2)
+        .rate_per_device(2000.0)
+        .prefetch_depth(2)
+        .telemetry_sample_ms(5)
+        .start()
+        .unwrap();
+    let t = Instant::now();
+    while registry.gauge_value(GAUGE_PREFETCH_OCCUPANCY).unwrap_or(0) == 0 {
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "look-ahead never filled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(running);
+    assert_eq!(registry.gauge_value(GAUGE_PREFETCH_OCCUPANCY), Some(0));
 }
 
 #[test]

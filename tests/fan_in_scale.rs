@@ -58,9 +58,9 @@ fn capturing_factory(seen: Arc<Mutex<HashSet<(u64, u64)>>>) -> CloudFactory {
 
 #[test]
 fn defaults_leave_multiplexing_off() {
-    // The knobs must be opt-in: a default config runs thread-per-device
-    // producers and thread-backed consumer tasks, exactly the seed
-    // behaviour.
+    // Producer multiplexing is opt-in: a default config runs
+    // thread-per-device producers. The consumers' reactor is sized from
+    // the cloud pilot's cores unless overridden.
     let cfg = PipelineConfig::default();
     assert_eq!(cfg.producer_threads, None);
     assert_eq!(cfg.reactor_threads, None);

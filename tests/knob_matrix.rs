@@ -1,13 +1,13 @@
-//! Knob-matrix equivalence (DESIGN.md §10, §12): the staged runtime
-//! collapses formerly-divergent loops into shared engines, so the
-//! producer-engine shape (thread-per-device vs multiplexed), the consumer
-//! shape (inline fetch vs prefetch thread), and the consumer scheduling
-//! shape (thread-backed cloud tasks vs the waker-based reactor) must be
-//! *observationally interchangeable*. Every combination of the 2×2×2
-//! matrix at a fixed seed must process the identical message set — ids,
-//! exact payload content — and record a complete five-span chain
+//! Knob-matrix equivalence (DESIGN.md §10, §12): the knobs that change
+//! *how* a pipeline runs — the producer-engine shape (thread-per-device vs
+//! multiplexed) and the consumer's look-ahead depth (0 vs 2 batches in
+//! flight ahead of processing) — must be *observationally
+//! interchangeable*, as must the durable log and a live controller. Every
+//! combination at a fixed seed must process the identical message set —
+//! ids, exact payload content — and record a complete five-span chain
 //! (EdgeProducer, edge→broker Network, Broker, broker→cloud Network,
-//! CloudProcessor) for every message.
+//! CloudProcessor) for every message. There is one consumer
+//! implementation, so the matrix has no consumer-shape axis.
 
 use parking_lot::Mutex;
 use pilot_core::{Pilot, PilotComputeService, PilotDescription};
@@ -49,22 +49,14 @@ fn block_hash(data: &[f64]) -> u64 {
     h
 }
 
-/// One run of the seeded workload under a given engine/prefetch/reactor
-/// combo. Returns the sorted `(msg_id, content-hash)` set the cloud
-/// function saw.
+/// One run of the seeded workload under a given engine/look-ahead combo.
+/// Returns the sorted `(msg_id, content-hash)` set the cloud function saw.
 fn run_combo(
     producer_threads: Option<usize>,
     prefetch_depth: usize,
-    reactor_threads: Option<usize>,
     log_dir: Option<std::path::PathBuf>,
 ) -> BTreeSet<(u64, u64)> {
-    run_combo_controlled(
-        producer_threads,
-        prefetch_depth,
-        reactor_threads,
-        log_dir,
-        None,
-    )
+    run_combo_controlled(producer_threads, prefetch_depth, log_dir, None)
 }
 
 /// [`run_combo`] with an optional live feedback controller attached — the
@@ -72,14 +64,12 @@ fn run_combo(
 fn run_combo_controlled(
     producer_threads: Option<usize>,
     prefetch_depth: usize,
-    reactor_threads: Option<usize>,
     log_dir: Option<std::path::PathBuf>,
     controller: Option<pilot_edge::ControllerConfig>,
 ) -> BTreeSet<(u64, u64)> {
     let combo = format!(
         "producer_threads={producer_threads:?} prefetch_depth={prefetch_depth} \
-         reactor_threads={reactor_threads:?} log_dir={log_dir:?} \
-         controller={}",
+         log_dir={log_dir:?} controller={}",
         if controller.is_some() { "on" } else { "off" }
     );
     let edge_cores = producer_threads.unwrap_or(DEVICES);
@@ -107,9 +97,6 @@ fn run_combo_controlled(
         .prefetch_depth(prefetch_depth);
     if let Some(n) = producer_threads {
         builder = builder.producer_threads(n);
-    }
-    if let Some(n) = reactor_threads {
-        builder = builder.reactor_threads(n);
     }
     if let Some(dir) = log_dir {
         builder = builder.log_dir(dir);
@@ -168,26 +155,17 @@ fn run_combo_controlled(
 }
 
 #[test]
-fn all_engine_prefetch_reactor_combos_process_identical_sets() {
-    // The seed shape: threaded producers + serial consumers on cloud tasks.
-    let baseline = run_combo(None, 0, None, None);
+fn all_engine_lookahead_combos_process_identical_sets() {
+    // The seed shape: thread-per-device producers, no look-ahead.
+    let baseline = run_combo(None, 0, None);
     assert_eq!(baseline.len(), DEVICES * MESSAGES);
-    for producer_threads in [None, Some(2)] {
-        for prefetch_depth in [0usize, 2] {
-            for reactor_threads in [None, Some(2)] {
-                if (producer_threads, prefetch_depth, reactor_threads) == (None, 0, None) {
-                    continue;
-                }
-                let set = run_combo(producer_threads, prefetch_depth, reactor_threads, None);
-                assert_eq!(
-                    set, baseline,
-                    "producer_threads={producer_threads:?} \
-                     prefetch_depth={prefetch_depth} \
-                     reactor_threads={reactor_threads:?} \
-                     diverged from the threaded/serial baseline"
-                );
-            }
-        }
+    for (producer_threads, prefetch_depth) in [(None, 2), (Some(2), 0), (Some(2), 2)] {
+        let set = run_combo(producer_threads, prefetch_depth, None);
+        assert_eq!(
+            set, baseline,
+            "producer_threads={producer_threads:?} prefetch_depth={prefetch_depth} \
+             diverged from the threaded/depth-0 baseline"
+        );
     }
 }
 
@@ -200,8 +178,8 @@ fn durable_log_is_observationally_identical_to_memory() {
     let dir =
         std::env::temp_dir().join(format!("pilot-knob-matrix-durable-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let baseline = run_combo(None, 0, None, None);
-    let durable = run_combo(None, 0, None, Some(dir.clone()));
+    let baseline = run_combo(None, 0, None);
+    let durable = run_combo(None, 0, Some(dir.clone()));
     assert_eq!(
         durable, baseline,
         "log_dir changed the observable message set"
@@ -218,11 +196,11 @@ fn durable_log_is_observationally_identical_to_memory() {
 /// (2 ms tick, hysteresis 1, near-zero lag band — it will turn knobs
 /// mid-run at every opportunity) must not change the observable message
 /// set. Live resizes of the consumer pool, compute width, batching,
-/// prefetch, and fetch budget all preserve exactly-once delivery and
+/// look-ahead, and fetch budget all preserve exactly-once delivery and
 /// payload integrity.
 #[test]
 fn live_controller_is_observationally_identical_to_static_knobs() {
-    let baseline = run_combo(None, 2, None, None);
+    let baseline = run_combo(None, 2, None);
     assert_eq!(baseline.len(), DEVICES * MESSAGES);
     let twitchy = pilot_edge::ControllerConfig {
         tick: Duration::from_millis(2),
@@ -238,7 +216,7 @@ fn live_controller_is_observationally_identical_to_static_knobs() {
         use_attribution: true,
         ..pilot_edge::ControllerConfig::default()
     };
-    let controlled = run_combo_controlled(None, 2, None, None, Some(twitchy));
+    let controlled = run_combo_controlled(None, 2, None, Some(twitchy));
     assert_eq!(
         controlled, baseline,
         "the live controller changed the observable message set"

@@ -1,18 +1,22 @@
 //! Pipelined-transport integration tests (DESIGN.md §8): producer batching
-//! and consumer prefetch must preserve every delivery and accounting
-//! guarantee of the serial path — distinct-message conservation across
-//! rebalances, hot-swap mid-stream, and complete per-message span chains —
-//! while only changing *when* the WAN time is paid.
+//! and consumer look-ahead must preserve every delivery and accounting
+//! guarantee of the serial transport — distinct-message conservation
+//! across rebalances, hot-swap mid-stream, commit-never-ahead-of-processing,
+//! and complete per-message span chains — while only changing *when* the
+//! link time is paid.
 
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
+use pilot_edge::faas::{CloudFactory, ProcessOutcome};
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
+use pilot_edge::runtime::telemetry::GAUGE_PREFETCH_OCCUPANCY;
 use pilot_edge::{EdgeToCloudPipeline, PipelineConfig};
 use pilot_metrics::{Component, MetricsRegistry};
 use pilot_ml::ModelKind;
-use pilot_netsim::profiles;
-use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use pilot_netsim::{profiles, LinkSpec};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -31,6 +35,19 @@ fn pilots(edge_cores: usize, cloud_cores: usize) -> (pilot_core::Pilot, pilot_co
     (edge, cloud)
 }
 
+/// A cloud function that takes `ms` per message.
+fn slow_factory(ms: u64) -> CloudFactory {
+    Arc::new(move |_ctx| {
+        Box::new(move |_ctx: &pilot_edge::faas::Context, _block| {
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(ProcessOutcome::default())
+        })
+    })
+}
+
+/// Messages sit in the low bits of the metric id, the device above them.
+const DEVICE_SHIFT: u32 = 40;
+
 #[test]
 fn defaults_leave_pipelining_off() {
     // The new knobs must be opt-in: a default config is the serial seed
@@ -43,48 +60,76 @@ fn defaults_leave_pipelining_off() {
 
 #[test]
 fn prefetch_scale_processors_mid_run() {
-    // 4 partitions, 1 prefetching consumer; scale to 4 mid-run. The
-    // rebalance tears down prefetch threads with batches possibly in
-    // flight; uncommitted batches are redelivered (at-least-once), and the
-    // distinct-message accounting must still see every message exactly
-    // once per (job, msg) key.
+    // 4 partitions, 1 consumer looking two batches ahead behind a 10 ms
+    // function, so it is inside a batch at any instant. Scale 1 → 4 while
+    // that batch belongs to a partition that moves, then 4 → 2. The
+    // batches a member had in flight are discarded — uncommitted, so the
+    // new owners fetch them again — but a partition is handed over only
+    // once the batch *in progress* is committed: every message is
+    // processed exactly once.
+    const MESSAGES: usize = 12;
     let (edge, cloud) = pilots(4, 4);
+    let registry = MetricsRegistry::new();
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(200), 12))
-        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), MESSAGES))
+        .process_cloud_function(slow_factory(10))
+        .metrics(registry.clone())
         .devices(4)
         .processors(1)
-        .rate_per_device(200.0)
         .batch_max_bytes(64 * 1024)
         .linger(Duration::from_millis(2))
         .prefetch_depth(2)
         .start()
         .unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    let job_id = running.job_id();
+    let processed = || -> Vec<u64> {
+        registry
+            .snapshot()
+            .iter()
+            .filter(|s| s.job_id == job_id && s.component == Component::CloudProcessor)
+            .map(|s| s.msg_id)
+            .collect()
+    };
+    // Partition 0 stays with the first member; wait for a record of one
+    // that will move.
+    while !processed().iter().any(|m| m >> DEVICE_SHIFT != 0) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     running.scale_processors(4).unwrap();
     assert_eq!(running.processor_count(), 4);
+    std::thread::sleep(Duration::from_millis(25));
+    running.scale_processors(2).unwrap();
     let summary = running.wait(WAIT).unwrap();
     assert_eq!(summary.messages, 48, "no distinct message lost or invented");
     assert_eq!(summary.errors, 0);
+    let mut deliveries: HashMap<u64, usize> = HashMap::new();
+    for msg in processed() {
+        *deliveries.entry(msg).or_default() += 1;
+    }
+    for (msg, n) in deliveries {
+        assert_eq!(n, 1, "msg {msg:#x} was processed {n} times");
+    }
 }
 
 #[test]
 fn prefetch_scale_down_delivers_queued_committed_records() {
-    // The inverse rebalance: scale 2 → 1 while the retired member's
-    // prefetch queue is full of *committed* batches (the prefetch thread
-    // commits after queueing — queued records count as delivered). The
-    // successor resumes from the committed offset and will never redeliver
-    // them, so the retiring member's drain must process its queue, not
-    // discard it. A slow cloud function keeps the queue saturated at
-    // retirement time.
+    // The inverse rebalance: scale 2 → 1 while the retired member has
+    // look-ahead batches in flight behind a slow cloud function. Those
+    // batches are dropped at retirement, so they must be *uncommitted* —
+    // the successor resumes from the committed offset and redelivers them.
+    // Two things are checked: every message is delivered at least once,
+    // and at no sampled instant is a partition's committed offset ahead of
+    // the records processed from it (commit-never-ahead-of-processing —
+    // the property a commit-on-fetch would break).
     use parking_lot::Mutex;
-    use pilot_edge::faas::{CloudFactory, ProcessOutcome};
     use std::collections::BTreeSet;
-    use std::sync::Arc;
 
+    const DEVICES: usize = 2;
+    const MESSAGES: u64 = 16;
     let (edge, cloud) = pilots(2, 2);
+    let registry = MetricsRegistry::new();
     let seen = Arc::new(Mutex::new(BTreeSet::new()));
     let seen2 = Arc::clone(&seen);
     let slow_capture: CloudFactory = Arc::new(move |_ctx| {
@@ -106,32 +151,180 @@ fn prefetch_scale_down_delivers_queued_committed_records() {
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), 16))
+        .produce_function(datagen_produce_factory(
+            DataGenConfig::paper(20),
+            MESSAGES as usize,
+        ))
         .process_cloud_function(slow_capture)
-        .devices(2)
+        .metrics(registry.clone())
+        .devices(DEVICES)
         .processors(2)
         .prefetch_depth(2)
         .start()
         .unwrap();
-    // Let the producers finish and the prefetch threads fetch, queue, and
-    // commit well ahead of the slow processors.
-    std::thread::sleep(Duration::from_millis(40));
+    let (broker, topic, job_id) = (
+        running.broker(),
+        running.topic().to_string(),
+        running.job_id(),
+    );
+    let group = format!("pilot-edge-{job_id}");
+    // Committed offset first, processed count second: the count only grows,
+    // so `committed ≤ processed` observed in this order is a sound check.
+    // The sentinel's own offset (= MESSAGES) is excluded by the `min`.
+    let assert_commit_behind_processing = || {
+        for p in 0..DEVICES {
+            let committed = broker.committed(&group, &topic, p).unwrap_or(0);
+            let processed = registry
+                .snapshot()
+                .iter()
+                .filter(|s| {
+                    s.job_id == job_id
+                        && s.component == Component::CloudProcessor
+                        && (s.msg_id >> DEVICE_SHIFT) as usize == p
+                })
+                .map(|s| s.msg_id)
+                .collect::<HashSet<_>>()
+                .len() as u64;
+            assert!(
+                committed.min(MESSAGES) <= processed,
+                "partition {p}: committed offset {committed} is ahead of the \
+                 {processed} records processed"
+            );
+        }
+    };
+    // Let the producers finish and the members fetch well ahead of the slow
+    // processors, sampling the invariant up to and across the retirement.
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_millis(40) {
+        assert_commit_behind_processing();
+        std::thread::sleep(Duration::from_millis(2));
+    }
     running.scale_processors(1).unwrap();
     assert_eq!(running.processor_count(), 1);
+    for _ in 0..10 {
+        assert_commit_behind_processing();
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let summary = running.wait(WAIT).unwrap();
     assert_eq!(summary.errors, 0);
-    assert_eq!(summary.messages, 32);
+    assert_eq!(summary.messages, DEVICES as u64 * MESSAGES);
     assert_eq!(
         seen.lock().len(),
-        32,
-        "scale-down retirement lost committed prefetched records"
+        DEVICES * MESSAGES as usize,
+        "scale-down retirement lost records that were in flight"
     );
+}
+
+/// Group one device's broker→cloud Network spans into batches (records of
+/// a batch share the transfer window) and pair each batch with the end of
+/// its last CloudProcessor span. Returns `(net_start_us, processed_by_us)`
+/// per batch, in transfer order.
+fn batches_of_device_0(registry: &MetricsRegistry, job_id: u64, link: &str) -> Vec<(u64, u64)> {
+    let spans = registry.snapshot();
+    let processed_by: HashMap<u64, u64> = spans
+        .iter()
+        .filter(|s| s.job_id == job_id && s.component == Component::CloudProcessor)
+        .map(|s| (s.msg_id, s.end_us))
+        .collect();
+    let mut batches: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    for s in &spans {
+        if s.job_id == job_id
+            && s.component == Component::Network(link.into())
+            && s.msg_id >> DEVICE_SHIFT == 0
+        {
+            let done = batches.entry((s.start_us, s.end_us)).or_default();
+            *done = (*done).max(processed_by[&s.msg_id]);
+        }
+    }
+    batches
+        .into_iter()
+        .map(|((start, _), done)| (start, done))
+        .collect()
+}
+
+#[test]
+fn lookahead_overlaps_transfer_with_processing_only_at_positive_depth() {
+    // One device, one consumer, a 20 ms cloud function behind a 5 ms
+    // broker→cloud link. Read off the spans, not the wall clock: at depth 2
+    // batch N+1's transfer starts before batch N's processing ends; at
+    // depth 0 it starts only after. The occupancy gauge follows: it rises
+    // above zero only with look-ahead, and is back at zero after `wait()`.
+    const LINK: &str = "broker->cloud(5ms)";
+    let run = |depth: usize| {
+        let (edge, cloud) = pilots(1, 1);
+        let registry = MetricsRegistry::new();
+        let running = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge)
+            .pilot_cloud_processing(cloud)
+            .produce_function(datagen_produce_factory(DataGenConfig::paper(20), 16))
+            .process_cloud_function(slow_factory(20))
+            .metrics(registry.clone())
+            .devices(1)
+            .link_broker_to_cloud(LinkSpec::fixed(LINK, 5.0, 1e9).build())
+            .prefetch_depth(depth)
+            .telemetry_sample_ms(2)
+            .start()
+            .unwrap();
+        let job_id = running.job_id();
+        // Let the stream finish, then read the sampler's frames while the
+        // pipeline is still up: the peak look-ahead the run reached.
+        while registry
+            .snapshot()
+            .iter()
+            .filter(|s| s.component == Component::CloudProcessor)
+            .count()
+            < 16
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let peak = running
+            .telemetry()
+            .iter()
+            .filter_map(|f| f.value(GAUGE_PREFETCH_OCCUPANCY))
+            .max()
+            .unwrap_or(0);
+        let summary = running.wait(WAIT).unwrap();
+        assert_eq!(summary.messages, 16);
+        assert_eq!(summary.errors, 0);
+        assert_eq!(
+            registry.gauge_value(GAUGE_PREFETCH_OCCUPANCY),
+            Some(0),
+            "depth {depth}: occupancy must drain to zero"
+        );
+        (batches_of_device_0(&registry, job_id, LINK), peak)
+    };
+
+    let (serial, peak) = run(0);
+    assert!(serial.len() >= 4, "16 messages at fetch_max 4: {serial:?}");
+    assert_eq!(peak, 0, "no look-ahead at depth 0");
+    for pair in serial.windows(2) {
+        assert!(
+            pair[1].0 >= pair[0].1,
+            "depth 0: a transfer started at {} before the previous batch \
+             finished processing at {}",
+            pair[1].0,
+            pair[0].1
+        );
+    }
+
+    let (ahead, peak) = run(2);
+    assert!(ahead.len() >= 4, "{ahead:?}");
+    assert!(peak >= 1, "depth 2 never had a batch in flight ahead");
+    for pair in ahead.windows(2) {
+        assert!(
+            pair[1].0 < pair[0].1,
+            "depth 2: batch transfer started at {} only after the previous \
+             batch finished processing at {}",
+            pair[1].0,
+            pair[0].1
+        );
+    }
 }
 
 #[test]
 fn prefetch_hot_swap_mid_stream() {
-    // Function replacement while prefetched batches sit in the queue: the
-    // swap must take effect without dropping queued messages.
+    // Function replacement while look-ahead batches are in flight: the
+    // swap must take effect without dropping them.
     let (edge, cloud) = pilots(2, 2);
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
@@ -160,7 +353,7 @@ fn prefetch_hot_swap_mid_stream() {
 
 #[test]
 fn pipelined_wan_run_conserves_messages_with_complete_span_chains() {
-    // A real WAN-profile run with both batching and prefetch: every
+    // A real WAN-profile run with both batching and look-ahead: every
     // distinct message must carry the full five-stage span chain —
     // EdgeProducer → Network(edge→broker) → Broker → Network(broker→cloud)
     // → CloudProcessor — i.e. batch-level transfers still attribute

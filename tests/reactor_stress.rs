@@ -1,6 +1,6 @@
 //! Event-driven consumer core stress tests (DESIGN.md §12).
 //!
-//! Two properties the reactor rests on, attacked directly:
+//! Three properties the consumer core rests on, attacked directly:
 //!
 //! 1. **No lost wakeups.** `Topic::read_many_or_register` closes the
 //!    classic race between "the sweep saw nothing" and "the waker was
@@ -11,9 +11,14 @@
 //!    by the waker it arms — and the watcher lists must not accumulate
 //!    stale entries.
 //!
-//! 2. **Fixed thread pool.** With `reactor_threads = Some(k)` the consumer
-//!    path spawns `k` reactor threads *total*, however many members the
-//!    cell runs. Asserted at 4096 members via `/proc/self/status`.
+//! 2. **Fixed thread pool.** The consumer path spawns `reactor_threads`
+//!    threads *total*, however many members the cell runs. Asserted at
+//!    4096 members via `/proc/self/status`.
+//!
+//! 3. **No lost tail.** A partition is done when the records fetched ahead
+//!    of its sentinel have been *processed*, not when the sentinel is
+//!    fetched — so a run whose streams all end together, with transfers
+//!    still parked on the broker→cloud link, delivers every message.
 
 use parking_lot::Mutex;
 use pilot_broker::record::Record;
@@ -206,6 +211,62 @@ fn concurrent_waiters_each_observe_their_own_partitions() {
     );
 }
 
+/// The tail-loss regression (benchmark/README.md, finding 1): 128 devices
+/// finish within a few milliseconds of each other, so every member fetches
+/// its sentinel together with its last records while the two reactor
+/// threads are still working through a backlog of 1 ms invocations. When a
+/// *fetched* sentinel ended the partition, `wait()` saw every partition
+/// done and stopped the members before those last batches were processed
+/// — about one message per device vanished with `errors == 0`.
+#[test]
+fn streams_ending_together_deliver_their_tails() {
+    use pilot_core::{PilotComputeService, PilotDescription};
+    use pilot_datagen::DataGenConfig;
+    use pilot_edge::faas::{CloudFactory, Context, ProcessOutcome};
+    use pilot_edge::processors::datagen_produce_factory;
+    use pilot_edge::EdgeToCloudPipeline;
+    use pilot_netsim::profiles;
+
+    const DEVICES: usize = 128;
+    const MESSAGES: usize = 3;
+    let one_ms: CloudFactory = Arc::new(|_ctx| {
+        Box::new(|_ctx: &Context, _block| {
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(ProcessOutcome::default())
+        })
+    });
+    let wait = Duration::from_secs(120);
+    let svc = PilotComputeService::new();
+    let edge = svc
+        .submit_and_wait(PilotDescription::local(2, 16.0), wait)
+        .unwrap();
+    let cloud = svc
+        .submit_and_wait(PilotDescription::local(2, 16.0), wait)
+        .unwrap();
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(5), MESSAGES))
+        .process_cloud_function(one_ms)
+        .devices(DEVICES)
+        .producer_threads(2)
+        .reactor_threads(2)
+        .link_broker_to_cloud(profiles::cloud_local("broker->cloud", 9).build())
+        .start()
+        .unwrap();
+    let processed = running.context().counter("messages_processed");
+    let summary = running.wait(wait).unwrap();
+    assert_eq!(summary.messages as usize, DEVICES * MESSAGES);
+    assert_eq!(summary.errors, 0);
+    // `summary.messages` counts a message once any stage recorded a span
+    // for it; the cloud function's own tally is what a lost tail shows in.
+    assert_eq!(
+        processed.get() as usize,
+        DEVICES * MESSAGES,
+        "the tail of a stream was dropped before it reached the cloud function"
+    );
+}
+
 #[cfg(target_os = "linux")]
 fn os_thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -219,8 +280,8 @@ fn os_thread_count() -> usize {
 }
 
 /// The acceptance gate for the reactor's whole point: 4096 consumer
-/// members on `reactor_threads = 2` must cost 2 reactor threads plus a
-/// constant for the rest of the harness — not 4096 task threads.
+/// members must cost the 2 reactor threads plus a constant for the rest
+/// of the harness — not a thread per member.
 #[cfg(target_os = "linux")]
 #[test]
 fn four_thousand_members_run_on_a_fixed_thread_pool() {
@@ -246,7 +307,6 @@ fn four_thousand_members_run_on_a_fixed_thread_pool() {
         .process_cloud_function(baseline_factory())
         .devices(DEVICES) // 4096 members (processors defaults to devices)
         .producer_threads(2)
-        .reactor_threads(2)
         .start()
         .unwrap();
     let during = os_thread_count();
