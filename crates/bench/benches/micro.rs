@@ -6,6 +6,9 @@
 //! * `model_per_message` — partial_fit + score cost of each evaluation
 //!   model on a paper-sized message (the Fig. 3 model ordering, isolated
 //!   from transport).
+//! * `linalg_gemm` / `isoforest` — the kernels under `model_per_message`:
+//!   the auto-encoder's three GEMM forms at its layer shapes, portable vs
+//!   dispatched instantiation, and the forest's fit and score on their own.
 //! * `codec` — f64 vs Q16 encode/decode per block.
 //! * `histogram_record` — the monitoring fabric's hot-path cost.
 //!
@@ -101,6 +104,72 @@ fn bench_models(c: &mut Criterion) {
             });
         }
     }
+    group.finish();
+}
+
+/// The auto-encoder's GEMMs at the paper's layer shapes: a 64-row training
+/// mini-batch through every (in, out) the 32-feature PyOD network has, in the
+/// three forms one training step uses, plus the forward form on a 128-row
+/// scoring chunk. `portable` is the kernel body as written, `dispatched` the
+/// instantiation `pilot_ml::linalg` picks on this host (named in the group
+/// header); their outputs are bit-identical, so the delta is vector width.
+fn bench_linalg(c: &mut Criterion) {
+    use pilot_ml::linalg::{gemm_body, matmul, matmul_a_bt, matmul_at_b, transpose};
+    let mut group = c.benchmark_group(format!(
+        "linalg_gemm[dispatched={}]",
+        pilot_ml::linalg::dispatched_path()
+    ));
+    group.sample_size(200);
+    let fill = |len: usize| -> Vec<f64> { (0..len).map(|i| (i % 23) as f64 / 8.0 - 1.0).collect() };
+    for (rows, inp, out) in [(64, 32, 32), (64, 32, 64), (64, 64, 32), (128, 32, 64)] {
+        let shape = format!("{rows}x{inp}x{out}");
+        let (x, w, delta) = (fill(rows * inp), fill(inp * out), fill(rows * out));
+        group.throughput(Throughput::Elements((2 * rows * inp * out) as u64));
+        // Forward: activations[rows×out] = x · W.
+        let mut act = vec![0.0; rows * out];
+        group.bench_function(BenchmarkId::new("forward/portable", &shape), |b| {
+            b.iter(|| gemm_body::<false>(&x, &w, &mut act, rows, inp, out))
+        });
+        group.bench_function(BenchmarkId::new("forward/dispatched", &shape), |b| {
+            b.iter(|| matmul(&x, &w, &mut act, rows, inp, out))
+        });
+        if rows != 64 {
+            continue; // scoring only runs the forward form
+        }
+        // Weight gradient: grad[inp×out] = xᵀ · delta.
+        let mut grad = vec![0.0; inp * out];
+        group.bench_function(BenchmarkId::new("at_b/portable", &shape), |b| {
+            b.iter(|| gemm_body::<true>(&x, &delta, &mut grad, inp, rows, out))
+        });
+        group.bench_function(BenchmarkId::new("at_b/dispatched", &shape), |b| {
+            b.iter(|| matmul_at_b(&x, &delta, &mut grad, inp, rows, out))
+        });
+        // Back-propagated delta: prev[rows×inp] = delta · Wᵀ.
+        let (mut wt, mut prev) = (vec![0.0; inp * out], vec![0.0; rows * inp]);
+        group.bench_function(BenchmarkId::new("a_bt/portable", &shape), |b| {
+            b.iter(|| {
+                transpose(&w, &mut wt, inp, out);
+                gemm_body::<false>(&delta, &wt, &mut prev, rows, out, inp)
+            })
+        });
+        group.bench_function(BenchmarkId::new("a_bt/dispatched", &shape), |b| {
+            b.iter(|| matmul_a_bt(&delta, &w, &mut wt, &mut prev, rows, out, inp))
+        });
+    }
+    group.finish();
+}
+
+/// The isolation forest's two halves on a paper-sized message (1000×32,
+/// 100 trees, ψ = 256), single-threaded: `fit` rebuilds the ensemble,
+/// `score` walks every point down every tree.
+fn bench_isoforest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("isoforest");
+    group.sample_size(20);
+    let block = DataGenerator::new(DataGenConfig::paper(1000)).next_block();
+    let ds = Dataset::new(&block.data, block.points, block.features);
+    let mut forest = pilot_ml::IsolationForest::new(IsolationForestConfig::paper());
+    group.bench_function("fit", |b| b.iter(|| forest.fit(&ds)));
+    group.bench_function("score", |b| b.iter(|| forest.score(&ds)));
     group.finish();
 }
 
@@ -399,6 +468,8 @@ criterion_group!(
     bench_broker,
     bench_log_append,
     bench_models,
+    bench_linalg,
+    bench_isoforest,
     bench_compute_pool,
     bench_codec,
     bench_link_transfer,

@@ -21,7 +21,9 @@
 //! anomalous".
 
 use crate::dataset::Dataset;
-use crate::linalg::{add_bias, column_sums, matmul, matmul_a_bt, matmul_at_b, relu, relu_backward};
+use crate::linalg::{
+    self, add_bias, column_sums, matmul, matmul_a_bt, matmul_at_b, relu, relu_backward,
+};
 use crate::outlier::{ModelKind, OutlierModel};
 use pilot_dataflow::ComputePool;
 use rand::rngs::StdRng;
@@ -107,7 +109,7 @@ struct Layer {
     b: Vec<f64>,
     in_dim: usize,
     out_dim: usize,
-    // Adam moments (allocated lazily on first Adam step).
+    // Adam moments (empty under SGD).
     m_w: Vec<f64>,
     v_w: Vec<f64>,
     m_b: Vec<f64>,
@@ -115,10 +117,10 @@ struct Layer {
 }
 
 impl Layer {
-    fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+    fn new(in_dim: usize, out_dim: usize, adam: bool, rng: &mut StdRng) -> Self {
         // He initialisation for ReLU layers.
         let scale = (2.0 / in_dim as f64).sqrt();
-        let w = (0..in_dim * out_dim)
+        let w: Vec<f64> = (0..in_dim * out_dim)
             .map(|_| {
                 // Box–Muller
                 let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
@@ -126,24 +128,116 @@ impl Layer {
                 scale * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
             })
             .collect();
+        let moments = |len: usize| vec![0.0; if adam { len } else { 0 }];
         Self {
+            m_w: moments(w.len()),
+            v_w: moments(w.len()),
+            m_b: moments(out_dim),
+            v_b: moments(out_dim),
             w,
             b: vec![0.0; out_dim],
             in_dim,
             out_dim,
-            m_w: Vec::new(),
-            v_w: Vec::new(),
-            m_b: Vec::new(),
-            v_b: Vec::new(),
+        }
+    }
+}
+
+/// Adam's β₁, β₂ and ε.
+const ADAM_BETA1: f64 = 0.9;
+const ADAM_BETA2: f64 = 0.999;
+const ADAM_EPS: f64 = 1e-8;
+
+/// Step size and bias corrections `1 − βᵗ` of one Adam step.
+#[derive(Clone, Copy)]
+struct Adam {
+    lr: f64,
+    bias1: f64,
+    bias2: f64,
+}
+
+impl Adam {
+    /// Update `param` from `grad` and the moments `m`, `v`. Portable body;
+    /// every operation is a correctly-rounded IEEE one (no FMA), so any
+    /// vector width gives the same bits.
+    #[inline(always)]
+    fn update_body(self, param: &mut [f64], grad: &[f64], m: &mut [f64], v: &mut [f64]) {
+        let len = param.len();
+        let (grad, m, v) = (&grad[..len], &mut m[..len], &mut v[..len]);
+        for i in 0..len {
+            let g = grad[i];
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g;
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g;
+            let m_hat = m[i] / self.bias1;
+            let v_hat = v[i] / self.bias2;
+            param[i] -= self.lr * m_hat / (v_hat.sqrt() + ADAM_EPS);
         }
     }
 
-    fn ensure_adam_state(&mut self) {
-        if self.m_w.is_empty() {
-            self.m_w = vec![0.0; self.w.len()];
-            self.v_w = vec![0.0; self.w.len()];
-            self.m_b = vec![0.0; self.b.len()];
-            self.v_b = vec![0.0; self.b.len()];
+    /// [`Adam::update_body`] compiled with 256-bit vectors.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn update_avx2(self, param: &mut [f64], grad: &[f64], m: &mut [f64], v: &mut [f64]) {
+        self.update_body(param, grad, m, v);
+    }
+
+    /// [`Adam::update_body`], on the widest instantiation the host supports.
+    fn update(self, param: &mut [f64], grad: &[f64], m: &mut [f64], v: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if linalg::wide() {
+            // SAFETY: `wide()` is true only when the host has AVX2.
+            return unsafe { self.update_avx2(param, grad, m, v) };
+        }
+        self.update_body(param, grad, m, v)
+    }
+}
+
+/// Training buffers, sized at construction for one mini-batch so that a
+/// training step allocates nothing.
+#[derive(Debug, Clone)]
+struct Workspace {
+    /// Activations of every layer but the last.
+    hidden: Vec<Vec<f64>>,
+    /// The network's output, then (in place) dL/d(output) of the layer the
+    /// backward pass is at.
+    delta: Vec<f64>,
+    /// dL/d(output) of the layer before it.
+    prev_delta: Vec<f64>,
+    grad_w: Vec<f64>,
+    grad_b: Vec<f64>,
+    /// Wᵀ of the layer the backward pass is at.
+    wt: Vec<f64>,
+}
+
+/// One buffer of `rows × out_dim` per layer but the last.
+fn hidden_buffers(layers: &[Layer], rows: usize) -> Vec<Vec<f64>> {
+    let hidden = &layers[..layers.len() - 1];
+    hidden.iter().map(|l| vec![0.0; rows * l.out_dim]).collect()
+}
+
+/// Forward pass over `rows` rows of `batch`: every layer but the last
+/// applies ReLU and leaves its activations in `hidden`; the last writes
+/// `output`.
+fn forward(
+    layers: &[Layer],
+    batch: &[f64],
+    rows: usize,
+    hidden: &mut [Vec<f64>],
+    output: &mut [f64],
+) {
+    for (li, layer) in layers.iter().enumerate() {
+        let (done, rest) = hidden.split_at_mut(li);
+        let input = match done.last() {
+            Some(prev) => &prev[..rows * layer.in_dim],
+            None => batch,
+        };
+        let (out, activate) = match rest.first_mut() {
+            Some(next) => (&mut next[..rows * layer.out_dim], true),
+            None => (&mut *output, false),
+        };
+        matmul(input, &layer.w, out, rows, layer.in_dim, layer.out_dim);
+        add_bias(out, &layer.b);
+        if activate {
+            relu(out);
         }
     }
 }
@@ -153,6 +247,7 @@ impl Layer {
 pub struct AutoEncoder {
     config: AutoEncoderConfig,
     layers: Vec<Layer>,
+    ws: Workspace,
     /// Adam timestep.
     t: u64,
     /// Mean training loss of the last `partial_fit` call.
@@ -171,13 +266,25 @@ impl AutoEncoder {
         assert!(config.minibatch > 0, "minibatch must be > 0");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let dims = config.layer_dims();
-        let layers = dims
+        let adam = config.optimizer == Optimizer::Adam;
+        let layers: Vec<Layer> = dims
             .windows(2)
-            .map(|w| Layer::new(w[0], w[1], &mut rng))
+            .map(|w| Layer::new(w[0], w[1], adam, &mut rng))
             .collect();
+        let widest = dims.iter().copied().max().unwrap_or(0);
+        let largest = layers.iter().map(|l| l.w.len()).max().unwrap_or(0);
+        let ws = Workspace {
+            hidden: hidden_buffers(&layers, config.minibatch),
+            delta: vec![0.0; config.minibatch * widest],
+            prev_delta: vec![0.0; config.minibatch * widest],
+            grad_w: vec![0.0; largest],
+            grad_b: vec![0.0; widest],
+            wt: vec![0.0; largest],
+        };
         Self {
             config,
             layers,
+            ws,
             t: 0,
             last_loss: f64::NAN,
             pool: Arc::new(ComputePool::sequential()),
@@ -200,30 +307,6 @@ impl AutoEncoder {
         self.last_loss
     }
 
-    /// Forward pass: returns the activations of every layer (index 0 = the
-    /// input batch itself). All but the last layer apply ReLU.
-    fn forward(&self, batch: &[f64], rows: usize) -> Vec<Vec<f64>> {
-        let mut acts: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(batch.to_vec());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut out = vec![0.0; rows * layer.out_dim];
-            matmul(
-                acts.last().unwrap(),
-                &layer.w,
-                &mut out,
-                rows,
-                layer.in_dim,
-                layer.out_dim,
-            );
-            add_bias(&mut out, &layer.b);
-            if li + 1 < self.layers.len() {
-                relu(&mut out);
-            }
-            acts.push(out);
-        }
-        acts
-    }
-
     /// Reconstruct a batch (the final activation of the forward pass).
     ///
     /// Rows are fanned out over the pool in fixed chunks of
@@ -241,101 +324,71 @@ impl AutoEncoder {
                 let rows = chunk.len() / d;
                 let start = ci * FORWARD_CHUNK * d;
                 let batch = &raw[start..start + chunk.len()];
-                let recon = self.forward(batch, rows).pop().unwrap();
-                chunk.copy_from_slice(&recon);
+                let mut hidden = hidden_buffers(&self.layers, rows);
+                forward(&self.layers, batch, rows, &mut hidden, chunk);
             });
         out
     }
 
     /// One SGD/Adam step on one mini-batch; returns the batch MSE.
     fn train_step(&mut self, batch: &[f64], rows: usize) -> f64 {
-        let acts = self.forward(batch, rows);
-        let output = acts.last().unwrap();
-        let n_out = output.len();
-        // dL/dŷ for L = mean((ŷ−x)²): 2(ŷ−x)/N.
-        let mut delta: Vec<f64> = output
-            .iter()
-            .zip(batch)
-            .map(|(&y, &x)| 2.0 * (y - x) / n_out as f64)
-            .collect();
-        let loss = output
-            .iter()
-            .zip(batch)
-            .map(|(&y, &x)| (y - x) * (y - x))
-            .sum::<f64>()
-            / n_out as f64;
+        let Self { layers, ws, .. } = self;
+        let n_out = batch.len();
+        forward(layers, batch, rows, &mut ws.hidden, &mut ws.delta[..n_out]);
+        // dL/dŷ for L = mean((ŷ−x)²): 2(ŷ−x)/N, in place over ŷ.
+        let mut loss = 0.0;
+        for (y, &x) in ws.delta[..n_out].iter_mut().zip(batch) {
+            let err = *y - x;
+            loss += err * err;
+            *y = 2.0 * err / n_out as f64;
+        }
+        loss /= n_out as f64;
 
         self.t += 1;
         let lr = self.config.lr;
-        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        let t = self.t as f64;
+        let adam = Adam {
+            lr,
+            bias1: 1.0 - ADAM_BETA1.powf(t),
+            bias2: 1.0 - ADAM_BETA2.powf(t),
+        };
         // Backward through layers.
-        for li in (0..self.layers.len()).rev() {
-            let input = &acts[li];
-            let in_dim = self.layers[li].in_dim;
-            let out_dim = self.layers[li].out_dim;
+        for li in (0..layers.len()).rev() {
+            let layer = &mut layers[li];
+            let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            let input = match li {
+                0 => batch,
+                _ => &ws.hidden[li - 1][..rows * in_dim],
+            };
+            let delta = &ws.delta[..rows * out_dim];
             // Gradients.
-            let mut grad_w = vec![0.0; in_dim * out_dim];
-            matmul_at_b(input, &delta, &mut grad_w, in_dim, rows, out_dim);
-            let mut grad_b = vec![0.0; out_dim];
-            column_sums(&delta, &mut grad_b);
+            let grad_w = &mut ws.grad_w[..in_dim * out_dim];
+            matmul_at_b(input, delta, grad_w, in_dim, rows, out_dim);
+            let grad_b = &mut ws.grad_b[..out_dim];
+            column_sums(delta, grad_b);
             // Propagate delta to the previous layer before mutating weights.
             if li > 0 {
-                let mut prev_delta = vec![0.0; rows * in_dim];
-                matmul_a_bt(
-                    &delta,
-                    &self.layers[li].w,
-                    &mut prev_delta,
-                    rows,
-                    out_dim,
-                    in_dim,
-                );
-                relu_backward(&mut prev_delta, &acts[li]);
-                delta = prev_delta;
+                let prev_delta = &mut ws.prev_delta[..rows * in_dim];
+                let wt = &mut ws.wt[..in_dim * out_dim];
+                matmul_a_bt(delta, &layer.w, wt, prev_delta, rows, out_dim, in_dim);
+                relu_backward(prev_delta, input);
             }
             // Apply the update.
-            let layer = &mut self.layers[li];
             match self.config.optimizer {
                 Optimizer::Sgd => {
-                    for (w, g) in layer.w.iter_mut().zip(&grad_w) {
+                    for (w, g) in layer.w.iter_mut().zip(&*grad_w) {
                         *w -= lr * g;
                     }
-                    for (b, g) in layer.b.iter_mut().zip(&grad_b) {
+                    for (b, g) in layer.b.iter_mut().zip(&*grad_b) {
                         *b -= lr * g;
                     }
                 }
                 Optimizer::Adam => {
-                    layer.ensure_adam_state();
-                    let t = self.t as f64;
-                    let bias1 = 1.0 - b1.powf(t);
-                    let bias2 = 1.0 - b2.powf(t);
-                    for (((w, &g), m), v) in layer
-                        .w
-                        .iter_mut()
-                        .zip(&grad_w)
-                        .zip(layer.m_w.iter_mut())
-                        .zip(layer.v_w.iter_mut())
-                    {
-                        *m = b1 * *m + (1.0 - b1) * g;
-                        *v = b2 * *v + (1.0 - b2) * g * g;
-                        let m_hat = *m / bias1;
-                        let v_hat = *v / bias2;
-                        *w -= lr * m_hat / (v_hat.sqrt() + eps);
-                    }
-                    for (((b, &g), m), v) in layer
-                        .b
-                        .iter_mut()
-                        .zip(&grad_b)
-                        .zip(layer.m_b.iter_mut())
-                        .zip(layer.v_b.iter_mut())
-                    {
-                        *m = b1 * *m + (1.0 - b1) * g;
-                        *v = b2 * *v + (1.0 - b2) * g * g;
-                        let m_hat = *m / bias1;
-                        let v_hat = *v / bias2;
-                        *b -= lr * m_hat / (v_hat.sqrt() + eps);
-                    }
+                    adam.update(&mut layer.w, grad_w, &mut layer.m_w, &mut layer.v_w);
+                    adam.update(&mut layer.b, grad_b, &mut layer.m_b, &mut layer.v_b);
                 }
             }
+            std::mem::swap(&mut ws.delta, &mut ws.prev_delta);
         }
         loss
     }
@@ -345,7 +398,7 @@ impl AutoEncoder {
     #[doc(hidden)]
     pub fn loss_on(&self, data: &Dataset<'_>) -> f64 {
         let out = self.reconstruct(data);
-        crate::linalg::mse(&out, data.raw())
+        linalg::mse(&out, data.raw())
     }
 
     /// Direct parameter access for finite-difference tests.

@@ -19,7 +19,7 @@ pub fn roc_auc(scores: &[f64], labels: &[bool]) -> f64 {
     }
     // Rank scores (average ranks for ties).
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap());
+    idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     let mut ranks = vec![0.0; scores.len()];
     let mut i = 0;
     while i < idx.len() {
@@ -51,14 +51,16 @@ pub fn precision_at_k(scores: &[f64], labels: &[bool], k: usize) -> f64 {
     }
     let k = k.min(scores.len());
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+    idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
     let hits = idx[..k].iter().filter(|&&i| labels[i]).count();
     hits as f64 / k as f64
 }
 
 /// Threshold scores at the `1 − contamination` quantile, mirroring PyOD's
 /// `contamination` parameter: the top `contamination` fraction of scores is
-/// flagged as outliers.
+/// flagged as outliers. Scores tied with the cutoff are all flagged. A NaN
+/// score (a diverged model) is never flagged, and when NaNs fill the whole
+/// top fraction nothing is.
 pub fn threshold_by_contamination(scores: &[f64], contamination: f64) -> Vec<bool> {
     let contamination = contamination.clamp(0.0, 1.0);
     if scores.is_empty() {
@@ -68,9 +70,12 @@ pub fn threshold_by_contamination(scores: &[f64], contamination: f64) -> Vec<boo
     if n_flag == 0 {
         return vec![false; scores.len()];
     }
-    let mut sorted: Vec<f64> = scores.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    let cutoff = sorted[n_flag.min(sorted.len()) - 1];
+    // The `n_flag`-th highest score, by selection rather than a full sort;
+    // `total_cmp` gives NaNs a rank (beyond ±inf, by sign) where
+    // `partial_cmp` panicked on them.
+    let mut ranked: Vec<f64> = scores.to_vec();
+    let k = n_flag.min(ranked.len()) - 1;
+    let (_, &mut cutoff, _) = ranked.select_nth_unstable_by(k, |a, b| b.total_cmp(a));
     scores.iter().map(|&s| s >= cutoff).collect()
 }
 
@@ -133,6 +138,58 @@ mod tests {
         let flags = threshold_by_contamination(&scores, 0.2);
         assert_eq!(flags.iter().filter(|&&f| f).count(), 2);
         assert!(flags[9] && flags[8]);
+    }
+
+    #[test]
+    fn contamination_survives_nan_and_infinite_scores() {
+        let scores = [
+            1.0,
+            f64::NAN,
+            f64::INFINITY,
+            3.0,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            2.0,
+            0.5,
+        ];
+        // Top quarter = 2 of 8: the positive NaN outranks +inf and takes a
+        // slot, `>=` against the +inf cutoff then flags +inf alone.
+        let flags = threshold_by_contamination(&scores, 0.25);
+        assert_eq!(
+            flags,
+            [false, false, true, false, false, false, false, false]
+        );
+        // Top half = 4 of 8: NaN, +inf, 3.0, 2.0.
+        let flags = threshold_by_contamination(&scores, 0.5);
+        assert_eq!(flags, [false, false, true, true, false, false, true, false]);
+        // All NaN: nothing to flag, and no panic.
+        assert_eq!(threshold_by_contamination(&[f64::NAN; 4], 0.5), [false; 4]);
+        // The rank-based metrics take the same input without panicking.
+        let labels = [false, true, true, false, false, false, true, false];
+        assert!(roc_auc(&scores, &labels).is_finite());
+        assert_eq!(precision_at_k(&scores, &labels, 2), 1.0);
+    }
+
+    #[test]
+    fn contamination_flags_the_same_set_as_a_full_sort_with_ties() {
+        // The definition the selection replaced: sort a copy descending and
+        // compare against the `n_flag`-th entry.
+        let by_sort = |scores: &[f64], n_flag: usize| -> Vec<bool> {
+            let mut sorted = scores.to_vec();
+            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let cutoff = sorted[n_flag - 1];
+            scores.iter().map(|&s| s >= cutoff).collect()
+        };
+        // Few distinct values, so the cutoff lands inside a run of ties.
+        let scores: Vec<f64> = (0..200u32)
+            .map(|i| f64::from(i * 7919 % 13) / 4.0)
+            .collect();
+        for n_flag in [1usize, 2, 10, 37, 100, 199, 200] {
+            let contamination = n_flag as f64 / scores.len() as f64;
+            let flags = threshold_by_contamination(&scores, contamination);
+            assert_eq!(flags, by_sort(&scores, n_flag), "n_flag={n_flag}");
+            assert!(flags.iter().filter(|&&f| f).count() >= n_flag);
+        }
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! on each incoming message's data (`partial_fit` rebuilds the ensemble from
 //! the new batch) — isolation forests have no incremental update, and
 //! rebuilding is exactly what makes them ~5× slower than k-means in Fig. 3.
+//!
+//! **Layout.** A tree is one flat array of 24-byte nodes. A leaf stores the
+//! finished path length `depth + c(size)` (so scoring calls no `ln`) and
+//! points at itself, which lets a walk take a fixed `height` steps with no
+//! data-dependent branch; eight points walk side by side so their load
+//! chains overlap. Scoring is tree-major inside each fixed 128-row chunk —
+//! the tree stays in L1 while the chunk passes through it — and still adds
+//! each point's path lengths in tree order, so scores do not depend on any
+//! of this. Fitting gathers each tree's ψ sampled rows once, column-major,
+//! and builds on that copy.
 
 use crate::dataset::Dataset;
 use crate::outlier::{ModelKind, OutlierModel};
@@ -48,127 +58,125 @@ impl IsolationForestConfig {
     }
 }
 
-/// Node of an isolation tree, stored in a flat arena.
-#[derive(Debug, Clone)]
-enum Node {
-    /// Internal split: feature index, split value, children arena indices.
-    Split {
-        feature: u32,
-        value: f64,
-        left: u32,
-        right: u32,
-    },
-    /// External node holding `size` points; contributes `c(size)` to the
-    /// path length.
-    Leaf { size: u32 },
+/// Points walked down a tree side by side (see [`ITree::walk`]).
+const LANES: usize = 8;
+
+/// Node of an isolation tree; a tree is a flat array of these, root first.
+/// A leaf points at itself on both sides, so a walk can take a fixed number
+/// of steps without asking whether it has arrived.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Split value. For a leaf: the path length of every point that ends
+    /// here, `depth + c(size)`, worked out once at build time.
+    value: f64,
+    /// Split feature (0 for a leaf).
+    feature: u32,
+    left: u32,
+    right: u32,
 }
 
 /// One isolation tree.
 #[derive(Debug, Clone)]
 struct ITree {
     nodes: Vec<Node>,
+    /// Depth of the deepest leaf.
+    height: u32,
 }
 
 impl ITree {
-    /// Build a tree over `sample` (indices into `data`), splitting until
-    /// isolation or the height limit `ceil(log2(ψ))`.
-    fn build(
-        data: &Dataset<'_>,
-        sample: &mut [usize],
-        height_limit: u32,
-        rng: &mut StdRng,
-    ) -> Self {
-        let mut nodes = Vec::with_capacity(2 * sample.len());
-        Self::build_node(data, sample, 0, height_limit, rng, &mut nodes);
-        ITree { nodes }
-    }
-
-    /// Recursively build; returns the arena index of the created node.
-    fn build_node(
-        data: &Dataset<'_>,
-        sample: &mut [usize],
-        depth: u32,
-        height_limit: u32,
-        rng: &mut StdRng,
-        nodes: &mut Vec<Node>,
-    ) -> u32 {
-        if sample.len() <= 1 || depth >= height_limit {
-            nodes.push(Node::Leaf {
-                size: sample.len() as u32,
-            });
-            return (nodes.len() - 1) as u32;
+    /// Path lengths h(x) of `L` points, with the `c(size)` adjustment at
+    /// truncated leaves. Every point takes `height` steps (a leaf steps to
+    /// itself), which leaves no data-dependent branch to mispredict and `L`
+    /// independent load chains for the core to overlap.
+    #[inline(always)]
+    fn walk<const L: usize>(&self, points: [&[f64]; L]) -> [f64; L] {
+        let mut at = [0usize; L];
+        for _ in 0..self.height {
+            for (idx, point) in at.iter_mut().zip(points) {
+                let node = &self.nodes[*idx];
+                let next = if point[node.feature as usize] < node.value {
+                    node.left
+                } else {
+                    node.right
+                };
+                *idx = next as usize;
+            }
         }
+        at.map(|idx| self.nodes[idx].value)
+    }
+}
+
+/// Values between the starts of two gathered columns beyond ψ. With the
+/// default ψ = 256 an unpadded column is 2 KiB, every column starts in one of
+/// two L1 sets, and the gather's 32 write streams evict each other.
+const COL_PAD: usize = 8;
+
+/// Builds one tree over a gathered subsample: `cols[f·stride + s]` is
+/// feature `f` of sampled row `s`, so every min/max and partition pass reads
+/// one contiguous ψ-value column instead of ψ rows of the batch.
+struct TreeBuilder<'a> {
+    cols: &'a [f64],
+    stride: usize,
+    features: usize,
+    /// `ceil(log2(ψ))`: splitting stops here if isolation has not.
+    height_limit: u32,
+    rng: &'a mut StdRng,
+    tree: ITree,
+}
+
+impl TreeBuilder<'_> {
+    /// Append the subtree over subsample rows `rows`; returns its index.
+    fn grow(&mut self, rows: &mut [u32], depth: u32) -> u32 {
+        let my_idx = self.tree.nodes.len() as u32;
         // Pick a feature with spread; give up after a few attempts (the
         // sample may be constant in every dimension).
-        let d = data.cols();
         let mut split = None;
-        for _ in 0..8 {
-            let f = rng.random_range(0..d);
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &i in sample.iter() {
-                let v = data.row(i)[f];
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if hi > lo {
-                split = Some((f, rng.random_range(lo..hi)));
-                break;
+        if rows.len() > 1 && depth < self.height_limit {
+            for _ in 0..8 {
+                let f = self.rng.random_range(0..self.features);
+                let col = &self.cols[f * self.stride..][..self.stride];
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for &r in rows.iter() {
+                    let v = col[r as usize];
+                    lo = if v < lo { v } else { lo };
+                    hi = if v > hi { v } else { hi };
+                }
+                if hi > lo {
+                    split = Some((f, col, self.rng.random_range(lo..hi)));
+                    break;
+                }
             }
         }
-        let Some((feature, value)) = split else {
-            nodes.push(Node::Leaf {
-                size: sample.len() as u32,
+        let Some((feature, col, value)) = split else {
+            self.tree.nodes.push(Node {
+                value: f64::from(depth) + c_factor(rows.len()),
+                feature: 0,
+                left: my_idx,
+                right: my_idx,
             });
-            return (nodes.len() - 1) as u32;
+            self.tree.height = self.tree.height.max(depth);
+            return my_idx;
         };
-        // Partition in place.
+        // Partition in place; the unconditional swap keeps the 50/50
+        // comparison out of the branch predictor.
         let mut mid = 0;
-        for i in 0..sample.len() {
-            if data.row(sample[i])[feature] < value {
-                sample.swap(i, mid);
-                mid += 1;
-            }
+        for i in 0..rows.len() {
+            rows.swap(i, mid);
+            mid += usize::from(col[rows[mid] as usize] < value);
         }
-        // Reserve this node's slot before recursing.
-        let my_idx = nodes.len() as u32;
-        nodes.push(Node::Leaf { size: 0 }); // placeholder
-        let (left_sample, right_sample) = sample.split_at_mut(mid);
-        let left = Self::build_node(data, left_sample, depth + 1, height_limit, rng, nodes);
-        let right = Self::build_node(data, right_sample, depth + 1, height_limit, rng, nodes);
-        nodes[my_idx as usize] = Node::Split {
-            feature: feature as u32,
+        // Take this node's slot before recursing; the children fill in.
+        self.tree.nodes.push(Node {
             value,
-            left,
-            right,
-        };
+            feature: feature as u32,
+            left: 0,
+            right: 0,
+        });
+        let (left_rows, right_rows) = rows.split_at_mut(mid);
+        let left = self.grow(left_rows, depth + 1);
+        let right = self.grow(right_rows, depth + 1);
+        let node = &mut self.tree.nodes[my_idx as usize];
+        (node.left, node.right) = (left, right);
         my_idx
-    }
-
-    /// Path length h(x) for one point, with the `c(size)` adjustment at
-    /// truncated leaves.
-    fn path_length(&self, point: &[f64]) -> f64 {
-        let mut idx = 0u32;
-        let mut depth = 0.0;
-        loop {
-            match &self.nodes[idx as usize] {
-                Node::Leaf { size } => {
-                    return depth + c_factor(*size as usize);
-                }
-                Node::Split {
-                    feature,
-                    value,
-                    left,
-                    right,
-                } => {
-                    depth += 1.0;
-                    idx = if point[*feature as usize] < *value {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
     }
 }
 
@@ -198,23 +206,78 @@ fn derive_tree_seed(seed: u64, epoch: u64, tree: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Sample ψ distinct indices from `0..n` (Floyd's algorithm). The pick set
-/// is kept in a `Vec` — ψ ≤ 256 keeps the linear `contains` cheap and, unlike
-/// a hash set, the resulting order is a pure function of the RNG stream.
-fn sample_indices(n: usize, psi: usize, rng: &mut StdRng) -> Vec<usize> {
-    if psi >= n {
-        return (0..n).collect();
-    }
-    let mut chosen: Vec<usize> = Vec::with_capacity(psi);
-    for j in (n - psi)..n {
-        let t = rng.random_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
+/// Trees built per compute-pool unit; they share one [`BuildScratch`].
+const TREES_PER_UNIT: usize = 4;
+
+/// Buffers one pool unit reuses across the trees it builds.
+struct BuildScratch {
+    /// `stamp[i] == mark` ⇔ row `i` is in the subsample being drawn; a fresh
+    /// mark per tree means the array is never cleared.
+    stamp: Vec<u32>,
+    /// The sampled row indices, in draw order.
+    picks: Vec<usize>,
+    /// The gathered subsample, [`TreeBuilder::cols`].
+    cols: Vec<f64>,
+    /// The build's working list of subsample rows.
+    rows: Vec<u32>,
+}
+
+impl BuildScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            stamp: vec![0; n],
+            picks: Vec::new(),
+            cols: Vec::new(),
+            rows: Vec::new(),
         }
     }
-    chosen
+
+    /// Sample ψ distinct indices from `0..n` into `picks` (Floyd's
+    /// algorithm). Membership is a stamped mark per row (`mark` is non-zero
+    /// and new to this scratch), so a draw costs O(1) and the pick order
+    /// stays a pure function of the RNG stream.
+    fn sample_indices(&mut self, psi: usize, mark: u32, rng: &mut StdRng) {
+        let n = self.stamp.len();
+        self.picks.clear();
+        if psi >= n {
+            self.picks.extend(0..n);
+            return;
+        }
+        for j in (n - psi)..n {
+            let t = rng.random_range(0..=j);
+            let pick = if self.stamp[t] == mark { j } else { t };
+            self.stamp[pick] = mark;
+            self.picks.push(pick);
+        }
+    }
+
+    /// Draw a ψ-row subsample of `data`, gather it, and build a tree on it.
+    fn build_tree(&mut self, data: &Dataset<'_>, psi: usize, mark: u32, rng: &mut StdRng) -> ITree {
+        self.sample_indices(psi, mark, rng);
+        let psi = self.picks.len();
+        let stride = psi + COL_PAD;
+        self.cols.resize(stride * data.cols(), 0.0);
+        for (s, &pick) in self.picks.iter().enumerate() {
+            for (f, &v) in data.row(pick).iter().enumerate() {
+                self.cols[f * stride + s] = v;
+            }
+        }
+        self.rows.clear();
+        self.rows.extend(0..psi as u32);
+        let mut builder = TreeBuilder {
+            cols: &self.cols,
+            stride,
+            features: data.cols(),
+            height_limit: (psi as f64).log2().ceil().max(1.0) as u32,
+            rng,
+            tree: ITree {
+                nodes: Vec::with_capacity(2 * psi),
+                height: 0,
+            },
+        };
+        builder.grow(&mut self.rows, 0);
+        builder.tree
+    }
 }
 
 /// The isolation-forest ensemble.
@@ -274,22 +337,28 @@ impl IsolationForest {
         }
         let n = data.rows();
         let psi = self.config.subsample.min(n);
-        let height_limit = (psi as f64).log2().ceil().max(1.0) as u32;
         let seed = self.config.seed;
         let epoch = self.fit_epoch;
         self.fit_epoch += 1;
-        self.trees = self.pool.map(self.config.n_trees, |t| {
-            let mut rng = StdRng::seed_from_u64(derive_tree_seed(seed, epoch, t as u64));
-            let mut sample = sample_indices(n, psi, &mut rng);
-            ITree::build(data, &mut sample, height_limit, &mut rng)
+        let n_trees = self.config.n_trees;
+        let units = self.pool.map(n_trees.div_ceil(TREES_PER_UNIT), |unit| {
+            let mut scratch = BuildScratch::new(n);
+            let first = unit * TREES_PER_UNIT;
+            (first..n_trees.min(first + TREES_PER_UNIT))
+                .map(|t| {
+                    let mut rng = StdRng::seed_from_u64(derive_tree_seed(seed, epoch, t as u64));
+                    scratch.build_tree(data, psi, t as u32 + 1, &mut rng)
+                })
+                .collect::<Vec<_>>()
         });
+        self.trees = units.into_iter().flatten().collect();
         self.effective_subsample = psi;
     }
 
     /// Mean path length over the ensemble for one point.
     pub fn mean_path_length(&self, point: &[f64]) -> f64 {
         assert!(self.is_trained(), "score before training");
-        self.trees.iter().map(|t| t.path_length(point)).sum::<f64>() / self.trees.len() as f64
+        self.trees.iter().map(|t| t.walk([point])[0]).sum::<f64>() / self.trees.len() as f64
     }
 }
 
@@ -313,12 +382,30 @@ impl OutlierModel for IsolationForest {
         assert!(self.is_trained(), "score before training");
         let c = c_factor(self.effective_subsample).max(f64::MIN_POSITIVE);
         let view = *data;
+        let n_trees = self.trees.len() as f64;
         let mut scores = vec![0.0; data.rows()];
         self.pool
             .for_each_chunk_mut(&mut scores, SCORE_CHUNK, |ci, chunk| {
                 let base = ci * SCORE_CHUNK;
-                for (off, s) in chunk.iter_mut().enumerate() {
-                    let e_h = self.mean_path_length(view.row(base + off));
+                // Tree-major: one tree stays in L1 for the whole chunk, and
+                // every point still sums its path lengths in tree order.
+                for tree in &self.trees {
+                    let mut groups = chunk.chunks_exact_mut(LANES);
+                    let mut row = base;
+                    for sums in groups.by_ref() {
+                        let paths = tree.walk::<LANES>(std::array::from_fn(|l| view.row(row + l)));
+                        for (sum, path) in sums.iter_mut().zip(paths) {
+                            *sum += path;
+                        }
+                        row += LANES;
+                    }
+                    for sum in groups.into_remainder() {
+                        *sum += tree.walk([view.row(row)])[0];
+                        row += 1;
+                    }
+                }
+                for s in chunk.iter_mut() {
+                    let e_h = *s / n_trees;
                     *s = 2f64.powf(-e_h / c);
                 }
             });
@@ -501,7 +588,9 @@ mod tests {
     #[test]
     fn sampled_indices_are_distinct_and_in_range() {
         let mut rng = StdRng::seed_from_u64(11);
-        let sample = sample_indices(1000, 256, &mut rng);
+        let mut scratch = BuildScratch::new(1000);
+        scratch.sample_indices(256, 1, &mut rng);
+        let sample = scratch.picks.clone();
         assert_eq!(sample.len(), 256);
         let mut sorted = sample.clone();
         sorted.sort_unstable();
@@ -509,7 +598,69 @@ mod tests {
         assert_eq!(sorted.len(), 256, "duplicates drawn");
         assert!(sample.iter().all(|&i| i < 1000));
         // ψ ≥ n degenerates to the identity permutation.
-        assert_eq!(sample_indices(4, 8, &mut rng), vec![0, 1, 2, 3]);
+        let mut scratch = BuildScratch::new(4);
+        scratch.sample_indices(8, 1, &mut rng);
+        assert_eq!(scratch.picks, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn stamped_sampling_draws_what_a_linear_membership_scan_draws() {
+        // Floyd's algorithm with the pick set kept in a `Vec` and scanned:
+        // the definition the stamped version must reproduce pick for pick,
+        // including when one scratch serves several trees in a row.
+        let mut scratch = BuildScratch::new(1000);
+        for mark in 1..=5u32 {
+            let mut reference_rng = StdRng::seed_from_u64(u64::from(mark));
+            let mut chosen: Vec<usize> = Vec::new();
+            for j in (1000 - 256)..1000 {
+                let t = reference_rng.random_range(0..=j);
+                chosen.push(if chosen.contains(&t) { j } else { t });
+            }
+            let mut rng = StdRng::seed_from_u64(u64::from(mark));
+            scratch.sample_indices(256, mark, &mut rng);
+            assert_eq!(scratch.picks, chosen, "mark={mark}");
+        }
+    }
+
+    #[test]
+    fn flat_path_length_matches_a_reference_walk() {
+        // Reference: walk the same tree counting splits in an f64 and add
+        // `c(size)` of the leaf reached, with `size` recovered by dropping
+        // the tree's own subsample through it.
+        let walk = |tree: &ITree, point: &[f64]| -> (usize, f64) {
+            let (mut idx, mut depth) = (0usize, 0.0);
+            while tree.nodes[idx].left as usize != idx {
+                let node = tree.nodes[idx];
+                depth += 1.0;
+                idx = if point[node.feature as usize] < node.value {
+                    node.left as usize
+                } else {
+                    node.right as usize
+                };
+            }
+            (idx, depth)
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let d = 6;
+        let data: Vec<f64> = (0..700 * d).map(|_| rng.random_range(-3.0..3.0)).collect();
+        let ds = Dataset::new(&data, 700, d);
+        let points: Vec<f64> = (0..10_000 * d)
+            .map(|_| rng.random_range(-4.0..4.0))
+            .collect();
+        let mut scratch = BuildScratch::new(700);
+        for mark in 1..=4 {
+            let tree = scratch.build_tree(&ds, 256, mark, &mut rng);
+            let mut sizes = vec![0usize; tree.nodes.len()];
+            for &pick in &scratch.picks {
+                sizes[walk(&tree, ds.row(pick)).0] += 1;
+            }
+            assert_eq!(sizes.iter().sum::<usize>(), 256);
+            for point in points.chunks(d) {
+                let (leaf, depth) = walk(&tree, point);
+                let expect = depth + c_factor(sizes[leaf]);
+                assert_eq!(tree.walk([point])[0].to_bits(), expect.to_bits());
+            }
+        }
     }
 
     #[test]

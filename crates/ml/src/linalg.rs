@@ -2,97 +2,187 @@
 //!
 //! Only what backpropagation through small dense layers needs: row-major
 //! GEMM in the three transpose configurations, plus a handful of
-//! element-wise helpers. The GEMMs are cache-blocked: loops are tiled by
-//! `BLOCK` so the working set of each tile (a block of A, a block of B,
-//! and the touched C rows) stays resident while it is reused, which is what
-//! keeps the 1000-row per-message batches from thrashing once matrices stop
-//! fitting in L1.
+//! element-wise helpers.
 //!
-//! **Bit-exactness contract**: blocking never reorders the floating-point
-//! accumulation of any single output element — for every `C[i][j]` the
-//! reduction still runs over `p` in ascending order, exactly as the naive
-//! triple loop would. Together with the row-independence of `matmul` /
-//! `matmul_a_bt` (row `i` of `C` reads only row `i` of `A`), this is what
-//! lets the auto-encoder fan a forward pass out over row chunks and still
-//! produce bit-identical activations at every compute-pool width.
+//! **Kernel contract.** All three GEMMs are one register-tiled body,
+//! [`gemm_body`]: an `MR×NR` tile of `C` lives in accumulators across the
+//! whole `p` loop and is stored once. For every `C[i][j]` the reduction
+//! starts from `0.0` and runs over `p` in ascending order as a rounded
+//! multiply followed by a rounded add — never `mul_add`, never reassociated
+//! — exactly as the naive triple loop would. The body is portable Rust,
+//! compiled twice: as written, and inside a `#[target_feature(enable =
+//! "avx2")]` wrapper that [`matmul`], [`matmul_at_b`] and [`matmul_a_bt`]
+//! pick per call when the host has AVX2 — there is no knob.
+//! Wider registers only change how many independent `C[i][j]` advance per
+//! instruction, not the operations any one of them sees, and the wrapper
+//! does not enable FMA, so hosts with and without AVX2 produce the same
+//! bits. Together with the row-independence of `matmul` (row `i` of `C`
+//! reads only row `i` of `A`), this is also what lets the auto-encoder fan a
+//! forward pass out over row chunks and still produce bit-identical
+//! activations at every compute-pool width.
+//!
+//! The tile loop has no cache blocking: it is sized for the auto-encoder's
+//! layers, where `B` (at most 64×64) stays in L1.
 
-/// Cache-block edge for the GEMM kernels. 64×64 f64 tiles are 32 KiB — an
-/// L1-sized working set on current cores.
-const BLOCK: usize = 64;
+/// Rows of the `C` register tile.
+const MR: usize = 4;
+/// Columns of the `C` register tile: two 4-lane vectors, so the 8
+/// accumulators, 2 `B` vectors and a broadcast `A` value fit in 16 registers.
+const NR: usize = 8;
 
-/// `C[m×n] = A[m×k] · B[k×n]` (row-major, C overwritten).
-pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    c.fill(0.0);
-    for ib in (0..m).step_by(BLOCK) {
-        let i_end = (ib + BLOCK).min(m);
-        for pb in (0..k).step_by(BLOCK) {
-            let p_end = (pb + BLOCK).min(k);
-            for i in ib..i_end {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for p in pb..p_end {
-                    let a_ip = a_row[p];
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_ip * b_v;
-                    }
-                }
+/// The `R×C` tile of `C` at `(i0, j0)`. Constant tile bounds let the two
+/// inner loops unroll and `acc` live in registers.
+#[inline(always)]
+fn gemm_tile<const TRANS_A: bool, const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    (m, k, n): (usize, usize, usize),
+    (i0, j0): (usize, usize),
+) {
+    let mut acc = [[0.0f64; C]; R];
+    // The tile's rows of a row-major `A` (unused when `TRANS_A`).
+    let a_rows: [&[f64]; R] =
+        std::array::from_fn(|r| if TRANS_A { a } else { &a[(i0 + r) * k..][..k] });
+    for (p, b_row) in (0..k).zip(b.chunks_exact(n)) {
+        let a_col: [f64; R] = if TRANS_A {
+            a[p * m + i0..][..R].try_into().expect("R values")
+        } else {
+            std::array::from_fn(|r| a_rows[r][p])
+        };
+        let b_row: &[f64; C] = b_row[j0..][..C].try_into().expect("C values");
+        for (acc_row, a_v) in acc.iter_mut().zip(a_col) {
+            for (acc_v, b_v) in acc_row.iter_mut().zip(b_row) {
+                *acc_v += a_v * b_v;
             }
         }
     }
+    for (r, acc_row) in acc.iter().enumerate() {
+        c[(i0 + r) * n + j0..][..C].copy_from_slice(acc_row);
+    }
+}
+
+/// `C[m×n] = op(A) · B[k×n]`, all row-major, `C` overwritten; `op(A)` is
+/// `A[m×k]`, or `Aᵀ` of an `A` stored `k×m` when `TRANS_A`. This is the
+/// portable instantiation of the kernel, public for tests and benches;
+/// [`matmul`] and [`matmul_at_b`] are the dispatched ones.
+#[inline(always)]
+pub fn gemm_body<const TRANS_A: bool>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A dims");
+    assert_eq!(b.len(), k * n, "B dims");
+    assert_eq!(c.len(), m * n, "C dims");
+    if c.is_empty() {
+        return;
+    }
+    let dims = (m, k, n);
+    // Full tiles, then a column at a time for the right edge and a row at a
+    // time for the bottom edge.
+    let (m_full, n_full) = (m - m % MR, n - n % NR);
+    for i0 in (0..m_full).step_by(MR) {
+        for j0 in (0..n_full).step_by(NR) {
+            gemm_tile::<TRANS_A, MR, NR>(a, b, c, dims, (i0, j0));
+        }
+        for j in n_full..n {
+            gemm_tile::<TRANS_A, MR, 1>(a, b, c, dims, (i0, j));
+        }
+    }
+    for i in m_full..m {
+        for j0 in (0..n_full).step_by(NR) {
+            gemm_tile::<TRANS_A, 1, NR>(a, b, c, dims, (i, j0));
+        }
+        for j in n_full..n {
+            gemm_tile::<TRANS_A, 1, 1>(a, b, c, dims, (i, j));
+        }
+    }
+}
+
+/// [`gemm_body`] compiled with 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<const TRANS_A: bool>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_body::<TRANS_A>(a, b, c, m, k, n);
+}
+
+/// True when the host has AVX2, i.e. when the wide instantiations of the
+/// kernels are the ones that run (std caches the cpuid).
+#[inline]
+pub(crate) fn wide() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Name of the kernel instantiation this host dispatches to (for test and
+/// CI logs).
+pub fn dispatched_path() -> &'static str {
+    if wide() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// [`gemm_body`], on the widest instantiation the host supports.
+fn gemm<const TRANS_A: bool>(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if wide() {
+        // SAFETY: `wide()` is true only when the host has AVX2.
+        return unsafe { gemm_avx2::<TRANS_A>(a, b, c, m, k, n) };
+    }
+    gemm_body::<TRANS_A>(a, b, c, m, k, n)
+}
+
+/// `C[m×n] = A[m×k] · B[k×n]` (row-major, C overwritten).
+pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm::<false>(a, b, c, m, k, n);
 }
 
 /// `C[m×n] = Aᵀ[m×k] · B[k×n]` where `A` is stored `k×m` (row-major).
 pub fn matmul_at_b(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), k * m, "A dims");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    c.fill(0.0);
-    for pb in (0..k).step_by(BLOCK) {
-        let p_end = (pb + BLOCK).min(k);
-        for ib in (0..m).step_by(BLOCK) {
-            let i_end = (ib + BLOCK).min(m);
-            for p in pb..p_end {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                for i in ib..i_end {
-                    let a_pi = a_row[i];
-                    let c_row = &mut c[i * n..(i + 1) * n];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_pi * b_v;
-                    }
-                }
-            }
+    gemm::<true>(a, b, c, m, k, n);
+}
+
+/// `out[cols×rows] = xᵀ` for a row-major `x[rows×cols]`.
+pub fn transpose(x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
+    assert_eq!(x.len(), rows * cols, "x dims");
+    assert_eq!(out.len(), rows * cols, "out dims");
+    for i in 0..rows {
+        for j in 0..cols {
+            out[j * rows + i] = x[i * cols + j];
         }
     }
 }
 
-/// `C[m×n] = A[m×k] · Bᵀ[k×n]` where `B` is stored `n×k` (row-major).
-pub fn matmul_a_bt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), n * k, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    for ib in (0..m).step_by(BLOCK) {
-        let i_end = (ib + BLOCK).min(m);
-        for jb in (0..n).step_by(BLOCK) {
-            let j_end = (jb + BLOCK).min(n);
-            for i in ib..i_end {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for j in jb..j_end {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    c_row[j] = acc;
-                }
-            }
-        }
-    }
+/// `C[m×n] = A[m×k] · Bᵀ[k×n]` where `B` is stored `n×k` (row-major) and
+/// `bt` (`k·n` values) is scratch that receives `Bᵀ`: a dot product along
+/// `B`'s rows cannot vectorise without reassociating, the same ascending-`p`
+/// sums down `Bᵀ`'s columns can.
+pub fn matmul_a_bt(
+    a: &[f64],
+    b: &[f64],
+    bt: &mut [f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    transpose(b, bt, n, k);
+    gemm::<false>(a, bt, c, m, k, n);
 }
 
 /// Add row-vector `bias[n]` to every row of `x[m×n]`.
@@ -106,12 +196,12 @@ pub fn add_bias(x: &mut [f64], bias: &[f64]) {
     }
 }
 
-/// In-place ReLU.
+/// In-place ReLU. Written as an unconditional store of a select: the sign
+/// of an activation is a coin flip, so a branch here mispredicts every other
+/// element and a conditional store cannot vectorise.
 pub fn relu(x: &mut [f64]) {
     for v in x.iter_mut() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -119,9 +209,7 @@ pub fn relu(x: &mut [f64]) {
 pub fn relu_backward(g: &mut [f64], activ: &[f64]) {
     assert_eq!(g.len(), activ.len());
     for (gv, &a) in g.iter_mut().zip(activ) {
-        if a <= 0.0 {
-            *gv = 0.0;
-        }
+        *gv = if a <= 0.0 { 0.0 } else { *gv };
     }
 }
 
@@ -209,13 +297,12 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0]; // B = [5 6; 7 8], Bᵀ = [5 7; 6 8]
         let mut c = [0.0; 4];
-        matmul_a_bt(&a, &b, &mut c, 2, 2, 2);
+        matmul_a_bt(&a, &b, &mut [0.0; 4], &mut c, 2, 2, 2);
         assert_eq!(c, [17.0, 23.0, 39.0, 53.0]);
     }
 
-    /// Naive reference GEMMs with the same per-element accumulation order
-    /// the blocked kernels promise; blocked output must match **bit for
-    /// bit**, including at sizes that straddle block boundaries.
+    /// The naive triple loop whose per-element accumulation order the
+    /// kernel promises.
     fn naive_matmul(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
         let mut c = vec![0.0; m * n];
         for i in 0..m {
@@ -241,59 +328,52 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn blocked_matmul_is_bit_identical_across_block_edges() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (7, 5, 3),
-            (64, 64, 64),
-            (70, 130, 65),
-            (129, 3, 64),
-        ] {
-            let a = test_matrix(m * k, 5);
-            let b = test_matrix(k * n, 11);
-            let mut c = vec![0.0; m * n];
-            matmul(&a, &b, &mut c, m, k, n);
-            assert_eq!(c, naive_matmul(&a, &b, m, k, n), "m={m} k={k} n={n}");
-        }
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn blocked_at_b_is_bit_identical_across_block_edges() {
-        for &(m, k, n) in &[(5, 3, 2), (65, 70, 64), (64, 129, 3)] {
-            let a = test_matrix(k * m, 17);
-            let b = test_matrix(k * n, 23);
-            let mut c = vec![0.0; m * n];
-            matmul_at_b(&a, &b, &mut c, m, k, n);
-            // Reference: explicit transpose then naive multiply.
+    fn reports_dispatched_path() {
+        println!("linalg kernels dispatch to: {}", dispatched_path());
+        if !wide() {
+            println!("SKIPPED: no AVX2 on this host, dispatched == portable by construction");
+        }
+    }
+
+    proptest::proptest! {
+        /// Portable, dispatched and naive agree bit for bit in all three
+        /// transpose forms, at sizes on both sides of the tile edges.
+        #[test]
+        fn prop_portable_dispatched_and_naive_agree(
+            m in 1usize..=130,
+            k in 1usize..=130,
+            n in 1usize..=130,
+            salt in 1u64..1000,
+        ) {
+            let a = test_matrix(m * k, salt);
+            let b = test_matrix(k * n, salt + 1000);
+            let expect = bits(&naive_matmul(&a, &b, m, k, n));
             let mut at = vec![0.0; m * k];
-            for p in 0..k {
-                for i in 0..m {
-                    at[i * k + p] = a[p * m + i];
-                }
-            }
-            assert_eq!(c, naive_matmul(&at, &b, m, k, n), "m={m} k={k} n={n}");
-        }
-    }
+            transpose(&a, &mut at, m, k);
+            let mut bt = vec![0.0; k * n];
+            transpose(&b, &mut bt, k, n);
+            // Non-zero C: every kernel must overwrite.
+            let mut c = vec![1.0; m * n];
 
-    #[test]
-    fn blocked_a_bt_is_bit_identical_across_block_edges() {
-        for &(m, k, n) in &[(3, 4, 2), (70, 65, 66), (2, 130, 64)] {
-            let a = test_matrix(m * k, 29);
-            let b = test_matrix(n * k, 31);
-            let mut c = vec![1.0; m * n]; // non-zero: kernel must overwrite
-            matmul_a_bt(&a, &b, &mut c, m, k, n);
-            let mut expect = vec![0.0; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a[i * k + p] * b[j * k + p];
-                    }
-                    expect[i * n + j] = acc;
-                }
-            }
-            assert_eq!(c, expect, "m={m} k={k} n={n}");
+            gemm_body::<false>(&a, &b, &mut c, m, k, n);
+            proptest::prop_assert_eq!(&bits(&c), &expect, "portable A·B");
+            matmul(&a, &b, &mut c, m, k, n);
+            proptest::prop_assert_eq!(&bits(&c), &expect, "dispatched A·B");
+
+            gemm_body::<true>(&at, &b, &mut c, m, k, n);
+            proptest::prop_assert_eq!(&bits(&c), &expect, "portable Aᵀ·B");
+            matmul_at_b(&at, &b, &mut c, m, k, n);
+            proptest::prop_assert_eq!(&bits(&c), &expect, "dispatched Aᵀ·B");
+
+            // A·Bᵀ is a transpose and then the A·B kernel in both builds.
+            let mut scratch = vec![0.0; k * n];
+            matmul_a_bt(&a, &bt, &mut scratch, &mut c, m, k, n);
+            proptest::prop_assert_eq!(&bits(&c), &expect, "dispatched A·Bᵀ");
         }
     }
 
