@@ -2,7 +2,6 @@
 //!
 //! * `partitions`  — partition/device count beyond the paper's 4: where does
 //!   broker-vs-processor crossover move? (extends Fig. 2's x-axis)
-//! * `batching`    — producer batch size vs broker append throughput.
 //! * `placement`   — cloud-centric vs hybrid (edge downsampling before the
 //!   WAN) on the transatlantic profile, quantifying the paper's "would
 //!   benefit from a hybrid deployment" remark.
@@ -16,7 +15,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pilot_bench::{run_cell, CellOpts, Geo};
-use pilot_broker::{Broker, Producer, ProducerConfig, Record, RetentionPolicy};
 use pilot_edge::DeploymentMode;
 use pilot_ml::ModelKind;
 use pilot_params::{MergePolicy, ParameterServer};
@@ -42,42 +40,6 @@ fn bench_partitions(c: &mut Criterion) {
                 })
             },
         );
-    }
-    group.finish();
-}
-
-fn bench_batching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_batching");
-    const RECORDS: usize = 2000;
-    const PAYLOAD: usize = 1024;
-    group.throughput(Throughput::Bytes((RECORDS * PAYLOAD) as u64));
-    for &batch in &[1usize, 8, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-            b.iter(|| {
-                let broker = Broker::new();
-                broker
-                    .create_topic("t", 1, RetentionPolicy::unbounded())
-                    .unwrap();
-                let mut producer = Producer::new(
-                    broker,
-                    "t",
-                    ProducerConfig {
-                        batch_records: batch,
-                        batch_bytes: usize::MAX,
-                        linger: Duration::from_secs(60),
-                        partitioner: pilot_broker::Partitioner::RoundRobin,
-                    },
-                )
-                .unwrap();
-                for _ in 0..RECORDS {
-                    producer
-                        .send_to(0, Record::new(vec![7u8; PAYLOAD]))
-                        .unwrap();
-                }
-                producer.flush().unwrap();
-                producer.sent()
-            })
-        });
     }
     group.finish();
 }
@@ -199,7 +161,6 @@ fn bench_pipeline_wan(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_partitions,
-    bench_batching,
     bench_placement,
     bench_params,
     bench_codec,

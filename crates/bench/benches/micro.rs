@@ -23,7 +23,6 @@ use pilot_ml::{
 };
 use pilot_netsim::profiles;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bench_broker(c: &mut Criterion) {
     let mut group = c.benchmark_group("broker_append");
@@ -53,9 +52,7 @@ fn bench_broker(c: &mut Criterion) {
             }
             let mut offset = 0u64;
             b.iter(|| {
-                let recs = broker
-                    .fetch("t", 0, offset % 64, 1, Duration::ZERO)
-                    .unwrap();
+                let recs = broker.fetch("t", 0, offset % 64, 1).unwrap();
                 offset += 1;
                 recs
             });

@@ -239,7 +239,7 @@ fn run_smoke(cell: &StartedCell, addr: SocketAddr) {
     let records = cell
         .pipeline
         .broker()
-        .fetch(INGEST_TOPIC, 0, 0, 16, Duration::ZERO)
+        .fetch(INGEST_TOPIC, 0, 0, 16)
         .expect("fetch back");
     assert!(
         records.iter().any(|r| r.value.as_ref() == b"smoke-payload"),

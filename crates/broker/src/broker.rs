@@ -1,14 +1,12 @@
 //! The broker: topic registry + consumer-group offset store.
 
 use crate::error::BrokerError;
-use crate::log::ReadError;
 use crate::record::{Offset, Record};
 use crate::retention::RetentionPolicy;
 use crate::topic::Topic;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A shareable in-process broker. Clone handles freely (`Arc` inside).
 ///
@@ -20,12 +18,11 @@ use std::time::Duration;
 ///
 /// ```
 /// use pilot_broker::{Broker, Record, RetentionPolicy};
-/// use std::time::Duration;
 ///
 /// let broker = Broker::new();
 /// broker.create_topic("sensors", 2, RetentionPolicy::default()).unwrap();
 /// broker.append("sensors", 0, Record::new(&b"reading"[..])).unwrap();
-/// let records = broker.fetch("sensors", 0, 0, 10, Duration::ZERO).unwrap();
+/// let records = broker.fetch("sensors", 0, 0, 10).unwrap();
 /// assert_eq!(records[0].value.as_ref(), b"reading");
 /// ```
 #[derive(Clone)]
@@ -223,30 +220,17 @@ impl Broker {
             })
     }
 
-    /// Fetch up to `max` records at `offset`, blocking up to `timeout` for
-    /// data to arrive.
+    /// Fetch up to `max` records at `offset` (non-blocking; empty when the
+    /// partition holds nothing there yet). Waiting for data is the
+    /// [`Consumer`](crate::Consumer)'s job.
     pub fn fetch(
         &self,
         topic: &str,
         partition: usize,
         offset: Offset,
         max: usize,
-        timeout: Duration,
     ) -> Result<Vec<Record>, BrokerError> {
-        let t = self.topic(topic)?;
-        match t.read_wait(partition, offset, max, timeout) {
-            None => Err(BrokerError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            }),
-            Some(Ok(recs)) => Ok(recs),
-            Some(Err(ReadError::Trimmed(log_start))) => Err(BrokerError::OffsetOutOfRange {
-                requested: offset,
-                log_start,
-                high_watermark: t.high_watermark(partition).unwrap_or(log_start),
-            }),
-            Some(Err(ReadError::Storage(msg))) => Err(BrokerError::Storage(msg)),
-        }
+        self.topic(topic)?.fetch(partition, offset, max)
     }
 
     /// High watermark of a partition.
@@ -441,7 +425,7 @@ mod tests {
             .unwrap();
         assert_eq!(b.append("t", 0, rec("hello")).unwrap(), 0);
         assert_eq!(b.append("t", 0, rec("world")).unwrap(), 1);
-        let recs = b.fetch("t", 0, 0, 10, Duration::ZERO).unwrap();
+        let recs = b.fetch("t", 0, 0, 10).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].value.as_ref(), b"world");
     }
@@ -469,7 +453,7 @@ mod tests {
             Err(BrokerError::UnknownTopic("nope".into()))
         );
         assert!(matches!(
-            b.fetch("nope", 0, 0, 1, Duration::ZERO),
+            b.fetch("nope", 0, 0, 1),
             Err(BrokerError::UnknownTopic(_))
         ));
     }
@@ -673,7 +657,7 @@ mod tests {
         for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 1) {
             b.append("t", 0, rec("x")).unwrap();
         }
-        let err = b.fetch("t", 0, 0, 1, Duration::ZERO).unwrap_err();
+        let err = b.fetch("t", 0, 0, 1).unwrap_err();
         assert!(matches!(err, BrokerError::OffsetOutOfRange { .. }));
     }
 }

@@ -1,4 +1,5 @@
-//! The consumer: position tracking, blocking polls, group commits.
+//! The consumer: position tracking, one fetch body behind a blocking and an
+//! event-driven poll, group commits.
 
 use crate::broker::{Broker, GroupId, TopicId};
 use crate::error::BrokerError;
@@ -37,7 +38,7 @@ pub struct Consumer {
     /// partition → next offset to read.
     positions: HashMap<usize, Offset>,
     /// Paused partitions are skipped by [`Consumer::poll`] /
-    /// [`Consumer::poll_many`] but keep their positions (Kafka's
+    /// [`Consumer::poll_many_ready`] but keep their positions (Kafka's
     /// pause/resume flow-control primitive).
     paused: std::collections::HashSet<usize>,
     /// Lazily-allocated readiness slot for [`Consumer::poll_many_ready`];
@@ -105,122 +106,56 @@ impl Consumer {
         self.positions.get(&partition).copied()
     }
 
-    /// Read one partition through the cached topic handle, mapping the
-    /// trimmed-offset case to [`BrokerError::OffsetOutOfRange`].
-    fn fetch_via_handle(
-        &self,
-        partition: usize,
-        offset: Offset,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<Record>, BrokerError> {
-        match self.handle.read_wait(partition, offset, max, timeout) {
-            None => Err(BrokerError::UnknownPartition {
-                topic: self.topic.clone(),
-                partition,
-            }),
-            Some(Ok(recs)) => Ok(recs),
-            Some(Err(ReadError::Trimmed(log_start))) => Err(BrokerError::OffsetOutOfRange {
-                requested: offset,
-                log_start,
-                high_watermark: self.handle.high_watermark(partition).unwrap_or(log_start),
-            }),
-            Some(Err(ReadError::Storage(msg))) => Err(BrokerError::Storage(msg)),
-        }
-    }
-
-    /// Poll one partition: up to `max` records, blocking up to `timeout`.
-    /// Advances the in-memory position (commit is separate, like Kafka).
-    pub fn poll_partition(
-        &mut self,
-        partition: usize,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<Record>, BrokerError> {
-        let pos = *self
-            .positions
-            .get(&partition)
-            .ok_or_else(|| BrokerError::NotAssigned {
-                topic: self.topic.clone(),
-                partition,
-            })?;
-        match self.fetch_via_handle(partition, pos, max, timeout) {
-            Ok(recs) => {
-                if let Some(last) = recs.last() {
-                    self.positions.insert(partition, last.offset + 1);
-                }
-                Ok(recs)
-            }
-            Err(BrokerError::OffsetOutOfRange { log_start, .. }) => {
-                // Auto-reset to the earliest retained offset (Kafka's
-                // `auto.offset.reset = earliest`) and retry once.
-                self.positions.insert(partition, log_start);
-                let recs = self.fetch_via_handle(partition, log_start, max, timeout)?;
-                if let Some(last) = recs.last() {
-                    self.positions.insert(partition, last.offset + 1);
-                }
-                Ok(recs)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Poll every non-paused assigned partition in **one** multi-partition
-    /// fetch: up to `max_per_partition` records each, blocking up to
-    /// `timeout` for any partition to have data (one shared condvar wait,
-    /// not one timeout per partition — see [`Topic::read_many`]).
-    ///
-    /// Returns `(partition, records)` pairs for the partitions that had
-    /// data, sorted by partition. Positions advance like
-    /// [`Consumer::poll_partition`]; trimmed offsets auto-reset to the log
-    /// start (Kafka's `auto.offset.reset = earliest`).
-    pub fn poll_many(
-        &mut self,
-        max_per_partition: usize,
-        timeout: Duration,
-    ) -> Result<Vec<(usize, Vec<Record>)>, BrokerError> {
+    /// This round's fetch requests: every non-paused assigned partition at
+    /// its current position, sorted by partition.
+    fn requests(&self) -> Vec<(usize, Offset)> {
         let mut reqs: Vec<(usize, Offset)> = self
             .positions
             .iter()
             .filter(|(p, _)| !self.paused.contains(p))
             .map(|(&p, &off)| (p, off))
             .collect();
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
         reqs.sort_unstable_by_key(|&(p, _)| p);
-        let mut ready = self.handle.read_many(&reqs, max_per_partition, timeout);
-        ready.sort_unstable_by_key(|&(p, _)| p);
+        reqs
+    }
+
+    /// The one fetch body: turn a topic sweep (which keeps the request
+    /// order, i.e. sorted by partition) into per-partition batches. Positions advance past what is returned (commit
+    /// is separate, like Kafka); a trimmed offset auto-resets to the
+    /// earliest retained one (Kafka's `auto.offset.reset = earliest`) and
+    /// is re-read once, non-blocking.
+    fn advance(
+        &mut self,
+        ready: Vec<(usize, Result<Vec<Record>, ReadError>)>,
+        max_per_partition: usize,
+    ) -> Result<PartitionBatches, BrokerError> {
         let mut out = Vec::with_capacity(ready.len());
         for (p, res) in ready {
             let recs = match res {
                 Ok(recs) => recs,
                 Err(ReadError::Trimmed(log_start)) => {
-                    // Auto-reset and retry this partition non-blocking.
                     self.positions.insert(p, log_start);
-                    self.fetch_via_handle(p, log_start, max_per_partition, Duration::ZERO)?
+                    self.handle.fetch(p, log_start, max_per_partition)?
                 }
                 Err(ReadError::Storage(msg)) => return Err(BrokerError::Storage(msg)),
             };
             if let Some(last) = recs.last() {
                 self.positions.insert(p, last.offset + 1);
-            }
-            if !recs.is_empty() {
                 out.push((p, recs));
             }
         }
         Ok(out)
     }
 
-    /// Non-blocking, event-driven variant of [`Consumer::poll_many`] for
-    /// reactor-driven consumers.
+    /// Non-blocking, event-driven poll for reactor-driven consumers.
     ///
     /// Sweeps every non-paused assigned partition once. If anything is
-    /// ready, returns `Ok(Some(batches))` exactly like a successful
-    /// `poll_many` (positions advance, trimmed offsets auto-reset). If
-    /// nothing is ready, `waker` is registered with the topic's arrival
-    /// registry — the next append to any polled partition fires it — and
-    /// `Ok(None)` is returned, meaning *parked, a wake is guaranteed*.
+    /// ready, returns `Ok(Some(batches))`: `(partition, records)` pairs
+    /// sorted by partition, up to `max_per_partition` records each,
+    /// positions advanced. If nothing is ready, `waker` is registered with
+    /// the topic's arrival registry — the next append to any polled
+    /// partition fires it — and `Ok(None)` is returned, meaning *parked, a
+    /// wake is guaranteed*.
     ///
     /// When there is nothing to poll (no assignment, or every partition
     /// paused), returns `Ok(Some(vec![]))` **without registering**: no
@@ -233,66 +168,41 @@ impl Consumer {
         max_per_partition: usize,
         waker: &Waker,
     ) -> Result<Option<PartitionBatches>, BrokerError> {
-        let mut reqs: Vec<(usize, Offset)> = self
-            .positions
-            .iter()
-            .filter(|(p, _)| !self.paused.contains(p))
-            .map(|(&p, &off)| (p, off))
-            .collect();
+        let reqs = self.requests();
         if reqs.is_empty() {
             return Ok(Some(Vec::new()));
         }
-        reqs.sort_unstable_by_key(|&(p, _)| p);
-        if self.waiter.is_none() {
-            self.waiter = Some(self.handle.arrival_waiter());
-        }
-        let waiter = self.waiter.as_ref().expect("waiter just ensured");
-        let mut ready = self
+        let waiter = self
+            .waiter
+            .get_or_insert_with(|| self.handle.arrival_waiter());
+        let ready = self
             .handle
             .read_many_or_register(&reqs, max_per_partition, waiter, waker);
         if ready.is_empty() {
             return Ok(None);
         }
-        ready.sort_unstable_by_key(|&(p, _)| p);
-        let mut out = Vec::with_capacity(ready.len());
-        for (p, res) in ready {
-            let recs = match res {
-                Ok(recs) => recs,
-                Err(ReadError::Trimmed(log_start)) => {
-                    // Auto-reset and retry this partition non-blocking.
-                    self.positions.insert(p, log_start);
-                    self.fetch_via_handle(p, log_start, max_per_partition, Duration::ZERO)?
-                }
-                Err(ReadError::Storage(msg)) => return Err(BrokerError::Storage(msg)),
-            };
-            if let Some(last) = recs.last() {
-                self.positions.insert(p, last.offset + 1);
-            }
-            if !recs.is_empty() {
-                out.push((p, recs));
-            }
-        }
-        Ok(Some(out))
+        self.advance(ready, max_per_partition).map(Some)
     }
 
-    /// Poll every assigned partition once (round-robin), collecting up to
-    /// `max_per_partition` records each. The timeout applies to the first
-    /// partition only; later partitions are polled non-blocking so one idle
-    /// partition cannot starve the rest.
+    /// Blocking poll: up to `max_per_partition` records from every
+    /// non-paused assigned partition, in partition order, waiting up to
+    /// `timeout` for *any* of them to have data (one wait on the arrival
+    /// registry, see [`Topic::read_many`] — an idle partition cannot hold
+    /// back another's records). A zero `timeout` is a plain sweep that
+    /// registers nothing.
     pub fn poll(
         &mut self,
         max_per_partition: usize,
         timeout: Duration,
     ) -> Result<Vec<Record>, BrokerError> {
-        let parts: Vec<usize> = self
-            .partitions()
-            .into_iter()
-            .filter(|p| !self.paused.contains(p))
-            .collect();
-        let mut out = Vec::new();
-        for (i, p) in parts.into_iter().enumerate() {
-            let t = if i == 0 { timeout } else { Duration::ZERO };
-            out.extend(self.poll_partition(p, max_per_partition, t)?);
+        let ready = self
+            .handle
+            .read_many(&self.requests(), max_per_partition, timeout);
+        let mut batches = self.advance(ready, max_per_partition)?.into_iter();
+        // The first batch's buffer is the result; later ones move onto it.
+        let mut out = batches.next().map_or_else(Vec::new, |(_, recs)| recs);
+        for (_, recs) in batches {
+            out.extend(recs);
         }
         Ok(out)
     }
@@ -399,6 +309,7 @@ mod tests {
     use crate::retention::RetentionPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::task::{Wake, Waker};
+    use std::time::Instant;
 
     fn setup(partitions: usize) -> Broker {
         let b = Broker::new();
@@ -430,9 +341,9 @@ mod tests {
         b.append("t", 0, rec("a")).unwrap();
         b.append("t", 0, rec("b")).unwrap();
         let mut c = Consumer::new(b, "t", "g", &[0]).unwrap();
-        let r1 = c.poll_partition(0, 1, Duration::ZERO).unwrap();
+        let r1 = c.poll(1, Duration::ZERO).unwrap();
         assert_eq!(r1[0].value.as_ref(), b"a");
-        let r2 = c.poll_partition(0, 1, Duration::ZERO).unwrap();
+        let r2 = c.poll(1, Duration::ZERO).unwrap();
         assert_eq!(r2[0].value.as_ref(), b"b");
         assert_eq!(c.position(0), Some(2));
     }
@@ -445,11 +356,11 @@ mod tests {
         }
         {
             let mut c = Consumer::new(b.clone(), "t", "g", &[0]).unwrap();
-            c.poll_partition(0, 2, Duration::ZERO).unwrap();
+            c.poll(2, Duration::ZERO).unwrap();
             c.commit();
         }
         let mut c2 = Consumer::new(b, "t", "g", &[0]).unwrap();
-        let r = c2.poll_partition(0, 10, Duration::ZERO).unwrap();
+        let r = c2.poll(10, Duration::ZERO).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].value.as_ref(), b"c");
     }
@@ -459,10 +370,10 @@ mod tests {
         let b = setup(1);
         b.append("t", 0, rec("a")).unwrap();
         let mut c1 = Consumer::new(b.clone(), "t", "g1", &[0]).unwrap();
-        c1.poll_partition(0, 10, Duration::ZERO).unwrap();
+        c1.poll(10, Duration::ZERO).unwrap();
         c1.commit();
         let mut c2 = Consumer::new(b, "t", "g2", &[0]).unwrap();
-        assert_eq!(c2.poll_partition(0, 10, Duration::ZERO).unwrap().len(), 1);
+        assert_eq!(c2.poll(10, Duration::ZERO).unwrap().len(), 1);
     }
 
     #[test]
@@ -480,11 +391,7 @@ mod tests {
     fn unassigned_partition_rejected() {
         let b = setup(2);
         let mut c = Consumer::new(b, "t", "g", &[0]).unwrap();
-        assert!(matches!(
-            c.poll_partition(1, 1, Duration::ZERO),
-            Err(BrokerError::NotAssigned { .. })
-        ));
-        assert!(c.seek(1, 0).is_err());
+        assert!(matches!(c.seek(1, 0), Err(BrokerError::NotAssigned { .. })));
     }
 
     #[test]
@@ -495,7 +402,7 @@ mod tests {
         }
         let mut c = Consumer::new(b, "t", "g", &[0]).unwrap();
         assert_eq!(c.lag().unwrap(), 5);
-        c.poll_partition(0, 2, Duration::ZERO).unwrap();
+        c.poll(2, Duration::ZERO).unwrap();
         assert_eq!(c.lag().unwrap(), 3);
     }
 
@@ -513,7 +420,7 @@ mod tests {
             b.append("t", 0, rec("x")).unwrap();
         }
         // Position 0 was trimmed; the poll auto-resets to log start.
-        let recs = c.poll_partition(0, 5, Duration::ZERO).unwrap();
+        let recs = c.poll(5, Duration::ZERO).unwrap();
         assert!(!recs.is_empty());
         assert!(recs[0].offset >= crate::log::SEGMENT_RECORDS as u64);
         assert_eq!(recs[0].offset, b.topic("t").unwrap().log_start(0).unwrap());
@@ -526,9 +433,9 @@ mod tests {
             b.append("t", 0, rec(s)).unwrap();
         }
         let mut c = Consumer::new(b, "t", "g", &[0]).unwrap();
-        c.poll_partition(0, 10, Duration::ZERO).unwrap();
+        c.poll(10, Duration::ZERO).unwrap();
         c.seek(0, 0).unwrap();
-        let r = c.poll_partition(0, 10, Duration::ZERO).unwrap();
+        let r = c.poll(10, Duration::ZERO).unwrap();
         assert_eq!(r.len(), 2);
     }
 
@@ -565,7 +472,7 @@ mod tests {
         }
         let mut c = Consumer::new(b, "t", "g", &[0]).unwrap();
         c.seek_to_timestamp(0, 150).unwrap();
-        let recs = c.poll_partition(0, 10, Duration::ZERO).unwrap();
+        let recs = c.poll(10, Duration::ZERO).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].timestamp_us, 200);
         assert!(c.seek_to_timestamp(3, 0).is_err());
@@ -578,51 +485,155 @@ mod tests {
     }
 
     #[test]
-    fn poll_many_returns_per_partition_batches() {
+    fn poll_returns_records_in_partition_order() {
         let b = setup(4);
-        b.append("t", 0, rec("a")).unwrap();
         b.append("t", 2, rec("b")).unwrap();
         b.append("t", 2, rec("c")).unwrap();
+        b.append("t", 0, rec("a")).unwrap();
         let mut c = Consumer::new(b, "t", "g", &[0, 1, 2, 3]).unwrap();
-        let got = c.poll_many(10, Duration::ZERO).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, 0);
-        assert_eq!(got[0].1.len(), 1);
-        assert_eq!(got[1].0, 2);
-        assert_eq!(got[1].1.len(), 2);
+        let got = c.poll(10, Duration::ZERO).unwrap();
+        let values: Vec<&[u8]> = got.iter().map(|r| r.value.as_ref()).collect();
+        assert_eq!(values, [b"a", b"b", b"c"]);
         // Positions advanced: a second poll sees nothing.
-        assert!(c.poll_many(10, Duration::ZERO).unwrap().is_empty());
+        assert!(c.poll(10, Duration::ZERO).unwrap().is_empty());
+        assert_eq!(c.position(0), Some(1));
+        assert_eq!(c.position(1), Some(0));
         assert_eq!(c.position(2), Some(2));
     }
 
     #[test]
-    fn poll_many_skips_paused() {
+    fn blocking_poll_skips_paused() {
+        // Partition 0 holds data but is paused: a blocking poll must wait
+        // on partition 1 only, and return without partition 0's record.
         let b = setup(2);
         b.append("t", 0, rec("a")).unwrap();
-        b.append("t", 1, rec("b")).unwrap();
-        let mut c = Consumer::new(b, "t", "g", &[0, 1]).unwrap();
+        let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1]).unwrap();
         c.pause(0).unwrap();
-        let got = c.poll_many(10, Duration::ZERO).unwrap();
+        let appender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            b.append("t", 1, rec("b")).unwrap();
+        });
+        let got = c.poll(10, Duration::from_secs(2)).unwrap();
+        appender.join().unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, 1);
+        assert_eq!(got[0].value.as_ref(), b"b");
+        assert_eq!(c.position(0), Some(0));
+        // Everything paused: nothing to wait for, so no blocking either.
+        c.pause(1).unwrap();
+        let start = Instant::now();
+        assert!(c.poll(10, Duration::from_secs(2)).unwrap().is_empty());
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
-    fn poll_many_auto_resets_trimmed_offsets() {
+    fn poll_auto_resets_trimmed_offsets_on_every_partition() {
         let b = Broker::new();
         b.create_topic(
             "t",
-            1,
+            2,
             RetentionPolicy::by_records(crate::log::SEGMENT_RECORDS as u64),
         )
         .unwrap();
-        let mut c = Consumer::new(b.clone(), "t", "g", &[0]).unwrap();
-        for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 1) {
-            b.append("t", 0, rec("x")).unwrap();
+        let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1]).unwrap();
+        for p in 0..2 {
+            for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 3) {
+                b.append("t", p, Record::new(vec![p as u8])).unwrap();
+            }
         }
-        let got = c.poll_many(5, Duration::ZERO).unwrap();
+        // Position 0 was trimmed on both partitions; one poll resets both
+        // to their log start and returns what is retained from there.
+        let got = c.poll(2, Duration::ZERO).unwrap();
+        assert_eq!(got.len(), 4, "2 records from each reset partition");
+        for (p, recs) in got.chunks(2).enumerate() {
+            assert!(recs.iter().all(|r| r.value[0] as usize == p));
+            assert_eq!(recs[0].offset, b.topic("t").unwrap().log_start(p).unwrap());
+            assert!(recs[0].offset >= crate::log::SEGMENT_RECORDS as u64);
+            assert_eq!(c.position(p), Some(recs[1].offset + 1));
+        }
+    }
+
+    #[test]
+    fn poll_returns_when_a_later_partition_has_data() {
+        // Partition 0 stays idle; the record lands on partition 1 shortly
+        // after the poll parked. The poll must return on that append, not
+        // sit out its timeout on partition 0 first.
+        let b = setup(2);
+        let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1]).unwrap();
+        let appender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            b.append("t", 1, rec("late")).unwrap();
+        });
+        let start = Instant::now();
+        let got = c.poll(10, Duration::from_secs(2)).unwrap();
+        let elapsed = start.elapsed();
+        appender.join().unwrap();
         assert_eq!(got.len(), 1);
-        assert!(got[0].1[0].offset >= crate::log::SEGMENT_RECORDS as u64);
+        assert_eq!(got[0].value.as_ref(), b"late");
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "poll took {elapsed:?}: head-of-line blocked on idle partition 0"
+        );
+    }
+
+    #[test]
+    fn blocking_poll_races_appender_without_lost_wakeup() {
+        // An appender spraying four partitions against a loop of short
+        // blocking polls: every record is seen exactly once and in
+        // per-partition order, and a lost wakeup would show as a poll that
+        // sat out its whole timeout while data was already there.
+        const PARTS: usize = 4;
+        const PER_PART: u64 = 2_000;
+        const TIMEOUT: Duration = Duration::from_millis(500);
+        const SLACK: Duration = Duration::from_millis(250);
+        let b = setup(PARTS);
+        let parts: Vec<usize> = (0..PARTS).collect();
+        let mut c = Consumer::new(b.clone(), "t", "g", &parts).unwrap();
+        let appender = std::thread::spawn(move || {
+            for i in 0..PER_PART {
+                for p in 0..PARTS {
+                    b.append("t", p, Record::new(vec![p as u8])).unwrap();
+                }
+                if i % 64 == 0 {
+                    // Let the consumer drain and park again, so the race
+                    // between "sweep saw nothing" and "armed" recurs.
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        });
+        let mut next = [0u64; PARTS];
+        let mut polls = 0u64;
+        let mut slowest = Duration::ZERO;
+        while next.iter().sum::<u64>() < PER_PART * PARTS as u64 {
+            let start = Instant::now();
+            let got = c.poll(64, TIMEOUT).unwrap();
+            slowest = slowest.max(start.elapsed());
+            polls += 1;
+            assert!(!got.is_empty(), "poll {polls} timed out with {next:?} seen");
+            for r in got {
+                let p = r.value[0] as usize;
+                assert_eq!(r.offset, next[p], "partition {p} skipped or repeated");
+                next[p] += 1;
+            }
+        }
+        appender.join().unwrap();
+        assert_eq!(next, [PER_PART; PARTS], "every record exactly once");
+        assert!(
+            slowest < TIMEOUT + SLACK,
+            "a poll outlived its deadline: {slowest:?}"
+        );
+        assert!(c.poll(64, Duration::ZERO).unwrap().is_empty());
+        println!("blocking_poll race: {polls} polls, slowest {slowest:?}");
+    }
+
+    #[test]
+    fn poll_zero_timeout_registers_nothing() {
+        let b = setup(2);
+        let t = b.topic("t").unwrap();
+        let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1]).unwrap();
+        assert!(c.poll(10, Duration::ZERO).unwrap().is_empty());
+        assert_eq!(t.watcher_entries(), 0, "zero timeout must not enrol");
+        assert_eq!(t.waiter_slots(), 0, "nor allocate a registry slot");
+        assert!(c.waiter.is_none());
     }
 
     struct CountingWake(AtomicUsize);
@@ -709,19 +720,19 @@ mod tests {
     }
 
     #[test]
-    fn poll_many_commit_roundtrip() {
+    fn poll_commit_roundtrip_covers_every_partition() {
         let b = setup(3);
         for p in 0..3 {
             b.append("t", p, rec("x")).unwrap();
         }
         {
             let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1, 2]).unwrap();
-            c.poll_many(10, Duration::ZERO).unwrap();
+            assert_eq!(c.poll(10, Duration::ZERO).unwrap().len(), 3);
             c.commit();
         }
         // Batched commit landed for every partition: a successor sees
         // nothing left.
         let mut c2 = Consumer::new(b, "t", "g", &[0, 1, 2]).unwrap();
-        assert!(c2.poll_many(10, Duration::ZERO).unwrap().is_empty());
+        assert!(c2.poll(10, Duration::ZERO).unwrap().is_empty());
     }
 }

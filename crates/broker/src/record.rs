@@ -51,15 +51,6 @@ impl Record {
     }
 }
 
-/// What the producer learns after an append is acknowledged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordMetadata {
-    /// Partition the record landed in.
-    pub partition: usize,
-    /// Offset assigned by the partition log.
-    pub offset: Offset,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,24 +1,23 @@
-//! Topics: named sets of partitions with blocking-fetch support and a
-//! waker-based readiness registry for event-driven consumers.
+//! Topics: named sets of partitions plus the arrival registry — the one
+//! mechanism by which anything waits for data. A reactor task arms its own
+//! [`Waker`] through [`Topic::read_many_or_register`]; a blocking caller
+//! ([`Topic::read_many`]) arms one that unparks its thread.
 
+use crate::error::BrokerError;
 use crate::log::{PartitionLog, ReadError};
 use crate::record::{Offset, Record};
 use crate::retention::RetentionPolicy;
 use crate::storage::flusher::{sync_partition, FlushScheduler};
 use crate::storage::{DurabilityConfig, LogStats, PartitionHandle, StoreStats, SyncPolicy};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
-/// One partition plus its data-arrival condition variable. The log sits
-/// behind an `Arc` so a durable topic's flusher can reach it without
-/// holding a reference into the topic itself.
-struct Partition {
-    log: Arc<Mutex<PartitionLog>>,
-    data_arrived: Condvar,
-}
+/// One partition's log, behind an `Arc` so a durable topic's flusher can
+/// reach it without holding a reference into the topic itself.
+type Partition = Arc<Mutex<PartitionLog>>;
 
 /// The durable half of a topic: shared storage counters, per-partition
 /// flusher handles, and (for group commit) the scheduler thread itself.
@@ -67,21 +66,24 @@ struct ArrivalState {
     watchers: Vec<Vec<(usize, u64)>>,
 }
 
-/// Wakes a parked thread: the [`Waker`] backing the *blocking* fetch paths,
-/// so one-shot waiters ride the same exact-wake registry as reactor tasks.
-struct ThreadUnparker {
-    thread: std::thread::Thread,
-    notified: AtomicBool,
+impl ArrivalState {
+    fn new(partitions: usize) -> Self {
+        Self {
+            seq: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            watchers: (0..partitions).map(|_| Vec::new()).collect(),
+        }
+    }
 }
+
+/// Wakes a parked thread: the [`Waker`] backing [`Topic::read_many`], so a
+/// blocking caller rides the same exact-wake registry as a reactor task.
+struct ThreadUnparker(std::thread::Thread);
 
 impl Wake for ThreadUnparker {
     fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.notified.store(true, Ordering::Release);
-        self.thread.unpark();
+        self.0.unpark();
     }
 }
 
@@ -112,17 +114,9 @@ impl Topic {
         Self {
             name: name.to_string(),
             partitions: (0..partitions)
-                .map(|_| Partition {
-                    log: Arc::new(Mutex::new(PartitionLog::new(retention))),
-                    data_arrived: Condvar::new(),
-                })
+                .map(|_| Arc::new(Mutex::new(PartitionLog::new(retention))))
                 .collect(),
-            arrivals: Mutex::new(ArrivalState {
-                seq: 0,
-                slots: Vec::new(),
-                free: Vec::new(),
-                watchers: (0..partitions).map(|_| Vec::new()).collect(),
-            }),
+            arrivals: Mutex::new(ArrivalState::new(partitions)),
             store: None,
         }
     }
@@ -161,10 +155,7 @@ impl Topic {
                 mark,
                 sync_mu: Arc::new(Mutex::new(())),
             });
-            parts.push(Partition {
-                log,
-                data_arrived: Condvar::new(),
-            });
+            parts.push(log);
         }
         let scheduler = match cfg.policy {
             SyncPolicy::GroupCommit {
@@ -182,12 +173,7 @@ impl Topic {
         Ok(Self {
             name: name.to_string(),
             partitions: parts,
-            arrivals: Mutex::new(ArrivalState {
-                seq: 0,
-                slots: Vec::new(),
-                free: Vec::new(),
-                watchers: (0..partitions).map(|_| Vec::new()).collect(),
-            }),
+            arrivals: Mutex::new(ArrivalState::new(partitions)),
             store: Some(TopicStore {
                 stats,
                 handles,
@@ -213,14 +199,11 @@ impl Topic {
 
     /// Append to a partition, waking blocked fetchers. Returns the offset.
     ///
-    /// Wakes exactly the waiters registered on this partition (plus the
-    /// partition's own [`Topic::read_wait`] condvar); wakers are invoked
-    /// *outside* the registry lock so a woken reactor thread never contends
-    /// with the publisher still holding it.
+    /// Wakes exactly the waiters registered on this partition; wakers are
+    /// invoked *outside* the registry lock so a woken reactor thread never
+    /// contends with the publisher still holding it.
     pub fn append(&self, partition: usize, record: Record) -> Option<Offset> {
-        let p = self.partitions.get(partition)?;
-        let offset = p.log.lock().append(record);
-        p.data_arrived.notify_all();
+        let offset = self.partitions.get(partition)?.lock().append(record);
         let mut wakers: Vec<Waker> = Vec::new();
         {
             let mut st = self.arrivals.lock();
@@ -288,6 +271,12 @@ impl Topic {
         st.watchers.iter().map(Vec::len).sum()
     }
 
+    /// Registry slots ever allocated (live or on the free list).
+    #[cfg(test)]
+    pub(crate) fn waiter_slots(&self) -> usize {
+        self.arrivals.lock().slots.len()
+    }
+
     /// Non-blocking read. `Err(ReadError::Trimmed)` when `offset` was
     /// trimmed; `Err(ReadError::Storage)` when a cold segment failed to
     /// read back.
@@ -298,49 +287,61 @@ impl Topic {
         max: usize,
     ) -> Option<Result<Vec<Record>, ReadError>> {
         let p = self.partitions.get(partition)?;
-        Some(p.log.lock().read(offset, max))
+        Some(p.lock().read(offset, max))
     }
 
-    /// Blocking read: waits up to `timeout` for data at `offset` before
-    /// returning (possibly empty on timeout).
-    ///
-    /// The wait tracks an absolute deadline, so total block time is bounded
-    /// by `timeout` even when the condvar wakes repeatedly (appends racing
-    /// ahead of `offset`, spurious wakes) without the read turning
-    /// non-empty.
-    pub fn read_wait(
+    /// [`Topic::read`] with log-level failures mapped to broker errors: the
+    /// single-partition fetch behind [`Broker::fetch`](crate::Broker::fetch)
+    /// and the consumer's auto-reset re-read.
+    pub(crate) fn fetch(
         &self,
         partition: usize,
         offset: Offset,
         max: usize,
-        timeout: Duration,
-    ) -> Option<Result<Vec<Record>, ReadError>> {
-        let p = self.partitions.get(partition)?;
-        let deadline = Instant::now() + timeout;
-        let mut log = p.log.lock();
-        loop {
-            match log.read(offset, max) {
-                Ok(recs) if recs.is_empty() => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero()
-                        || p.data_arrived.wait_for(&mut log, remaining).timed_out()
-                    {
-                        return Some(Ok(Vec::new()));
-                    }
-                    // else: new data (or spurious wake) — retry the read.
-                }
-                other => return Some(other),
+    ) -> Result<Vec<Record>, BrokerError> {
+        match self.read(partition, offset, max) {
+            None => Err(BrokerError::UnknownPartition {
+                topic: self.name.clone(),
+                partition,
+            }),
+            Some(Ok(recs)) => Ok(recs),
+            Some(Err(ReadError::Trimmed(log_start))) => Err(BrokerError::OffsetOutOfRange {
+                requested: offset,
+                log_start,
+                high_watermark: self.high_watermark(partition).unwrap_or(log_start),
+            }),
+            Some(Err(ReadError::Storage(msg))) => Err(BrokerError::Storage(msg)),
+        }
+    }
+
+    /// One non-blocking pass over `requests`: every partition that has
+    /// records or a read error, in request order (unknown partitions
+    /// skipped). Touches nothing but the partition logs.
+    fn sweep(
+        &self,
+        requests: &[(usize, Offset)],
+        max_per_partition: usize,
+    ) -> Vec<(usize, Result<Vec<Record>, ReadError>)> {
+        let mut out = Vec::new();
+        for &(p, offset) in requests {
+            let Some(part) = self.partitions.get(p) else {
+                continue;
+            };
+            match part.lock().read(offset, max_per_partition) {
+                Ok(recs) if recs.is_empty() => {}
+                other => out.push((p, other)),
             }
         }
+        out
     }
 
     /// Multi-partition fetch *or* waker registration: the non-blocking core
     /// of both [`Topic::read_many`] and the reactor consumer.
     ///
     /// Sweeps every `(partition, offset)` request once (unknown partitions
-    /// skipped). If anything is ready it is returned and any previous
-    /// registration of `waiter` is cancelled. If nothing is ready, `waker`
-    /// is armed on `waiter`'s slot and the slot is enrolled on each
+    /// skipped). If anything is ready it is returned, in request order, and
+    /// any previous registration of `waiter` is cancelled. If nothing is
+    /// ready, `waker` is armed on `waiter`'s slot and the slot is enrolled on each
     /// requested partition's watcher list — the next append to any of them
     /// fires the waker exactly once. Returning empty therefore means
     /// "registered": the caller can park/yield without a lost-wakeup
@@ -363,16 +364,7 @@ impl Topic {
             // below cannot miss a wakeup between "sweep saw nothing" and
             // "armed the waker".
             let seq = self.arrivals.lock().seq;
-            let mut out = Vec::new();
-            for &(p, offset) in requests {
-                let Some(part) = self.partitions.get(p) else {
-                    continue;
-                };
-                match part.log.lock().read(offset, max_per_partition) {
-                    Ok(recs) if recs.is_empty() => {}
-                    other => out.push((p, other)),
-                }
-            }
+            let out = self.sweep(requests, max_per_partition);
             let mut st = self.arrivals.lock();
             if !out.is_empty() {
                 // Data found: cancel any previous registration so a later
@@ -412,54 +404,51 @@ impl Topic {
     /// Returns one `(partition, result)` pair per partition that yielded
     /// records or a read error ([`ReadError::Trimmed`] /
     /// [`ReadError::Storage`]); partitions that are merely empty are
-    /// omitted, and unknown partitions are
-    /// skipped. Built on [`Topic::read_many_or_register`] with a
-    /// thread-parking waker: a blocked member is woken only by appends to
-    /// partitions it actually reads, so ten thousand parked members cost an
-    /// appender exactly as much as one.
+    /// omitted, and unknown partitions are skipped. When the first pass
+    /// finds data, or there is nothing to wait for (zero `timeout`, no
+    /// requests), that pass is the whole call: no registry slot, no waker.
+    /// Otherwise the calling thread parks on
+    /// [`Topic::read_many_or_register`] with a thread-unparking waker: it
+    /// is woken only by appends to partitions it actually reads, so ten
+    /// thousand parked members cost an appender exactly as much as one, and
+    /// the deadline (not the number of wakes) bounds the total block time.
     pub fn read_many(
         &self,
         requests: &[(usize, Offset)],
         max_per_partition: usize,
         timeout: Duration,
     ) -> Vec<(usize, Result<Vec<Record>, ReadError>)> {
+        let out = self.sweep(requests, max_per_partition);
+        if !out.is_empty() || timeout.is_zero() || requests.is_empty() {
+            return out;
+        }
         let deadline = Instant::now() + timeout;
         let waiter = self.arrival_waiter();
-        let unparker = Arc::new(ThreadUnparker {
-            thread: std::thread::current(),
-            notified: AtomicBool::new(false),
-        });
-        let waker = Waker::from(Arc::clone(&unparker));
-        loop {
+        let waker = Waker::from(Arc::new(ThreadUnparker(std::thread::current())));
+        let out = loop {
             let out = self.read_many_or_register(requests, max_per_partition, &waiter, &waker);
-            if !out.is_empty() {
-                self.release_waiter(waiter);
-                return out;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if !out.is_empty() || remaining.is_zero() {
+                break out;
             }
-            loop {
-                if unparker.notified.swap(false, Ordering::AcqRel) {
-                    break; // woken by an append on a watched partition
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    self.release_waiter(waiter);
-                    return Vec::new();
-                }
-                // `park_timeout` may return spuriously; the deadline (not a
-                // per-wait timeout) bounds total block time.
-                std::thread::park_timeout(remaining);
-            }
-        }
+            // Registered: an append on a watched partition unparks this
+            // thread (the park token covers a wake that lands before the
+            // park). A spurious return only costs another sweep; the
+            // absolute deadline bounds the total block time.
+            std::thread::park_timeout(remaining);
+        };
+        self.release_waiter(waiter);
+        out
     }
 
     /// High watermark of a partition.
     pub fn high_watermark(&self, partition: usize) -> Option<Offset> {
-        Some(self.partitions.get(partition)?.log.lock().high_watermark())
+        Some(self.partitions.get(partition)?.lock().high_watermark())
     }
 
     /// Log-start offset of a partition.
     pub fn log_start(&self, partition: usize) -> Option<Offset> {
-        Some(self.partitions.get(partition)?.log.lock().log_start())
+        Some(self.partitions.get(partition)?.lock().log_start())
     }
 
     /// Durable watermark of a partition: the offset below which every
@@ -473,7 +462,7 @@ impl Topic {
         }
         match &self.store {
             Some(store) => Some(store.handles[partition].durable.load(Ordering::Acquire)),
-            None => Some(self.partitions[partition].log.lock().high_watermark()),
+            None => Some(self.partitions[partition].lock().high_watermark()),
         }
     }
 
@@ -492,7 +481,7 @@ impl Topic {
             return None;
         }
         let Some(store) = &self.store else {
-            return Some(self.partitions[partition].log.lock().high_watermark() >= offset);
+            return Some(self.partitions[partition].lock().high_watermark() >= offset);
         };
         let handle = &store.handles[partition];
         if handle.durable.load(Ordering::Acquire) >= offset {
@@ -537,7 +526,7 @@ impl Topic {
     pub fn log_stats(&self) -> LogStats {
         let mut out = LogStats::default();
         for p in &self.partitions {
-            let log = p.log.lock();
+            let log = p.lock();
             out.segment_count += log.segment_count() as u64;
             out.durable_lag += log.high_watermark() - log.durable_watermark();
         }
@@ -555,7 +544,7 @@ impl Topic {
     pub fn resident_records(&self) -> u64 {
         self.partitions
             .iter()
-            .map(|p| p.log.lock().resident_records())
+            .map(|p| p.lock().resident_records())
             .sum()
     }
 
@@ -565,7 +554,6 @@ impl Topic {
         Some(
             self.partitions
                 .get(partition)?
-                .log
                 .lock()
                 .offset_for_timestamp(ts_us),
         )
@@ -573,15 +561,14 @@ impl Topic {
 
     /// Total retained bytes across partitions.
     pub fn total_bytes(&self) -> u64 {
-        self.partitions.iter().map(|p| p.log.lock().bytes()).sum()
+        self.partitions.iter().map(|p| p.lock().bytes()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn topic(parts: usize) -> Topic {
         Topic::new("t", parts, RetentionPolicy::unbounded())
@@ -623,27 +610,30 @@ mod tests {
     }
 
     #[test]
-    fn read_wait_times_out_empty() {
+    fn read_many_single_request_times_out_empty() {
         let t = topic(1);
-        let r = t
-            .read_wait(0, 0, 10, Duration::from_millis(20))
-            .unwrap()
-            .unwrap();
-        assert!(r.is_empty());
+        let start = Instant::now();
+        let got = t.read_many(&[(0, 0)], 10, Duration::from_millis(20));
+        assert!(got.is_empty());
+        assert!(
+            start.elapsed() >= Duration::from_millis(20),
+            "returned early"
+        );
+        assert_eq!(t.watcher_entries(), 1, "the stale entry dies lazily …");
+        t.append(0, Record::new(&b"x"[..])).unwrap();
+        assert_eq!(t.watcher_entries(), 0, "… on the next append");
     }
 
     #[test]
-    fn read_wait_wakes_on_append() {
+    fn read_many_single_request_wakes_on_append() {
         let t = Arc::new(topic(1));
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            t2.read_wait(0, 0, 10, Duration::from_secs(5))
-                .unwrap()
-                .unwrap()
-        });
+        let h = std::thread::spawn(move || t2.read_many(&[(0, 0)], 10, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
         t.append(0, Record::new(&b"wake"[..])).unwrap();
-        let recs = h.join().unwrap();
+        let mut got = h.join().unwrap();
+        assert_eq!(got.len(), 1);
+        let recs = got.remove(0).1.unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].value.as_ref(), b"wake");
     }
@@ -686,10 +676,10 @@ mod tests {
     }
 
     #[test]
-    fn read_wait_deadline_survives_unrelated_wakes() {
+    fn read_many_deadline_survives_unrelated_wakes() {
         // Appends at offsets below the requested one keep waking the
-        // condvar without satisfying the read; the total block time must
-        // still be bounded by the timeout, not reset on every wake.
+        // parked reader without satisfying the read; the total block time
+        // must still be bounded by the timeout, not reset on every wake.
         let t = Arc::new(topic(1));
         let t2 = Arc::clone(&t);
         let keep_waking = Arc::new(AtomicBool::new(true));
@@ -701,18 +691,15 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         });
-        let start = std::time::Instant::now();
-        let r = t
-            .read_wait(0, 100, 10, Duration::from_millis(60))
-            .unwrap()
-            .unwrap();
+        let start = Instant::now();
+        let got = t.read_many(&[(0, 100)], 10, Duration::from_millis(60));
         let elapsed = start.elapsed();
         keep_waking.store(false, Ordering::Relaxed);
         waker.join().unwrap();
-        assert!(r.is_empty());
+        assert!(got.is_empty());
         assert!(
             elapsed < Duration::from_millis(400),
-            "read_wait blocked {elapsed:?} — timeout reset on every wake?"
+            "read_many blocked {elapsed:?} — timeout reset on every wake?"
         );
     }
 
@@ -945,14 +932,12 @@ mod tests {
         let cfg = crate::storage::DurabilityConfig::new(&dir);
         let t = Arc::new(Topic::new_durable("d", 1, RetentionPolicy::unbounded(), &cfg).unwrap());
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            t2.read_wait(0, 0, 10, Duration::from_secs(5))
-                .unwrap()
-                .unwrap()
-        });
+        let h = std::thread::spawn(move || t2.read_many(&[(0, 0)], 10, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
         t.append(0, Record::new(&b"wake"[..])).unwrap();
-        assert_eq!(h.join().unwrap().len(), 1);
+        let got = h.join().unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].1.as_ref().unwrap().len(), 1);
         drop(t);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,13 +1,19 @@
-//! Producer-side batching — the accumulate / flush / double-buffer logic of
-//! the pipelined transport, implemented exactly once.
+//! The producer's transport — accumulate / flush / double-buffer, the one
+//! path every encoded message takes from a device to its partition.
 //!
 //! Encoded messages accumulate in a [`Batcher`] until their summed size
 //! reaches `batch_max_bytes` or the linger window closes; the batch then
 //! ships over one non-blocking link reservation while the next batch
 //! encodes (at most one batch stays in flight — a double buffer). When the
 //! reservation completes, each message is appended to the broker
-//! individually with its own Network and Broker spans, so offsets, ordering
-//! and the per-message span chain are identical to the serial path.
+//! individually with its own Network and Broker spans.
+//!
+//! The serial transport (`batch_max_bytes == 0`, the default) is the
+//! degenerate case, not a second path: every push is a full one-message
+//! batch, and nothing stays in flight — the push returns once the message
+//! has paid its own blocking transfer and landed in the partition. Offsets,
+//! ordering and the per-message span chain are therefore the same at every
+//! threshold.
 
 use super::Shared;
 use bytes::Bytes;
@@ -62,25 +68,24 @@ impl Batcher {
 
     /// Accumulate one encoded message; the batch ships when it is full or
     /// its linger window closed. The reservation completes (and the
-    /// messages append) while later messages encode. The threshold and
-    /// linger window are live [`TuneTable`](super::TuneTable) cells,
-    /// re-read per push, so a widened batch takes effect mid-stream.
+    /// messages append) while later messages encode — except at threshold
+    /// 0 (serial transport), where everything lands before this returns.
+    /// The threshold and linger window are live
+    /// [`TuneTable`](super::TuneTable) cells, re-read per push, so widening,
+    /// narrowing or turning batching off takes effect mid-stream with
+    /// nothing overtaken: older batches always complete first.
     pub(crate) fn push(&mut self, shared: &Shared, msg: PendingMsg) -> Result<(), String> {
         self.pending_bytes += msg.payload.len();
         self.pending.push(msg);
+        let max_bytes = shared.tune.batch_max_bytes();
+        if max_bytes == 0 {
+            return self.drain(shared);
+        }
         let opened = *self.batch_open.get_or_insert_with(Instant::now);
-        if self.pending_bytes >= shared.tune.batch_max_bytes()
-            || opened.elapsed() >= shared.tune.linger()
-        {
+        if self.pending_bytes >= max_bytes || opened.elapsed() >= shared.tune.linger() {
             self.flush(shared)?;
         }
         Ok(())
-    }
-
-    /// Whether nothing is accumulated or in flight — the producer's guard
-    /// for switching to the serial path when batching is turned off live.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.in_flight.is_empty()
     }
 
     /// Ship the accumulated batch over one link reservation (non-blocking)
@@ -114,8 +119,9 @@ impl Batcher {
         Ok(())
     }
 
-    /// Flush and wait out everything still in flight — called before the
-    /// sentinel so every message lands in the partition first.
+    /// Flush and wait out everything still in flight: every push at
+    /// threshold 0, and before the sentinel at any threshold, so every
+    /// message lands in the partition first.
     pub(crate) fn drain(&mut self, shared: &Shared) -> Result<(), String> {
         self.flush(shared)?;
         while !self.in_flight.is_empty() {
@@ -125,8 +131,8 @@ impl Batcher {
     }
 
     /// Wait out the oldest in-flight batch's reservation, then append its
-    /// messages individually (offsets and ordering as in the serial path)
-    /// with per-message Network and Broker spans.
+    /// messages individually, in order, with per-message Network and
+    /// Broker spans.
     fn complete_oldest(&mut self, shared: &Shared) -> Result<(), String> {
         let Some(batch) = self.in_flight.pop_front() else {
             return Ok(());

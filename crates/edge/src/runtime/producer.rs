@@ -23,7 +23,6 @@ use super::sentinel;
 use super::spans::metric_msg_id;
 use super::{ProducerFns, Shared};
 use parking_lot::{Condvar, Mutex};
-use pilot_broker::Record;
 use pilot_dataflow::{Client, Payload, Resources, TaskError, TaskFuture};
 use pilot_metrics::{Component, Gauge};
 use std::collections::BTreeMap;
@@ -119,41 +118,10 @@ impl DeviceProducer {
         );
         let bytes = payload.len() as u64;
         spans.record(mid, Component::EdgeProducer, t0, spans.now_us(), bytes);
-        // Live knob: the batch threshold is re-read per message, so a
-        // controller can widen/narrow/disable batching mid-stream.
-        if shared.tune.batch_max_bytes() > 0 {
-            // Pipelined path: accumulate; the batcher ships when full or
-            // when the linger window closes.
-            self.batcher.push(shared, PendingMsg { payload, mid, t0 })?;
-        } else {
-            // Batching was just turned off live: ship what accumulated
-            // first so no message trails the ones sent serially below.
-            if !self.batcher.is_idle() {
-                self.batcher.drain(shared)?;
-            }
-            // Serial path (the default): every message pays its own
-            // blocking edge → broker transfer.
-            let n0 = spans.now_us();
-            shared.link_edge_broker.transfer(bytes);
-            spans.record(
-                mid,
-                Component::Network(shared.link_edge_broker.name().to_string()),
-                n0,
-                spans.now_us(),
-                bytes,
-            );
-            // Broker append (service time).
-            let b0 = spans.now_us();
-            shared
-                .broker
-                .append(
-                    &shared.topic,
-                    self.device,
-                    Record::new(payload).with_timestamp(t0),
-                )
-                .map_err(|e| e.to_string())?;
-            spans.record(mid, Component::Broker, b0, spans.now_us(), bytes);
-        }
+        // One transport path: the batcher ships when its (live, re-read per
+        // message) threshold is met — at threshold 0 that is every message,
+        // transferred and appended before this returns.
+        self.batcher.push(shared, PendingMsg { payload, mid, t0 })?;
         self.sent += 1;
         Ok(true)
     }

@@ -68,8 +68,8 @@ impl TuneTable {
         self.batch_max_bytes.load(Ordering::Relaxed)
     }
 
-    /// Set the batch threshold. Setting 0 live is safe: producers drain
-    /// their open batch before switching to the serial path.
+    /// Set the batch threshold. Setting 0 live is safe: a producer's next
+    /// push ships its open batch and lands everything in flight first.
     pub fn set_batch_max_bytes(&self, bytes: usize) {
         self.batch_max_bytes.store(bytes, Ordering::Relaxed);
     }

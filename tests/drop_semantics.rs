@@ -34,9 +34,7 @@ fn assert_sentinels_conserved(broker: &pilot_broker::Broker, topic: &str, device
     for partition in 0..devices {
         let hw = broker.high_watermark(topic, partition).unwrap();
         assert!(hw >= 1, "partition {partition} has no records at all");
-        let records = broker
-            .fetch(topic, partition, 0, hw as usize, Duration::ZERO)
-            .unwrap();
+        let records = broker.fetch(topic, partition, 0, hw as usize).unwrap();
         let sentinels = records.iter().filter(|r| r.value.is_empty()).count();
         assert_eq!(
             sentinels, 1,

@@ -1,7 +1,6 @@
 //! Edge-case integration: empty streams, single-point messages, combined
 //! feature stacks (Q16 + hybrid + scaling), and cross-substrate stress.
 
-use pilot_broker::{MqttBroker, QoS};
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::{Codec, DataGenConfig};
 use pilot_edge::processors::{
@@ -123,59 +122,6 @@ fn window_aggregation_respects_feature_extremes() {
     assert_eq!(min.data[0], -f64::MAX / 2.0);
     assert_eq!(max.data[0], f64::MAX / 2.0);
     assert!(!min.data[0].is_nan() && !max.data[0].is_nan());
-}
-
-#[test]
-fn mqtt_concurrent_publishers_and_subscribers() {
-    // 4 publishers × 200 messages fanned out to 2 QoS-1 subscribers: every
-    // subscriber sees all 800, per-topic order preserved.
-    let broker = MqttBroker::new();
-    let subs: Vec<_> = (0..2)
-        .map(|_| broker.subscribe("load/#", QoS::AtLeastOnce, 64).unwrap())
-        .collect();
-    let mut pubs = Vec::new();
-    for p in 0..4u32 {
-        let b = broker.clone();
-        pubs.push(std::thread::spawn(move || {
-            for i in 0..200u32 {
-                b.publish(
-                    &format!("load/p{p}"),
-                    i.to_le_bytes().to_vec(),
-                    QoS::AtLeastOnce,
-                    false,
-                    0,
-                )
-                .unwrap();
-            }
-        }));
-    }
-    let readers: Vec<_> = subs
-        .into_iter()
-        .map(|sub| {
-            std::thread::spawn(move || {
-                let mut last_per_topic: std::collections::HashMap<String, u32> =
-                    std::collections::HashMap::new();
-                let mut n = 0;
-                while n < 800 {
-                    let msg = sub.recv(Duration::from_secs(10)).expect("qos1 lossless");
-                    let v = u32::from_le_bytes(msg.payload.as_ref().try_into().unwrap());
-                    if let Some(&prev) = last_per_topic.get(&msg.topic) {
-                        assert!(v > prev, "per-topic order violated on {}", msg.topic);
-                    }
-                    last_per_topic.insert(msg.topic.clone(), v);
-                    n += 1;
-                }
-                n
-            })
-        })
-        .collect();
-    for p in pubs {
-        p.join().unwrap();
-    }
-    for r in readers {
-        assert_eq!(r.join().unwrap(), 800);
-    }
-    assert_eq!(broker.dropped(), 0);
 }
 
 #[test]

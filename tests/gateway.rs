@@ -215,7 +215,7 @@ fn endpoints_serve_the_live_pipeline() {
     assert_eq!(produced.status, 200, "body: {}", produced.text());
     validate_json(&produced.text()).unwrap();
     assert!(produced.text().contains("\"offset\":0"));
-    let records = broker.fetch("ingest", 0, 0, 16, Duration::ZERO).unwrap();
+    let records = broker.fetch("ingest", 0, 0, 16).unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].value.as_ref(), b"hello-gateway");
     assert_eq!(
