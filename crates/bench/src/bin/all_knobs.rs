@@ -1,5 +1,5 @@
 //! All-knobs smoke run (DESIGN.md §10): one cell with every runtime knob
-//! engaged simultaneously — multiplexed producer engine, producer-side
+//! engaged simultaneously — devices sharing two edge threads, producer-side
 //! batching with a linger window, consumer look-ahead, and an
 //! explicitly-sized compute pool. The staged runtime must compose all of
 //! them: the run must conserve every message and report zero errors.
@@ -58,7 +58,7 @@ fn main() {
     assert_eq!(s.errors, 0, "errors with all knobs on");
     eprintln!(
         "all_knobs ok: {} messages in {:.1} ms ({} devices, \
-         {PRODUCER_THREADS} producer workers, {PROCESSORS} processors, \
+         {PRODUCER_THREADS} edge threads, {PROCESSORS} processors, \
          {COMPUTE_THREADS}-lane pool, batching+linger+prefetch on)",
         s.messages,
         wall.as_secs_f64() * 1e3,

@@ -20,7 +20,7 @@
 use pilot_bench::{run_cell, CellOpts};
 use std::time::Instant;
 
-/// Producer engine workers — constant across the sweep.
+/// Edge reactor threads — constant across the sweep.
 const PRODUCER_THREADS: usize = 8;
 
 /// Reactor pool width: small in CI smoke runs, 8 for the full sweep.

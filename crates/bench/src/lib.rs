@@ -71,10 +71,10 @@ pub struct CellOpts {
     pub linger: Duration,
     /// Consumer look-ahead depth (batches in flight ahead of processing).
     pub prefetch_depth: usize,
-    /// Multiplex all devices onto this many producer engine workers
-    /// (None = one producer task per device, the seed behaviour). The
-    /// edge pilot is provisioned with this many cores instead of one per
-    /// device — how 1024-device cells run on small hosts.
+    /// Drive all devices from this many edge reactor threads (None = the
+    /// edge pilot's cores: one per device). With it set, the edge pilot is
+    /// provisioned with this many cores instead of one per device — how
+    /// 1024-device cells run on small hosts.
     pub producer_threads: Option<usize>,
     /// Drive all consumer members from this many reactor threads (None =
     /// the cloud pilot's cores: one per processor, 10 at least). With it
@@ -149,9 +149,9 @@ pub fn default_messages(geo: Geo) -> usize {
     }
 }
 
-/// Provision the pilots for a cell: an edge pilot with one core per
-/// producer task (per device, or `producer_threads` when the cell
-/// multiplexes), and the paper's "large" cloud envelope (10 cores / 44 GB)
+/// Provision the pilots for a cell: an edge pilot with one core per edge
+/// reactor thread (`producer_threads`, or one per device when unset), and
+/// the paper's "large" cloud envelope (10 cores / 44 GB)
 /// or bigger if the cell needs more processors.
 pub fn provision(svc: &PilotComputeService, opts: &CellOpts) -> (Pilot, Pilot) {
     let procs = opts.processors.unwrap_or(opts.devices);

@@ -21,18 +21,19 @@
 //!   edge devices, cloud VMs with boot delays, and an HPC [`BatchQueue`]
 //!   with capacity-limited FIFO scheduling and real queue-wait behaviour.
 //! * [`Pilot`] — the placeholder job: a state machine
-//!   (`New → Submitted → Queued → Active → Done/Failed/Cancelled`) that, on
-//!   activation, boots a `pilot-dataflow` cluster sized to the description
-//!   (the paper's managed Dask cluster), and can additionally host a
-//!   `pilot-broker` broker or a `pilot-params` parameter server — "the
-//!   pilot abstraction can manage brokering and data processing frameworks,
-//!   e.g., Kafka and Dask".
+//!   (`New → Submitted → Queued → Active → Done/Failed/Cancelled`) that,
+//!   once active, lends its cores to what is placed on it: compute units
+//!   submitted through [`Pilot::client`] (one-shot tasks on a
+//!   `pilot-dataflow` executor of `cores` threads, built at the first
+//!   call), a pipeline's reactor, a `pilot-broker` broker or a
+//!   `pilot-params` parameter server — "the pilot abstraction can manage
+//!   brokering and data processing frameworks, e.g., Kafka and Dask".
 //! * [`PilotComputeService`] — the application-facing factory that routes
 //!   descriptions to backends by URL scheme and tracks every pilot it made.
 //!
 //! Energy accounting (`pilot-metrics`' future-work hook) is wired through:
-//! each pilot knows its hardware class and reports joules from its cluster's
-//! busy time.
+//! each pilot knows its hardware class and reports joules from the busy
+//! time of its compute units and of the frameworks it hosts.
 
 pub mod backend;
 pub mod description;

@@ -7,7 +7,7 @@ use crate::queue::QueueSlot;
 use crate::state::PilotState;
 use parking_lot::{Condvar, Mutex};
 use pilot_broker::Broker;
-use pilot_dataflow::{Client, LocalCluster};
+use pilot_dataflow::{Client, LocalExecutor};
 use pilot_metrics::EnergyModel;
 use pilot_params::ParameterServer;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +17,10 @@ use std::time::{Duration, Instant};
 struct PilotInner {
     state: Mutex<PilotState>,
     state_changed: Condvar,
-    cluster: Mutex<Option<LocalCluster>>,
+    /// The executor compute units run on, one thread per core; built by
+    /// the first [`Pilot::client`], so a pilot that only hosts frameworks
+    /// (a pipeline's reactors, a broker) never spawns it.
+    units: Mutex<Option<Arc<LocalExecutor>>>,
     slot: Mutex<Option<QueueSlot>>,
     activated_at: Mutex<Option<Instant>>,
     failure: Mutex<Option<String>>,
@@ -44,7 +47,7 @@ impl Pilot {
             inner: Arc::new(PilotInner {
                 state: Mutex::new(PilotState::New),
                 state_changed: Condvar::new(),
-                cluster: Mutex::new(None),
+                units: Mutex::new(None),
                 slot: Mutex::new(None),
                 activated_at: Mutex::new(None),
                 failure: Mutex::new(None),
@@ -117,16 +120,10 @@ impl Pilot {
             let mut slot = self.inner.slot.lock();
             *slot = provisioned.slot;
         }
-        // Pooled pilots book capacity only: no private worker cluster, so
-        // a 1024-pilot federation activates without spawning 1024×cores
-        // threads. Their compute multiplexes onto a shared external pool.
-        if !self.desc.pooled {
-            let cluster = LocalCluster::new(self.desc.cores, self.desc.memory_gb);
-            *self.inner.cluster.lock() = Some(cluster);
-        }
+        // Activation books capacity and spawns nothing: the cores are
+        // lent to whatever the pilot hosts, when it hosts it.
         if !self.transition(PilotState::Active) {
-            // Cancelled during boot: tear the cluster back down.
-            self.inner.cluster.lock().take();
+            // Cancelled during boot: give the queue slot back.
             self.inner.slot.lock().take();
         }
         *self.inner.activated_at.lock() = Some(Instant::now());
@@ -157,9 +154,16 @@ impl Pilot {
         self.wait_state(PilotState::Active, timeout)
     }
 
-    /// A task-submission client for the pilot's cluster (Active only).
-    /// Pooled pilots have no cluster and return [`PilotError::Pooled`].
+    /// A client submitting compute units to this pilot (Active only): at
+    /// most `cores` units run at once, the rest start in submission order.
+    /// The executor they run on is built here, at the first call: a pilot
+    /// nobody submits to never spawns a thread. Pooled pilots take no
+    /// compute units and return [`PilotError::Pooled`].
     pub fn client(&self) -> Result<Client, PilotError> {
+        // The state is read under the lock `teardown` takes the executor
+        // through, so a release cannot slip between the check and the
+        // build and leave threads behind.
+        let mut units = self.inner.units.lock();
         let state = self.state();
         if state != PilotState::Active {
             return Err(PilotError::NotActive(state));
@@ -167,11 +171,8 @@ impl Pilot {
         if self.desc.pooled {
             return Err(PilotError::Pooled);
         }
-        let guard = self.inner.cluster.lock();
-        guard
-            .as_ref()
-            .map(|c| c.client())
-            .ok_or(PilotError::NotActive(state))
+        let exec = units.get_or_insert_with(|| Arc::new(LocalExecutor::new(self.desc.cores)));
+        Ok(Client::from(Arc::clone(exec)))
     }
 
     /// Host a broker on this pilot ("the pilot abstraction can manage
@@ -211,48 +212,51 @@ impl Pilot {
     }
 
     /// Bill `busy` core-time to this pilot for work its cores did outside
-    /// the cluster's task slots — a framework the pilot hosts on threads of
-    /// its own (a pipeline's consumer reactor) reports its busy time here
-    /// so [`Pilot::energy`] keeps accounting for it.
+    /// its compute units — a framework the pilot hosts on threads of its
+    /// own (a pipeline's edge and cloud reactors) reports its busy time
+    /// here so [`Pilot::energy`] keeps accounting for it.
     pub fn record_busy(&self, busy: Duration) {
         self.inner
             .hosted_busy_ns
             .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Energy estimate: busy time (cluster tasks plus
+    /// Energy estimate: busy time (compute units plus
     /// [`Pilot::record_busy`]) at the class's active wattage, the rest of
     /// the uptime at idle wattage.
     pub fn energy(&self) -> EnergyModel {
         let mut m = EnergyModel::new(self.desc.class);
         m.record_busy(self.inner.hosted_busy_ns.load(Ordering::Relaxed) as f64 / 1e9);
-        if let Some(cluster) = self.inner.cluster.lock().as_ref() {
-            m.record_busy(cluster.stats().busy_secs);
+        if let Some(exec) = self.inner.units.lock().as_ref() {
+            m.record_busy(exec.poll_time_us() as f64 / 1e6);
         }
         m.set_wall(self.uptime().as_secs_f64());
         m
     }
 
-    /// Cancel the pilot (from any live state). Tears down the cluster if
-    /// one was booted.
+    /// Cancel the pilot (from any live state): running compute units
+    /// finish, queued ones are cancelled, the queue slot is freed.
     pub fn cancel(&self) {
         if self.transition(PilotState::Cancelled) {
-            if let Some(mut cluster) = self.inner.cluster.lock().take() {
-                cluster.shutdown();
-            }
-            self.inner.slot.lock().take();
+            self.teardown();
         }
     }
 
-    /// Release the pilot normally (Active → Done): shuts the cluster down
-    /// and frees any queue slot.
+    /// Release the pilot normally (Active → Done): running compute units
+    /// finish, queued ones are cancelled, the queue slot is freed.
     pub fn release(&self) {
         if self.transition(PilotState::Done) {
-            if let Some(mut cluster) = self.inner.cluster.lock().take() {
-                cluster.shutdown();
-            }
-            self.inner.slot.lock().take();
+            self.teardown();
         }
+    }
+
+    fn teardown(&self) {
+        if let Some(exec) = self.inner.units.lock().take() {
+            exec.shutdown();
+            // Keep what the units cost in the pilot's energy account.
+            self.record_busy(Duration::from_micros(exec.poll_time_us()));
+        }
+        self.inner.slot.lock().take();
     }
 }
 

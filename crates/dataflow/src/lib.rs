@@ -1,48 +1,38 @@
-//! # pilot-dataflow — a Dask-style task executor
+//! # pilot-dataflow — the two executors a pilot's cores run
 //!
 //! Pilot-Edge executes its FaaS tasks "using a managed Dask cluster on the
-//! specified location" (paper Section II-B): every pilot hosts a cluster of
-//! slot-accounted workers, and the framework maps function invocations onto
-//! them — e.g. "the edge devices are simulated with a Dask task, allocating
-//! one core and about 4 GB of memory, comparable to a current Raspberry Pi"
-//! (Section III.1). Dask is a Python system, so this crate implements the
-//! execution semantics the paper relies on, from scratch:
+//! specified location" (paper Section II-B), and simulates each edge device
+//! "with a Dask task, allocating one core" (Section III.1). Dask is a Python
+//! system; what this crate keeps of it is the part the paper relies on — *a
+//! pilot's cores drive the tasks placed on it* — in two shapes:
 //!
-//! * [`LocalCluster`] — a pool of worker threads (one core each, matching
-//!   Dask's one-thread-per-core worker processes) with cluster-level memory
-//!   accounting: a task declaring `mem_gb` is only dispatched when that
-//!   much simulated memory is free.
-//! * [`Client::submit`] — submit closures with optional dependencies; the
-//!   dependency-aware [`scheduler`] releases a task only when all of its
-//!   inputs are done, and fails dependents transitively when an upstream
-//!   task fails (Dask's error propagation).
+//! * [`LocalExecutor`] — the **reactor**: a fixed pool of threads (one per
+//!   core the pilot lends) driving any number of waker-based
+//!   [`ReactorTask`] state machines. A pipeline's edge devices and consumer
+//!   members, a federation's cells and aggregators are all reactor tasks: a
+//!   parked task costs no thread, a panicking poll is that task's error and
+//!   nothing else's (see [`reactor`]).
 //! * [`ComputePool`] — the orthogonal *intra*-task axis: persistent scoped
 //!   worker threads that fan one hot kernel (a model fit/score) out across
 //!   the cores a single cloud pilot owns, with deterministic chunked
 //!   primitives (see [`pool`]).
-//! * [`LocalExecutor`] — the *event-driven* axis: a fixed pool of reactor
-//!   threads driving waker-based [`ReactorTask`] state machines, so tens of
-//!   thousands of mostly-idle consumers cost N threads, not N×threads (see
-//!   [`reactor`]).
-//! * [`TaskFuture`] — blocking handles to results (`wait`, `wait_timeout`),
-//!   with panics inside tasks captured as [`TaskError::Panicked`] instead of
-//!   tearing down the worker — fault isolation the pipeline's
-//!   failure-injection tests rely on.
 //!
-//! What is deliberately *not* reproduced from Dask: data locality heuristics
-//! and work stealing between remote workers — the paper's workloads pin one
-//! long-running consumer task per partition, so placement is trivial and
-//! those mechanisms would never fire.
+//! P\*'s *compute unit* — a closure handed to a pilot and late-bound to one
+//! of its cores — is not a third executor: [`Client::submit`] runs it as a
+//! one-shot task on a [`LocalExecutor`] and returns a blocking
+//! [`TaskFuture`] (see [`client`]).
+//!
+//! What is deliberately *not* modelled from Dask: task graphs (dependencies,
+//! transitive failure), per-task memory accounting, priorities, retries,
+//! `gather`, data locality and work stealing. Nothing on the data path ever
+//! submitted a task with a dependency, a memory figure or a priority — the
+//! paper's workloads pin one long-running task per device and per
+//! partition, so those mechanisms would never fire.
 
-pub mod cluster;
-pub mod future;
+pub mod client;
 pub mod pool;
 pub mod reactor;
-pub mod scheduler;
-pub mod task;
 
-pub use cluster::{Client, ClusterStats, LocalCluster};
-pub use future::TaskFuture;
+pub use client::{Client, Payload, TaskError, TaskFuture};
 pub use pool::ComputePool;
 pub use reactor::{LocalExecutor, ReactorHandle, ReactorPoll, ReactorTask};
-pub use task::{Payload, Resources, TaskError, TaskId, TaskState};

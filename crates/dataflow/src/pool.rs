@@ -1,8 +1,8 @@
 //! Intra-task compute pool: scoped data parallelism inside one pilot task.
 //!
-//! [`LocalCluster`](crate::LocalCluster) models *inter*-task concurrency —
-//! one worker thread per simulated core, each running a whole FaaS
-//! invocation. This module adds the orthogonal *intra*-task axis: a cloud
+//! The [`LocalExecutor`](crate::LocalExecutor) is *inter*-task concurrency —
+//! one thread per core the pilot lends, each polling one task (a whole FaaS
+//! invocation) at a time. This module adds the orthogonal *intra*-task axis: a cloud
 //! pilot that owns many cores can fan a single model fit/score out across
 //! them instead of leaving all but one idle (the paper's Fig. 3 bottleneck
 //! is exactly such a single-threaded 100-tree refit). In the spirit of

@@ -38,6 +38,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Wake, Waker};
@@ -67,6 +68,10 @@ pub enum ReactorPoll {
 pub trait ReactorTask: Send {
     fn poll(&mut self, waker: &Waker) -> ReactorPoll;
 }
+
+/// The error a task's handle yields when its executor shut down before the
+/// task finished (or before it was ever spawned).
+pub const CANCELLED: &str = "cancelled (executor shut down)";
 
 const IDLE: u8 = 0;
 const SCHEDULED: u8 = 1;
@@ -125,6 +130,16 @@ impl TaskCell {
             }
         }
     }
+
+    /// Settle the task: drop the task object (so what it holds — consumers,
+    /// channels — is released now), publish the result, wake the waiters.
+    fn finish(&self, res: Result<u64, String>) {
+        *self.inner.lock() = None;
+        let mut result = self.result.lock();
+        *result = Some(res);
+        self.state.store(DONE, Ordering::Release);
+        self.done_cv.notify_all();
+    }
 }
 
 impl Wake for TaskCell {
@@ -178,6 +193,8 @@ struct ExecState {
     poll_us: AtomicU64,
     /// Cumulative number of polls executed.
     polls: AtomicU64,
+    /// Tasks that completed with an error (a panicking poll included).
+    failed: AtomicU64,
     /// Every spawned task, for [`LocalExecutor::wake_all`]. Dead entries are
     /// pruned when the list doubles past its high-water mark — an amortized
     /// O(1) per spawn, so registering 64k members stays linear instead of
@@ -214,26 +231,33 @@ pub struct ReactorHandle {
 }
 
 impl ReactorHandle {
+    /// Block until the task completes. It always does: a task its executor
+    /// never finished is settled with [`CANCELLED`] at shutdown.
+    pub fn wait(&self) -> Result<u64, String> {
+        self.wait_until(None)
+            .expect("an untimed wait ends in a result")
+    }
+
     /// Block until the task completes or the timeout elapses. Returns
     /// `None` on timeout; the task keeps running.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<u64, String>> {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<u64, String>> {
+        let done = &self.cell.done_cv;
         let mut result = self.cell.result.lock();
-        loop {
-            if let Some(r) = result.as_ref() {
-                return Some(r.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline
-                || self
-                    .cell
-                    .done_cv
-                    .wait_until(&mut result, deadline)
-                    .timed_out()
-            {
-                return result.as_ref().cloned();
+        while result.is_none() {
+            match deadline {
+                None => done.wait(&mut result),
+                Some(at) => {
+                    if Instant::now() >= at || done.wait_until(&mut result, at).timed_out() {
+                        break;
+                    }
+                }
             }
         }
+        result.clone()
     }
 
     /// Whether the task has completed.
@@ -277,6 +301,7 @@ impl LocalExecutor {
             ready_depth: AtomicI64::new(0),
             poll_us: AtomicU64::new(0),
             polls: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             tasks: Mutex::new(TaskRegistry {
                 list: Vec::new(),
                 prune_at: 64,
@@ -299,28 +324,70 @@ impl LocalExecutor {
 
     /// Spawn a task; it is polled for the first time as soon as a worker is
     /// free. The handle observes completion; dropping it detaches the task.
+    /// On a shut-down executor the task is never polled and its handle
+    /// yields [`CANCELLED`] at once.
     pub fn spawn(&self, name: &str, task: Box<dyn ReactorTask>) -> ReactorHandle {
-        assert!(
-            !self.shared.shutdown.load(Ordering::Acquire),
-            "spawn on a shut-down reactor"
-        );
-        let cell = Arc::new(TaskCell {
-            name: name.to_string(),
+        let cell = self.new_cell(name.to_string(), task);
+        if self.register(std::slice::from_ref(&cell)) {
+            self.shared.push_ready(Arc::clone(&cell));
+        }
+        ReactorHandle { cell }
+    }
+
+    /// Spawn a stage of named tasks, handles in the order given. The stage
+    /// is queued under one lock and announced once: a thousand single
+    /// spawns wake — and then contend with — the workers a thousand times.
+    pub fn spawn_all(
+        &self,
+        tasks: impl IntoIterator<Item = (String, Box<dyn ReactorTask>)>,
+    ) -> Vec<ReactorHandle> {
+        let cells: Vec<Arc<TaskCell>> = tasks
+            .into_iter()
+            .map(|(name, task)| self.new_cell(name, task))
+            .collect();
+        if self.register(&cells) {
+            self.shared.queue.lock().ready.extend(cells.iter().cloned());
+            self.shared
+                .ready_depth
+                .fetch_add(cells.len() as i64, Ordering::Relaxed);
+            self.shared.cv.notify_all();
+        }
+        cells
+            .into_iter()
+            .map(|cell| ReactorHandle { cell })
+            .collect()
+    }
+
+    fn new_cell(&self, name: String, task: Box<dyn ReactorTask>) -> Arc<TaskCell> {
+        Arc::new(TaskCell {
+            name,
             state: AtomicU8::new(SCHEDULED),
             exec: Arc::downgrade(&self.shared),
             inner: Mutex::new(Some(task)),
             result: Mutex::new(None),
             done_cv: Condvar::new(),
-        });
-        {
-            let mut tasks = self.shared.tasks.lock();
-            if tasks.list.len() >= tasks.prune_at {
-                tasks.prune();
+        })
+    }
+
+    /// Enter `cells` in the registry [`LocalExecutor::wake_all`] and
+    /// `shutdown` walk. `false` on a shut-down executor, the cells
+    /// cancelled: the flag is read under the lock `shutdown` empties the
+    /// registry through, so a task is either registered before that sweep
+    /// — and cancelled by it — or refused here.
+    fn register(&self, cells: &[Arc<TaskCell>]) -> bool {
+        let mut tasks = self.shared.tasks.lock();
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            drop(tasks);
+            for cell in cells {
+                cell.finish(Err(CANCELLED.into()));
             }
-            tasks.list.push(Arc::downgrade(&cell));
+            return false;
         }
-        self.shared.push_ready(Arc::clone(&cell));
-        ReactorHandle { cell }
+        if tasks.list.len() >= tasks.prune_at {
+            tasks.prune();
+        }
+        tasks.list.extend(cells.iter().map(Arc::downgrade));
+        true
     }
 
     /// Schedule every live task for a poll. Used when raising an
@@ -351,20 +418,35 @@ impl LocalExecutor {
         self.shared.polls.load(Ordering::Relaxed)
     }
 
+    /// Tasks that completed with an error so far — a panicking poll
+    /// included, cancellations at shutdown not.
+    pub fn failed_count(&self) -> u64 {
+        self.shared.failed.load(Ordering::Relaxed)
+    }
+
     /// Number of worker threads.
     pub fn thread_count(&self) -> usize {
         self.threads.lock().len()
     }
 
-    /// Stop the workers and join them. Unfinished tasks are abandoned in
-    /// place (their handles time out); callers are expected to have driven
-    /// tasks to completion (stop flag + [`LocalExecutor::wake_all`]) first.
+    /// Stop the workers and join them: a poll in progress runs to its end,
+    /// nothing is polled after it. Tasks still unfinished then are settled
+    /// with [`CANCELLED`], so no handle waits for ever; callers that want
+    /// results drive their tasks to completion (stop flag +
+    /// [`LocalExecutor::wake_all`]) first.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.cv_broadcast();
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
+        for t in self.threads.lock().drain(..) {
             let _ = t.join();
+        }
+        // Taken out under the lock, settled outside it: a task object may
+        // wake other tasks as it is dropped.
+        let abandoned = std::mem::take(&mut self.shared.tasks.lock().list);
+        for cell in abandoned.iter().filter_map(Weak::upgrade) {
+            if !is_done(&cell) {
+                cell.finish(Err(CANCELLED.into()));
+            }
         }
     }
 
@@ -426,7 +508,18 @@ fn worker(shared: Arc<ExecState>) {
         let start = Instant::now();
         let polled = {
             let mut inner = cell.inner.lock();
-            inner.as_mut().map(|task| task.poll(&waker))
+            // A panicking poll is that task's error, not this thread's end:
+            // the worker keeps serving the queue.
+            inner.as_mut().map(|task| {
+                catch_unwind(AssertUnwindSafe(|| task.poll(&waker))).unwrap_or_else(|panic| {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "<non-string panic>".to_string());
+                    ReactorPoll::Complete(Err(format!("panicked: {msg}")))
+                })
+            })
         };
         shared
             .poll_us
@@ -485,11 +578,10 @@ fn worker(shared: Arc<ExecState>) {
                 }
             }
             Some(ReactorPoll::Complete(res)) => {
-                *cell.inner.lock() = None;
-                let mut result = cell.result.lock();
-                *result = Some(res);
-                cell.state.store(DONE, Ordering::Release);
-                cell.done_cv.notify_all();
+                if res.is_err() {
+                    shared.failed.fetch_add(1, Ordering::Relaxed);
+                }
+                cell.finish(res);
             }
         }
     }
@@ -708,5 +800,73 @@ mod tests {
             h.wait_timeout(Duration::from_secs(5)),
             Some(Err("boom".into()))
         );
+        assert_eq!(exec.failed_count(), 1);
+    }
+
+    #[test]
+    fn panicking_poll_is_an_error_and_the_worker_survives() {
+        struct Panics(Arc<AtomicBool>);
+        impl ReactorTask for Panics {
+            fn poll(&mut self, _w: &Waker) -> ReactorPoll {
+                panic!("kaput")
+            }
+        }
+        impl Drop for Panics {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        // One thread: the sibling only completes if the thread that caught
+        // the panic keeps serving the queue.
+        let exec = LocalExecutor::new(1);
+        let dropped = Arc::new(AtomicBool::new(false));
+        let bad = exec.spawn("panics", Box::new(Panics(Arc::clone(&dropped))));
+        let good = exec.spawn(
+            "sibling",
+            Box::new(CountDown {
+                left: 2,
+                polls: Arc::new(AtomicUsize::new(0)),
+            }),
+        );
+        assert_eq!(bad.wait(), Err("panicked: kaput".into()));
+        assert!(dropped.load(Ordering::SeqCst), "task object not dropped");
+        assert_eq!(good.wait_timeout(Duration::from_secs(5)), Some(Ok(0)));
+        assert_eq!(exec.failed_count(), 1);
+        assert_eq!(exec.thread_count(), 1);
+    }
+
+    #[test]
+    fn shutdown_cancels_what_it_abandons() {
+        let exec = LocalExecutor::new(1);
+        let parked = exec.spawn(
+            "parked",
+            Box::new(WaitForFlag {
+                flag: Arc::new(AtomicBool::new(false)),
+                waker_slot: Arc::new(Mutex::new(None)),
+                polls: Arc::new(AtomicUsize::new(0)),
+            }),
+        );
+        let timed = exec.spawn(
+            "timed",
+            Box::new(TimerOnly {
+                deadline: None,
+                delay: Duration::from_secs(3600),
+            }),
+        );
+        exec.shutdown();
+        assert_eq!(parked.wait(), Err(CANCELLED.into()));
+        assert_eq!(timed.wait(), Err(CANCELLED.into()));
+        // Spawned too late: never polled, cancelled at once.
+        let polls = Arc::new(AtomicUsize::new(0));
+        let late = exec.spawn(
+            "late",
+            Box::new(CountDown {
+                left: 0,
+                polls: Arc::clone(&polls),
+            }),
+        );
+        assert_eq!(late.wait(), Err(CANCELLED.into()));
+        assert_eq!(polls.load(Ordering::SeqCst), 0);
+        assert_eq!(exec.failed_count(), 0, "a cancellation is not a failure");
     }
 }

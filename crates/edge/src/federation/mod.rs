@@ -17,8 +17,9 @@
 //!   [`ComputePool`] through its [`Context`].
 //! * **Pooled pilots.** Each cell, region, and the cloud tier is backed by
 //!   a [`pilot_core::PilotDescription::pooled`] pilot: it books capacity
-//!   and hosts frameworks (broker / parameter server) but boots no private
-//!   task cluster, so a 1024-pilot fleet adds no worker threads. The whole
+//!   and hosts frameworks (broker / parameter server) but takes no compute
+//!   units (`Pilot::client` refuses), and a cell's compute runs on the
+//!   shared reactor, so a 1024-pilot fleet adds no threads. The whole
 //!   fleet activates on **one** lifecycle thread
 //!   ([`pilot_core::PilotComputeService::submit_fleet`]).
 //! * **Per-cell brokers.** Each cell appends to its own [`Broker`]
@@ -542,8 +543,8 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
     let svc = PilotComputeService::new();
     // One pooled pilot per cell (hosts the cell's broker), one per region
     // (hosts the regional parameter server), one for the cloud tier — the
-    // whole fleet activates on a single lifecycle thread and boots no
-    // per-pilot task clusters.
+    // whole fleet activates on a single lifecycle thread and spawns no
+    // per-pilot threads.
     let mut descs = Vec::with_capacity(cfg.cells + cfg.regions + 1);
     for _ in 0..cfg.cells {
         descs.push(PilotDescription::pooled(1, 0.5).with_site("edge"));

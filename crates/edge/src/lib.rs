@@ -26,10 +26,10 @@
 //!   can be programmatically replaced at runtime").
 //! * [`pipeline`] — [`EdgeToCloudPipeline`], the Listing-2 builder, plus
 //!   validation of pilot capacities against the paper's resource envelopes.
-//! * [`runtime`] — the running pipeline as a *staged engine*: every task
-//!   (producer engine workers on the edge pilot, consumer members on the
-//!   cloud pilot, partition:consumer ratio 1:1 by default) follows one
-//!   lifecycle — spawn → step → drain — with sentinel-based
+//! * [`runtime`] — the running pipeline: every task (a device on the edge
+//!   pilot's reactor, a consumer member on the cloud pilot's,
+//!   partition:consumer ratio 1:1 by default) is a polled state machine
+//!   following one lifecycle — spawn → step → drain — with sentinel-based
 //!   termination and dynamic processor scaling via consumer-group
 //!   rebalancing. See DESIGN.md §10 for the module map.
 //! * [`deployment`] — the paper's deployment modalities (cloud-centric /
@@ -75,8 +75,6 @@ pub use faas::{CloudFactory, Context, EdgeFactory, ProcessOutcome, ProduceFactor
 pub use federation::{FederationConfig, FederationSummary, RunningFederation};
 pub use pilot_dataflow::ComputePool;
 pub use pipeline::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
-pub use runtime::config::{
-    ConsumerConfig, ProducerConfig, ProducerEngineKind, StageConfigs, TransportConfig,
-};
+pub use runtime::config::{ConsumerConfig, ProducerConfig, StageConfigs, TransportConfig};
 pub use runtime::RunningPipeline;
 pub use summary::RunSummary;

@@ -19,7 +19,6 @@ use crate::runtime::{self, RunningPipeline};
 use crate::summary::RunSummary;
 use pilot_broker::{BrokerError, RetentionPolicy};
 use pilot_core::{Pilot, PilotState};
-use pilot_dataflow::TaskError;
 use pilot_metrics::MetricsRegistry;
 use pilot_netsim::Link;
 use std::collections::HashMap;
@@ -67,7 +66,12 @@ pub struct PipelineConfig {
     /// batch-mates before the batch ships anyway (the `linger.ms` of
     /// Kafka's producer). `Duration::ZERO` (the default) ships every
     /// message immediately on its own reservation — still pipelined when
-    /// `batch_max_bytes > 0`, just without coalescing. A positive linger
+    /// `batch_max_bytes > 0`, just without coalescing. The window is a
+    /// timer of the device's task, so a linger shorter than the send
+    /// interval coalesces nothing across sends (a paced device whose next
+    /// send falls after the window's close ships at once rather than wait
+    /// the window out); on a high-latency link that trades batch size for
+    /// latency. A positive linger
     /// with `batch_max_bytes == 0` is rejected by [`Self::validate`]
     /// (there is no batcher for the window to apply to, so it would
     /// silently do nothing).
@@ -83,14 +87,17 @@ pub struct PipelineConfig {
     /// fetch, so it can be tuned live. Offsets are committed only through
     /// processed records at any depth.
     pub prefetch_depth: usize,
-    /// Edge producer engine. `None` (the default) runs one producer task
-    /// per device (the paper's "edge devices are simulated with a Dask
-    /// task"), requiring `devices` edge cores. `Some(k)` multiplexes all
-    /// devices onto `k` engine worker tasks via a deadline queue keyed by
-    /// each device's next send time ([`Self::rate_per_device`]) — the
-    /// fan-in scale-out for ~1000-device cells, where thread-per-device
-    /// would need ~1000 edge cores. Per-device message content, ordering,
-    /// and sentinel semantics are identical between the two engines.
+    /// Threads of the edge reactor that drives the devices. Every device
+    /// is a polled state machine on this fixed pool (the paper's "edge
+    /// devices are simulated with a Dask task", one core each): a device
+    /// waiting for its next send time ([`Self::rate_per_device`]), for its
+    /// batch's linger window or for a transfer to land parks on that
+    /// deadline and costs no thread — so `devices` may exceed the pool by
+    /// orders of magnitude. `None` (the default) sizes the pool from the
+    /// edge pilot's core count; `Some(k)` overrides it and must not exceed
+    /// that count. Per-device message content, ordering and sentinel
+    /// semantics are the same at every `k`. `Some(0)` is rejected by
+    /// [`Self::validate`].
     pub producer_threads: Option<usize>,
     /// Live-telemetry sampling interval in milliseconds. `None` (the
     /// default) disables the telemetry plane entirely: no gauges are
@@ -230,12 +237,6 @@ impl std::error::Error for PipelineError {}
 impl From<BrokerError> for PipelineError {
     fn from(e: BrokerError) -> Self {
         PipelineError::Broker(e.to_string())
-    }
-}
-
-impl From<TaskError> for PipelineError {
-    fn from(e: TaskError) -> Self {
-        PipelineError::Task(e.to_string())
     }
 }
 
@@ -398,8 +399,8 @@ impl EdgeToCloudPipeline {
         self
     }
 
-    /// Multiplex all edge devices onto `n` producer engine workers instead
-    /// of one task per device. See [`PipelineConfig::producer_threads`].
+    /// Drive the edge devices on `n` reactor threads instead of one per
+    /// edge-pilot core. See [`PipelineConfig::producer_threads`].
     pub fn producer_threads(mut self, n: usize) -> Self {
         self.config.producer_threads = Some(n);
         self
@@ -498,30 +499,21 @@ impl EdgeToCloudPipeline {
         // Knob consistency (devices/processors > 0, no zero-width pools,
         // no linger without batching) — see `PipelineConfig::validate`.
         cfg.validate()?;
-        // One core per edge task — the paper's task granularity. The
-        // multiplexed engine needs `producer_threads` edge cores;
-        // thread-per-device needs one per device. Undersized pilots would
-        // deadlock, so reject them.
-        let edge_tasks = cfg.producer_threads.unwrap_or(cfg.devices);
-        if edge.description().cores < edge_tasks {
-            return Err(PipelineError::Capacity(format!(
-                "edge pilot has {} cores but {} producer tasks were requested \
-                 ({} devices, producer_threads = {:?})",
-                edge.description().cores,
-                edge_tasks,
-                cfg.devices,
-                cfg.producer_threads
-            )));
-        }
-        // The reactor multiplexes every consumer member onto its threads
-        // (one per cloud core unless overridden), so the cloud pilot needs
-        // a core per reactor thread, however many processors run on them.
-        let cloud_cores = cloud.description().cores;
-        if let Some(k) = cfg.reactor_threads.filter(|&k| k > cloud_cores) {
-            return Err(PipelineError::Capacity(format!(
-                "cloud pilot has {cloud_cores} cores but {k} reactor threads \
-                 were requested"
-            )));
+        // Each reactor multiplexes its stage's tasks onto its threads (one
+        // per core of its pilot unless overridden), so a pilot needs a core
+        // per reactor thread, however many devices or processors run on
+        // them.
+        for (which, pilot, threads) in [
+            ("edge", &edge, cfg.producer_threads),
+            ("cloud", &cloud, cfg.reactor_threads),
+        ] {
+            let cores = pilot.description().cores;
+            if let Some(k) = threads.filter(|&k| k > cores) {
+                return Err(PipelineError::Capacity(format!(
+                    "{which} pilot has {cores} cores but {k} reactor threads \
+                     were requested"
+                )));
+            }
         }
         runtime::start(self, edge, cloud, broker_pilot)
     }
@@ -577,15 +569,27 @@ mod tests {
         let svc = PilotComputeService::new();
         let edge = active_pilot(&svc, 1);
         let cloud = active_pilot(&svc, 1);
+        // More edge reactor threads than edge cores is rejected; more
+        // devices than cores is not (devices share the reactor).
         let err = EdgeToCloudPipeline::builder()
             .pilot_edge(edge.clone())
             .pilot_cloud_processing(cloud.clone())
             .produce_function(datagen_produce_factory(DataGenConfig::paper(5), 1))
             .process_cloud_function(baseline_factory())
             .devices(4)
+            .producer_threads(2)
             .start()
             .unwrap_err();
         assert!(matches!(err, PipelineError::Capacity(_)), "{err}");
+        let summary = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge.clone())
+            .pilot_cloud_processing(cloud.clone())
+            .produce_function(datagen_produce_factory(DataGenConfig::paper(5), 1))
+            .process_cloud_function(baseline_factory())
+            .devices(4)
+            .run(Duration::from_secs(30))
+            .unwrap();
+        assert_eq!(summary.messages, 4, "4 devices × 1 message on 1 + 1 cores");
         // More reactor threads than cloud cores is rejected too; more
         // processors than cores is not (members share the reactor).
         let err = EdgeToCloudPipeline::builder()

@@ -1,19 +1,27 @@
-//! The producer's transport — accumulate / flush / double-buffer, the one
-//! path every encoded message takes from a device to its partition.
+//! The producer's transport — accumulate / flush / land, the one path
+//! every encoded message takes from a device to its partition.
 //!
 //! Encoded messages accumulate in a [`Batcher`] until their summed size
 //! reaches `batch_max_bytes` or the linger window closes; the batch then
 //! ships over one non-blocking link reservation while the next batch
-//! encodes (at most one batch stays in flight — a double buffer). When the
-//! reservation completes, each message is appended to the broker
-//! individually with its own Network and Broker spans.
+//! encodes (one older batch may still be in flight — a double buffer). When
+//! the reservation's deadline passes, each message is appended to the
+//! broker individually with its own Network and Broker spans.
+//!
+//! The batcher never sleeps. [`Batcher::poll`] does whatever is possible
+//! *now* — land the batches whose deadline passed, oldest first; ship the
+//! open batch if it is full, its window closed, or the device's next send
+//! falls after the window's close (nothing can join it, so it does not wait
+//! out a timer that changes nothing) — and reports the instant it is
+//! waiting for, which the device task hands to its reactor as a timer. A
+//! batch therefore lands on its own deadline and a lingering batch ships by
+//! the time its window closes, whether or not the device sends again.
 //!
 //! The serial transport (`batch_max_bytes == 0`, the default) is the
-//! degenerate case, not a second path: every push is a full one-message
-//! batch, and nothing stays in flight — the push returns once the message
-//! has paid its own blocking transfer and landed in the partition. Offsets,
-//! ordering and the per-message span chain are therefore the same at every
-//! threshold.
+//! degenerate case, not a second path: every message ships as a full
+//! one-message batch, and the device may not send again until it landed.
+//! Offsets, ordering and the per-message span chain are therefore the same
+//! at every threshold.
 
 use super::Shared;
 use bytes::Bytes;
@@ -43,10 +51,19 @@ struct InFlightBatch {
     bytes: u64,
 }
 
+/// What the transport is waiting for after a [`Batcher::poll`].
+pub(crate) struct Transport {
+    /// Whether the device may push another message now.
+    pub(crate) open: bool,
+    /// The earliest instant at which polling again makes progress: the
+    /// oldest in-flight batch's deadline or the open batch's linger expiry.
+    /// `None` when nothing is accumulated or in flight.
+    pub(crate) wake_at: Option<Instant>,
+}
+
 /// One device's batching state: the open (accumulating) batch and the
-/// in-flight double buffer. Owned by a `DeviceProducer`, so interleaved
-/// stepping on multiplexed engine workers can never mix batches across
-/// devices.
+/// batches in flight. Owned by a `DeviceProducer`, so devices interleaved
+/// on the same edge thread can never mix batches.
 pub(crate) struct Batcher {
     device: usize,
     pending: Vec<PendingMsg>,
@@ -66,36 +83,54 @@ impl Batcher {
         }
     }
 
-    /// Accumulate one encoded message; the batch ships when it is full or
-    /// its linger window closed. The reservation completes (and the
-    /// messages append) while later messages encode — except at threshold
-    /// 0 (serial transport), where everything lands before this returns.
-    /// The threshold and linger window are live
-    /// [`TuneTable`](super::TuneTable) cells, re-read per push, so widening,
-    /// narrowing or turning batching off takes effect mid-stream with
-    /// nothing overtaken: older batches always complete first.
-    pub(crate) fn push(&mut self, shared: &Shared, msg: PendingMsg) -> Result<(), String> {
+    /// Accumulate one encoded message (only after a poll reported `open`).
+    pub(crate) fn push(&mut self, msg: PendingMsg) {
         self.pending_bytes += msg.payload.len();
         self.pending.push(msg);
-        let max_bytes = shared.tune.batch_max_bytes();
-        if max_bytes == 0 {
-            return self.drain(shared);
-        }
-        let opened = *self.batch_open.get_or_insert_with(Instant::now);
-        if self.pending_bytes >= max_bytes || opened.elapsed() >= shared.tune.linger() {
-            self.flush(shared)?;
-        }
-        Ok(())
+        self.batch_open.get_or_insert_with(Instant::now);
     }
 
-    /// Ship the accumulated batch over one link reservation (non-blocking)
-    /// and complete older batches so at most one stays in flight.
-    pub(crate) fn flush(&mut self, shared: &Shared) -> Result<(), String> {
-        self.pending_bytes = 0;
-        self.batch_open = None;
-        if self.pending.is_empty() {
-            return Ok(());
+    /// Advance the transport as far as the clock allows. The threshold and
+    /// linger window are live [`TuneTable`](super::TuneTable) cells, re-read
+    /// here, so widening, narrowing or turning batching off takes effect
+    /// mid-stream with nothing overtaken: older batches always land first.
+    /// `next_push` is when the device can next push: a window that closes
+    /// before then cannot gain a batch-mate, so the batch ships now instead
+    /// of parking on a timer that changes nothing. With `close` the open
+    /// batch ships regardless and the transport stays shut until everything
+    /// landed — what precedes the sentinel.
+    pub(crate) fn poll(
+        &mut self,
+        shared: &Shared,
+        next_push: Instant,
+        close: bool,
+    ) -> Result<Transport, String> {
+        self.land(shared)?;
+        let max_bytes = shared.tune.batch_max_bytes();
+        // Serial transport and the close alike: ship at once, nothing may
+        // stay in flight behind the device's next move.
+        let drain = max_bytes == 0 || close;
+        let window_end = self.batch_open.map(|t| t + shared.tune.linger());
+        if !self.pending.is_empty()
+            && (drain
+                || self.pending_bytes >= max_bytes
+                || window_end.is_some_and(|t| t < next_push || t <= Instant::now()))
+        {
+            self.flush(shared);
+            // A zero-latency link delivers inline instead of bouncing
+            // through the timer heap.
+            self.land(shared)?;
         }
+        let landing = self.in_flight.front().map(|b| b.reservation.deadline());
+        let window_end = window_end.filter(|_| !self.pending.is_empty());
+        Ok(Transport {
+            open: self.in_flight.len() <= usize::from(!drain),
+            wake_at: landing.into_iter().chain(window_end).min(),
+        })
+    }
+
+    /// Ship the accumulated batch over one link reservation (non-blocking).
+    fn flush(&mut self, shared: &Shared) {
         let sizes: Vec<u64> = self
             .pending
             .iter()
@@ -113,55 +148,46 @@ impl Batcher {
             msgs: std::mem::take(&mut self.pending),
             bytes,
         });
-        while self.in_flight.len() > 1 {
-            self.complete_oldest(shared)?;
-        }
-        Ok(())
+        self.pending_bytes = 0;
+        self.batch_open = None;
     }
 
-    /// Flush and wait out everything still in flight: every push at
-    /// threshold 0, and before the sentinel at any threshold, so every
-    /// message lands in the partition first.
-    pub(crate) fn drain(&mut self, shared: &Shared) -> Result<(), String> {
-        self.flush(shared)?;
-        while !self.in_flight.is_empty() {
-            self.complete_oldest(shared)?;
-        }
-        Ok(())
-    }
-
-    /// Wait out the oldest in-flight batch's reservation, then append its
-    /// messages individually, in order, with per-message Network and
-    /// Broker spans.
-    fn complete_oldest(&mut self, shared: &Shared) -> Result<(), String> {
-        let Some(batch) = self.in_flight.pop_front() else {
-            return Ok(());
-        };
+    /// Land every batch whose reservation completed, oldest first (a younger
+    /// batch never overtakes an older one, whatever the link's jitter):
+    /// append its messages individually, in order, with per-message Network
+    /// and Broker spans.
+    fn land(&mut self, shared: &Shared) -> Result<(), String> {
         let spans = shared.spans();
-        batch.reservation.wait();
-        if let Some(g) = shared.stage_gauges() {
-            g.inflight_batch_bytes.sub(batch.bytes as i64);
-        }
-        let net_end_us = spans.now_us();
-        for msg in batch.msgs {
-            let bytes = msg.payload.len() as u64;
-            spans.record(
-                msg.mid,
-                Component::Network(shared.link_edge_broker.name().to_string()),
-                batch.net_start_us,
-                net_end_us,
-                bytes,
-            );
-            let b0 = spans.now_us();
-            shared
-                .broker
-                .append(
-                    &shared.topic,
-                    self.device,
-                    Record::new(msg.payload).with_timestamp(msg.t0),
-                )
-                .map_err(|e| e.to_string())?;
-            spans.record(msg.mid, Component::Broker, b0, spans.now_us(), bytes);
+        while self
+            .in_flight
+            .front()
+            .is_some_and(|b| b.reservation.is_complete())
+        {
+            let batch = self.in_flight.pop_front().expect("front checked above");
+            if let Some(g) = shared.stage_gauges() {
+                g.inflight_batch_bytes.sub(batch.bytes as i64);
+            }
+            let net_end_us = spans.now_us();
+            for msg in batch.msgs {
+                let bytes = msg.payload.len() as u64;
+                spans.record(
+                    msg.mid,
+                    Component::Network(shared.link_edge_broker.name().to_string()),
+                    batch.net_start_us,
+                    net_end_us,
+                    bytes,
+                );
+                let b0 = spans.now_us();
+                shared
+                    .broker
+                    .append(
+                        &shared.topic,
+                        self.device,
+                        Record::new(msg.payload).with_timestamp(msg.t0),
+                    )
+                    .map_err(|e| e.to_string())?;
+                spans.record(msg.mid, Component::Broker, b0, spans.now_us(), bytes);
+            }
         }
         Ok(())
     }

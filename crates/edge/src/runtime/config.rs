@@ -10,29 +10,15 @@ use crate::deployment::DeploymentMode;
 use crate::pipeline::{PipelineConfig, PipelineError};
 use std::time::Duration;
 
-/// Which engine drives the edge producers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProducerEngineKind {
-    /// One dedicated engine worker per device (the default, the paper's
-    /// "edge devices are simulated with a Dask task"): each device gets its
-    /// own task driving a degenerate one-device engine.
-    Dedicated,
-    /// All devices multiplexed onto `workers` engine workers via the
-    /// deadline queue ([`PipelineConfig::producer_threads`]).
-    Multiplexed {
-        /// Engine worker tasks sharing the device set.
-        workers: usize,
-    },
-}
-
 /// Producer-stage configuration (who produces, how fast, where edge
 /// processing runs).
 #[derive(Debug, Clone)]
 pub struct ProducerConfig {
     /// Edge devices = broker partitions.
     pub devices: usize,
-    /// Dedicated task per device, or a multiplexed worker pool.
-    pub engine: ProducerEngineKind,
+    /// Edge reactor threads driving the device tasks (`None` = the edge
+    /// pilot's core count, the default).
+    pub reactor_threads: Option<usize>,
     /// Per-device send rate in messages/second (0 = unthrottled).
     pub rate_per_device: f64,
     /// Deployment modality (decides whether `process_edge` runs).
@@ -91,8 +77,8 @@ impl PipelineConfig {
     ///
     /// Rejected configurations:
     /// * `devices == 0` or `processors == 0` ([`PipelineError::Capacity`]);
-    /// * `producer_threads == Some(0)` — a multiplexed engine with no
-    ///   workers would strand every device ([`PipelineError::Config`]);
+    /// * `producer_threads == Some(0)` — an edge reactor with no threads
+    ///   would never poll any device ([`PipelineError::Config`]);
     /// * `compute_threads == Some(0)` — a width-0 compute pool cannot run
     ///   anything ([`PipelineError::Config`]);
     /// * `reactor_threads == Some(0)` — a reactor with no threads would
@@ -122,7 +108,9 @@ impl PipelineConfig {
         }
         if self.producer_threads == Some(0) {
             return Err(PipelineError::Config(
-                "producer_threads must be > 0 when set".into(),
+                "producer_threads must be > 0 when set (use None for the \
+                 edge pilot's core count)"
+                    .into(),
             ));
         }
         if self.compute_threads == Some(0) {
@@ -226,10 +214,7 @@ impl PipelineConfig {
         Ok(StageConfigs {
             producer: ProducerConfig {
                 devices: self.devices,
-                engine: match self.producer_threads {
-                    Some(workers) => ProducerEngineKind::Multiplexed { workers },
-                    None => ProducerEngineKind::Dedicated,
-                },
+                reactor_threads: self.producer_threads,
                 rate_per_device: self.rate_per_device,
                 mode: self.mode,
             },
@@ -471,18 +456,15 @@ mod tests {
         };
         let stages = cfg.resolve().unwrap();
         assert_eq!(stages.producer.devices, 8);
-        assert_eq!(
-            stages.producer.engine,
-            ProducerEngineKind::Multiplexed { workers: 3 }
-        );
+        assert_eq!(stages.producer.reactor_threads, Some(3));
         assert!(stages.transport.batching());
         assert_eq!(stages.consumer.processors, 2);
         assert_eq!(stages.consumer.prefetch_depth, 2);
         assert_eq!(stages.consumer.reactor_threads, Some(4));
-        let dedicated = PipelineConfig::default().resolve().unwrap();
-        assert_eq!(dedicated.producer.engine, ProducerEngineKind::Dedicated);
-        assert!(!dedicated.transport.batching());
-        // Unset = sized from the cloud pilot's cores at `start()`.
-        assert_eq!(dedicated.consumer.reactor_threads, None);
+        let defaults = PipelineConfig::default().resolve().unwrap();
+        assert!(!defaults.transport.batching());
+        // Unset = sized from the edge / cloud pilot's cores at `start()`.
+        assert_eq!(defaults.producer.reactor_threads, None);
+        assert_eq!(defaults.consumer.reactor_threads, None);
     }
 }

@@ -396,7 +396,7 @@ impl ConsumerStage {
     /// remainder must stay uncommitted for a successor to redeliver.
     fn complete(&mut self, result: Result<u64, String>) -> ReactorPoll {
         if result.is_err() {
-            self.shared.stop_all.store(true, Ordering::Relaxed);
+            self.shared.stop();
         }
         self.discard_window();
         self.shared.coordinator.leave(&self.member);
@@ -490,7 +490,7 @@ impl ReactorTask for ConsumerStage {
                 // up now — one that is idle would otherwise sleep out its
                 // backstop first.
                 let done = self.complete(Ok(self.processed));
-                self.shared.reactor.wake_all();
+                self.shared.cloud_reactor.wake_all();
                 return done;
             }
             // Checked before every batch, not only before a fetch: after a

@@ -1,11 +1,12 @@
 //! The pipeline control surface: [`PipelineCtl`] (what monitor threads
 //! observe and adapt) and [`RunningPipeline`] (what applications hold).
 //!
-//! Shutdown paths all converge on the stage lifecycle: `wait()` lets every
-//! stage finish and drain; `abort()` raises `stop_all` so stages drain at
-//! their next step boundary; and *dropping* a mid-run pipeline now aborts
-//! and joins everything with a bounded grace period, so a dropped handle
-//! cannot leak producer tasks or reactor threads.
+//! Devices and consumer members are the same kind of thing here — reactor
+//! task handles — so every shutdown path is one sequence: `wait()` lets
+//! every task finish and drain; `abort()` raises `stop_all` and wakes both
+//! reactors so tasks drain at their next poll; and *dropping* a mid-run
+//! pipeline aborts and joins everything with a bounded grace period, so a
+//! dropped handle cannot leak tasks or reactor threads.
 
 use super::consumer::ConsumerStage;
 use super::Shared;
@@ -14,9 +15,9 @@ use crate::pipeline::PipelineError;
 use crate::summary::RunSummary;
 use parking_lot::Mutex;
 use pilot_core::Pilot;
-use pilot_dataflow::{ReactorHandle, TaskFuture};
+use pilot_dataflow::ReactorHandle;
 use pilot_metrics::{PipelineReport, TelemetryFrame, TelemetrySampler};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,11 +26,11 @@ use std::time::{Duration, Instant};
 /// it. Internal — applications hold a [`RunningPipeline`].
 pub(crate) struct PipelineCtl {
     pub(crate) shared: Arc<Shared>,
-    /// The cloud pilot, billed for the reactor's busy time: the reactor
-    /// threads stand for its cores, though they are not its task slots.
+    /// The pilots whose cores the two reactors stand for, each billed for
+    /// its reactor's busy time when the reactors shut down (once).
+    edge: Pilot,
     cloud: Pilot,
-    /// Reactor poll time already billed to `cloud`, in microseconds.
-    billed_us: AtomicU64,
+    billed: AtomicBool,
     /// Live members: name, per-member stop flag, reactor task handle.
     consumers: Mutex<Vec<(String, Arc<AtomicBool>, ReactorHandle)>>,
     /// Members retired by a scale-down, joined at `wait()`/drop.
@@ -44,13 +45,15 @@ pub(crate) struct PipelineCtl {
 impl PipelineCtl {
     pub(crate) fn new(
         shared: Arc<Shared>,
+        edge: Pilot,
         cloud: Pilot,
         telemetry: Option<TelemetrySampler>,
     ) -> Self {
         Self {
             shared,
+            edge,
             cloud,
-            billed_us: AtomicU64::new(0),
+            billed: AtomicBool::new(false),
             consumers: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
             next_member: AtomicUsize::new(0),
@@ -74,17 +77,21 @@ impl PipelineCtl {
             })
             .collect();
         self.shared.coordinator.join_many(&members);
-        for member in members {
+        let mut stops = Vec::with_capacity(n);
+        let mut stages = Vec::with_capacity(n);
+        for member in &members {
             let stop = Arc::new(AtomicBool::new(false));
             let stage =
                 ConsumerStage::new(Arc::clone(&self.shared), member.clone(), Arc::clone(&stop))
                     .map_err(PipelineError::Task)?;
-            let handle = self
-                .shared
-                .reactor
-                .spawn(&format!("process-cloud-{member}"), Box::new(stage));
-            self.consumers.lock().push((member, stop, handle));
+            stops.push(stop);
+            stages.push((format!("process-cloud-{member}"), Box::new(stage) as _));
         }
+        let handles = self.shared.cloud_reactor.spawn_all(stages);
+        let spawned = members.into_iter().zip(stops).zip(handles);
+        self.consumers
+            .lock()
+            .extend(spawned.map(|((member, stop), handle)| (member, stop, handle)));
         Ok(())
     }
 
@@ -92,19 +99,25 @@ impl PipelineCtl {
     /// flags or a new group generation (a member parked on the arrival
     /// registry is only woken by data otherwise).
     pub(crate) fn wake_reactor(&self) {
-        self.shared.reactor.wake_all();
+        self.shared.cloud_reactor.wake_all();
     }
 
-    /// Join the reactor threads (every member has settled) and bill the
-    /// time they spent inside member polls to the cloud pilot — what the
-    /// pilot's energy accounting sees of consumer work. Idempotent: a
-    /// second call bills only what accrued since the first (nothing).
-    fn shutdown_reactor(&self) {
-        self.shared.reactor.shutdown();
-        let total = self.shared.reactor.poll_time_us();
-        let billed = self.billed_us.swap(total, Ordering::Relaxed);
-        self.cloud
-            .record_busy(Duration::from_micros(total.saturating_sub(billed)));
+    /// Join both reactors' threads (every task has settled) and bill the
+    /// time they spent inside polls to the pilot whose cores they stand
+    /// for — what the pilots' energy accounting sees of the pipeline's
+    /// work. Idempotent: only the first call bills.
+    fn shutdown_reactors(&self) {
+        let shared = &self.shared;
+        shared.edge_reactor.shutdown();
+        shared.cloud_reactor.shutdown();
+        if !self.billed.swap(true, Ordering::Relaxed) {
+            for (pilot, reactor) in [
+                (&self.edge, &shared.edge_reactor),
+                (&self.cloud, &shared.cloud_reactor),
+            ] {
+                pilot.record_busy(Duration::from_micros(reactor.poll_time_us()));
+            }
+        }
     }
 
     pub(crate) fn processor_count(&self) -> usize {
@@ -166,12 +179,13 @@ impl PipelineCtl {
 /// A live pipeline. Obtain via [`crate::pipeline::EdgeToCloudPipeline::start`].
 ///
 /// Dropping a `RunningPipeline` without calling [`RunningPipeline::wait`]
-/// aborts the run: every stage is stopped at its next step boundary,
-/// drains (batch flush, sentinel append, group leave), and is joined with
-/// a bounded grace period — no threads outlive the drop.
+/// aborts the run: every task is stopped at its next poll, drains (batch
+/// flush, sentinel append, group leave), and is joined with a bounded grace
+/// period — no threads outlive the drop.
 pub struct RunningPipeline {
     pub(crate) ctl: Arc<PipelineCtl>,
-    producers: Vec<TaskFuture>,
+    /// One task per edge device, in device order.
+    producers: Vec<ReactorHandle>,
     /// The attached feedback controller (`attach_controller` /
     /// `PipelineConfig::controller`). One slot: attaching replaces the
     /// previous one. `Arc`'d so the gateway's `/control/journal` handler
@@ -186,7 +200,7 @@ pub struct RunningPipeline {
 }
 
 impl RunningPipeline {
-    pub(crate) fn new(ctl: Arc<PipelineCtl>, producers: Vec<TaskFuture>) -> Self {
+    pub(crate) fn new(ctl: Arc<PipelineCtl>, producers: Vec<ReactorHandle>) -> Self {
         Self {
             ctl,
             producers,
@@ -313,77 +327,80 @@ impl RunningPipeline {
 
     /// Stop everything without waiting for stream completion.
     pub fn abort(&self) {
-        self.ctl.shared.stop_all.store(true, Ordering::Relaxed);
-        self.ctl.wake_reactor();
+        self.ctl.shared.stop();
+    }
+
+    /// Stop every stage and join its tasks — devices, live members, members
+    /// retired by a scale-down — until `deadline` (each task gets at least
+    /// 100 ms past it). Stopped tasks drain: devices flush and append their
+    /// sentinels, members leave the group. The first task error is the
+    /// run's; a task that does not settle in time is a timeout.
+    fn stop_and_join(&self, deadline: Instant) -> Result<(), PipelineError> {
+        if let Some(scaler) = self.scaler.lock().take() {
+            scaler.stop();
+        }
+        self.ctl.shared.stop();
+        let consumers = std::mem::take(&mut *self.ctl.consumers.lock());
+        let retired = std::mem::take(&mut *self.ctl.retired.lock());
+        let handles = self
+            .producers
+            .iter()
+            .chain(consumers.iter().map(|(_, _, handle)| handle))
+            .chain(&retired);
+        let mut failure = None;
+        for handle in handles {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match handle.wait_timeout(remaining.max(Duration::from_millis(100))) {
+                None => return Err(PipelineError::Timeout),
+                Some(Err(e)) => {
+                    failure.get_or_insert(PipelineError::Task(format!("{}: {e}", handle.name())));
+                }
+                Some(Ok(_)) => {}
+            }
+        }
+        failure.map_or(Ok(()), Err)
     }
 
     /// Wait for the run to complete: producers finish their streams,
     /// consumers drain every partition's sentinel. Returns the run summary.
+    /// A task that failed or panicked ends the run with its error.
     pub fn wait(self, timeout: Duration) -> Result<RunSummary, PipelineError> {
         let deadline = Instant::now() + timeout;
-        // 1. Producers run to end-of-stream.
-        for fut in &self.producers {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match fut.wait_timeout(remaining) {
-                None => {
+        let shared = &self.ctl.shared;
+        // A task that failed cleanly has raised the stop flag itself; one
+        // that panicked only shows in its reactor's failure count.
+        let halted = || {
+            shared.stopping()
+                || shared.edge_reactor.failed_count() + shared.cloud_reactor.failed_count() > 0
+        };
+        // 1. Devices stream to their sentinels. Blocking on their handles
+        // costs nothing while they run; the periodic look is what notices
+        // a failed consumer before the streams end.
+        for device in &self.producers {
+            while !(device.is_finished() || halted()) {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
                     self.abort();
                     return Err(PipelineError::Timeout);
                 }
-                Some(Err(e)) => {
-                    self.abort();
-                    return Err(PipelineError::Task(e.to_string()));
-                }
-                Some(Ok(_)) => {}
+                device.wait_timeout(remaining.min(Duration::from_millis(50)));
             }
         }
-        // 2. Consumers drain all partitions (skipped when the run was
-        // aborted — consumers exit on `stop_all` without draining).
-        while !self.ctl.all_done() && !self.ctl.is_stopped() {
+        // 2. Members drain every partition's sentinel.
+        while !(self.ctl.all_done() || halted()) {
             if Instant::now() >= deadline {
                 self.abort();
                 return Err(PipelineError::Timeout);
             }
-            // Surface consumer crashes instead of spinning to timeout.
-            for (_, _, handle) in self.ctl.consumers.lock().iter() {
-                if handle.is_finished() {
-                    if let Some(Err(e)) = handle.wait_timeout(Duration::ZERO) {
-                        self.abort();
-                        return Err(PipelineError::Task(e));
-                    }
-                }
-            }
             std::thread::sleep(Duration::from_millis(2));
         }
-        // 3. Shut the pool down and collect.
-        if let Some(scaler) = self.scaler.lock().take() {
-            scaler.stop();
-        }
-        self.ctl.shared.stop_all.store(true, Ordering::Relaxed);
-        self.ctl.wake_reactor();
-        let consumers = std::mem::take(&mut *self.ctl.consumers.lock());
-        for (_, _, handle) in consumers {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if handle
-                .wait_timeout(remaining.max(Duration::from_millis(100)))
-                .is_none()
-            {
-                return Err(PipelineError::Timeout);
-            }
-        }
-        // Retired members (scale-downs) may still be inside their last
-        // poll; the span store is not complete until they finish. Join
-        // them under the same deadline as live members.
-        for handle in std::mem::take(&mut *self.ctl.retired.lock()) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match handle.wait_timeout(remaining.max(Duration::from_millis(100))) {
-                None => return Err(PipelineError::Timeout),
-                Some(Err(e)) => return Err(PipelineError::Task(e)),
-                Some(Ok(_)) => {}
-            }
-        }
-        // Every reactor task is settled; join the reactor threads now so
-        // a completed wait() leaves no pool threads behind.
-        self.ctl.shutdown_reactor();
+        // 3. Stop what still runs and join every task. The span store is
+        // not complete until the last one — a retired member may still be
+        // inside its last poll — has finished.
+        self.stop_and_join(deadline)?;
+        // Every task is settled; join the reactor threads now so a
+        // completed wait() leaves no pool threads behind.
+        self.ctl.shutdown_reactors();
         // The gateway goes down before the sampler: its SSE streams poll
         // the sampler, and shutdown() joins the worker threads, so no
         // handler can observe a stopped telemetry plane.
@@ -395,7 +412,7 @@ impl RunningPipeline {
         if let Some(t) = &self.ctl.telemetry {
             t.stop();
         }
-        let ctx = &self.ctl.shared.ctx;
+        let ctx = &shared.ctx;
         Ok(RunSummary::from_report(
             ctx.job_id,
             ctx.metrics.report_for_job(ctx.job_id),
@@ -405,37 +422,20 @@ impl RunningPipeline {
 }
 
 impl Drop for RunningPipeline {
-    /// Abort-and-join: stop the scaler, raise `stop_all`, flag every
-    /// consumer, and give each task a bounded grace period to drain. After
-    /// a completed [`RunningPipeline::wait`] every future is already
-    /// settled and this is instantaneous; after a mid-run drop the stages
-    /// drain (producers flush batches and append their sentinels, the
-    /// sentinel count is conserved) and their pilot cores free up for the
-    /// next pipeline.
+    /// Abort-and-join: stop the scaler, raise `stop_all`, wake both
+    /// reactors, and give the tasks a bounded grace period to drain. After
+    /// a completed [`RunningPipeline::wait`] every task is already settled
+    /// and this is instantaneous; after a mid-run drop the stages drain
+    /// (producers flush batches and append their sentinels, the sentinel
+    /// count is conserved) and the reactor threads are joined, so the
+    /// pilots' cores are free for the next pipeline.
     fn drop(&mut self) {
         const GRACE: Duration = Duration::from_secs(5);
         if let Some(mut gw) = self.gateway.lock().take() {
             gw.shutdown();
         }
-        if let Some(scaler) = self.scaler.lock().take() {
-            scaler.stop();
-        }
-        self.ctl.shared.stop_all.store(true, Ordering::Relaxed);
-        let consumers = std::mem::take(&mut *self.ctl.consumers.lock());
-        for (_, stop, _) in &consumers {
-            stop.store(true, Ordering::Relaxed);
-        }
-        self.ctl.wake_reactor();
-        for fut in self.producers.drain(..) {
-            let _ = fut.wait_timeout(GRACE);
-        }
-        for (_, _, handle) in consumers {
-            let _ = handle.wait_timeout(GRACE);
-        }
-        for handle in std::mem::take(&mut *self.ctl.retired.lock()) {
-            let _ = handle.wait_timeout(GRACE);
-        }
-        self.ctl.shutdown_reactor();
+        let _ = self.stop_and_join(Instant::now() + GRACE);
+        self.ctl.shutdown_reactors();
         if let Some(t) = &self.ctl.telemetry {
             t.stop();
         }

@@ -1,15 +1,16 @@
-//! The running pipeline: a staged engine of producer and consumer stages
-//! (task wiring, dataflow, termination, adaptation).
+//! The running pipeline: producer and consumer stages as polled tasks on
+//! two reactors (task wiring, dataflow, termination, adaptation).
 //!
 //! What `start` builds (paper Fig. 1, step 2):
 //!
 //! ```text
 //!  edge pilot                     broker pilot                cloud pilot
 //!  ┌───────────────┐   link      ┌──────────────┐   link     ┌──────────────┐
-//!  │ producer task ├────────────▶│ topic, 1 part│◀───────────┤ consumer     │
-//!  │  (per device) │  e→broker   │  per device  │  broker→c  │ member/proc. │
-//!  └───────────────┘             │ param server │            └──────────────┘
-//!                                └──────────────┘
+//!  │ device task   ├────────────▶│ topic, 1 part│◀───────────┤ member task  │
+//!  │  (per device) │  e→broker   │  per device  │  broker→c  │ (per proc.)  │
+//!  ├───────────────┤             │ param server │            ├──────────────┤
+//!  │ edge reactor  │             └──────────────┘            │ cloud reactor│
+//!  └───────────────┘                                         └──────────────┘
 //! ```
 //!
 //! Producers run `produce_edge` (and, in hybrid mode, `process_edge`),
@@ -21,22 +22,25 @@
 //!
 //! # Module map (DESIGN.md §10)
 //!
-//! Producer workers are tasks on the edge pilot (step → drain, the first
-//! error raising `stop_all`); consumer members are polled state machines
-//! on one reactor sized from the cloud pilot. The cross-cutting concerns
-//! each live in exactly one module:
+//! There is one executor on the data path, instantiated twice: edge
+//! devices are polled state machines on a reactor sized from the edge
+//! pilot, consumer members are polled state machines on a reactor sized
+//! from the cloud pilot. The two share no thread; both are stopped by the
+//! same flag-and-wake, and a task of either that fails or panics ends the
+//! run with its error. The cross-cutting concerns each live in exactly one
+//! module:
 //!
 //! * [`config`] — validated per-stage sub-configs resolved from the flat
 //!   [`PipelineConfig`](crate::pipeline::PipelineConfig) at `start()`;
-//! * `producer` — `DeviceProducer` state + the deadline-queue
-//!   `ProducerEngine`; thread-per-device is the one-device/one-worker
-//!   configuration of the same engine;
+//! * `producer` — the `DeviceProducer`, the one producer implementation:
+//!   produce, encode, pace and ship one device's stream as a state machine
+//!   that parks on its next deadline;
 //! * `consumer` — the `ConsumerStage`, the one consumer implementation:
 //!   membership, fetch, broker→cloud transport, processing and commit as
 //!   a waker-based state machine on a fixed pool of reactor threads
 //!   (DESIGN.md §12); the delivery contract is stated there, once;
-//! * `batch` — producer-side batching (accumulate / flush / double
-//!   buffer) of the pipelined transport;
+//! * `batch` — producer-side batching (accumulate / flush / land) of the
+//!   pipelined transport; never sleeps, reports the deadline it waits on;
 //! * `sentinel` — the end-of-stream protocol and per-partition tracker;
 //! * `spans` — metric message identity and hot-path counters;
 //! * `ctl` — `PipelineCtl` / [`RunningPipeline`]: scaling, hot-swap,
@@ -51,8 +55,8 @@
 //! and
 //! [`PipelineConfig::prefetch_depth`](crate::pipeline::PipelineConfig::prefetch_depth)):
 //! producers batch encoded messages
-//! and ship each batch over one non-blocking link reservation, completing
-//! the previous batch (wait + per-message append) while the next one is
+//! and ship each batch over one non-blocking link reservation, which lands
+//! (per-message append) on its own deadline while the next batch is
 //! encoding; consumers fetch and reserve up to `prefetch_depth` batches
 //! ahead of the one being processed — a look-ahead window over
 //! non-blocking link reservations, no extra thread — so batch N+1 crosses
@@ -62,14 +66,14 @@
 //! spans (network spans share the batch's wall-clock window, carrying the
 //! message's own byte count).
 //!
-//! **Fan-in scale-out** (off by default; see
-//! [`PipelineConfig::producer_threads`](crate::pipeline::PipelineConfig::producer_threads)):
-//! with `producer_threads = Some(k)`
-//! the dedicated per-device producer tasks are replaced by `k` engine
-//! workers multiplexing every device over one deadline queue, so a
-//! 1024-device cell needs `k` edge cores instead of 1024. Per-device
-//! message sets are identical between the two shapes under a fixed seed.
-//! On the consumer side any number of members share `reactor_threads`
+//! **Fan-in scale-out**: any number of devices share
+//! [`producer_threads`](crate::pipeline::PipelineConfig::producer_threads)
+//! edge threads (default: the edge pilot's cores) — a device waiting for
+//! its send time, its linger window or a transfer is a timer, not a thread
+//! — so a 1024-device cell runs on 2 edge cores. Per-device message sets
+//! are identical at every thread count under a fixed seed. Likewise any
+//! number of members share
+//! [`reactor_threads`](crate::pipeline::PipelineConfig::reactor_threads)
 //! threads (default: the cloud pilot's cores); each member fetches all its
 //! partitions in one non-blocking sweep and parks on the broker's arrival
 //! registry, pausing partitions whose sentinel arrived.
@@ -138,8 +142,10 @@ pub(crate) struct Shared {
     /// `telemetry_sample_ms` is unset) keeps every hot-path update a single
     /// null check.
     pub(crate) gauges: Option<Arc<StageGauges>>,
-    /// The reactor driving every consumer member.
-    pub(crate) reactor: pilot_dataflow::LocalExecutor,
+    /// The reactor driving every device task: the edge pilot's cores.
+    pub(crate) edge_reactor: pilot_dataflow::LocalExecutor,
+    /// The reactor driving every consumer member: the cloud pilot's cores.
+    pub(crate) cloud_reactor: pilot_dataflow::LocalExecutor,
 }
 
 impl Shared {
@@ -162,16 +168,19 @@ impl Shared {
         self.stop_all.load(Ordering::Relaxed)
     }
 
+    /// Raise the pipeline-wide stop flag and re-queue every task of both
+    /// reactors, so a device parked on its next send and a member parked on
+    /// the arrival registry observe it now.
+    pub(crate) fn stop(&self) {
+        self.stop_all.store(true, Ordering::Relaxed);
+        self.edge_reactor.wake_all();
+        self.cloud_reactor.wake_all();
+    }
+
     /// The stage gauges, when the telemetry plane is on.
     pub(crate) fn stage_gauges(&self) -> Option<&StageGauges> {
         self.gauges.as_deref()
     }
-}
-
-/// Factories captured for producer tasks.
-pub(crate) struct ProducerFns {
-    pub(crate) produce: crate::faas::ProduceFactory,
-    pub(crate) edge: crate::faas::EdgeFactory,
 }
 
 pub(crate) fn start(
@@ -226,10 +235,18 @@ pub(crate) fn start(
     let gauges = cfg
         .telemetry_sample_ms
         .map(|_| Arc::new(StageGauges::new(&metrics, cfg.devices)));
-    // A fixed pool of reactor threads drives every consumer member as a
-    // waker-based state machine: the cloud pilot's cores unless overridden,
-    // however many members the pipeline runs.
-    let reactor = pilot_dataflow::LocalExecutor::new(
+    // Two fixed pools of reactor threads, one per pilot, drive every device
+    // and every consumer member as polled state machines: the pilot's cores
+    // unless overridden, however many tasks the pipeline runs on them. They
+    // share no thread, so a `produce_edge` that blocks never stalls a
+    // consumer.
+    let edge_reactor = pilot_dataflow::LocalExecutor::new(
+        stages
+            .producer
+            .reactor_threads
+            .unwrap_or_else(|| edge.description().cores),
+    );
+    let cloud_reactor = pilot_dataflow::LocalExecutor::new(
         stages
             .consumer
             .reactor_threads
@@ -261,7 +278,8 @@ pub(crate) fn start(
         stop_all: AtomicBool::new(false),
         tune,
         gauges,
-        reactor,
+        edge_reactor,
+        cloud_reactor,
     });
     // The sampler thread snapshots the gauges every `telemetry_sample_ms`;
     // it is owned by the ctl (not by Shared), stopped on wait()/drop.
@@ -274,16 +292,20 @@ pub(crate) fn start(
         )
     });
 
-    let edge_client = edge
-        .client()
-        .map_err(|e| PipelineError::Task(e.to_string()))?;
-    let fns = Arc::new(ProducerFns {
-        produce: builder.produce_factory.clone().expect("validated"),
-        edge: builder.edge_factory.clone(),
-    });
-    let producers = producer::spawn_producers(&edge_client, &shared, &fns)?;
+    let produce = builder.produce_factory.as_ref().expect("validated");
+    let producers = shared
+        .edge_reactor
+        .spawn_all((0..cfg.devices).map(|device| {
+            let task = producer::DeviceProducer::new(
+                Arc::clone(&shared),
+                device,
+                produce,
+                &builder.edge_factory,
+            );
+            (format!("produce-edge-{device}"), Box::new(task) as _)
+        }));
 
-    let ctl = Arc::new(PipelineCtl::new(shared, cloud, sampler));
+    let ctl = Arc::new(PipelineCtl::new(shared, edge, cloud, sampler));
     ctl.spawn_consumers(cfg.processors)?;
     let running = RunningPipeline::new(ctl, producers);
     // Close the loop last: the controller's first tick already sees every

@@ -5,7 +5,7 @@
 //! one [`Gauge`] per instrumentation point under a stable name in the job's
 //! [`MetricsRegistry`] and stores the handles here. **Push** gauges are
 //! updated inline by the stage that owns the state (deadline-queue depth by
-//! the producer engine, in-flight batch bytes by the batcher, prefetch
+//! the device tasks, in-flight batch bytes by the batcher, prefetch
 //! occupancy by the consumer) — one relaxed atomic add on a path that
 //! already crosses a simulated network link. **Pull** gauges (link
 //! reservation queues, compute-pool occupancy, per-partition consumer lag)
@@ -24,8 +24,9 @@ use super::Shared;
 use pilot_metrics::{Gauge, MetricsRegistry, Probe};
 use std::sync::Arc;
 
-/// Stable gauge name: producer deadline-queue depth (devices parked in the
-/// engine, waiting for their next send deadline or a free worker).
+/// Stable gauge name: producer deadline-queue depth (device tasks parked on
+/// a deadline — their next send time, their batch's linger expiry, or a
+/// transfer's landing).
 pub const GAUGE_PRODUCER_QUEUE_DEPTH: &str = "producer.deadline_queue_depth";
 /// Stable gauge name: encoded bytes aboard in-flight producer batches
 /// (reservation issued, messages not yet appended).
@@ -81,9 +82,7 @@ pub fn partition_lag_gauge(partition: usize) -> String {
 /// `Option<Arc<_>>`); `None` means telemetry is off and every hot-path
 /// update short-circuits on the null check.
 pub(crate) struct StageGauges {
-    /// Devices parked in the producer engine(s). Dedicated engines all
-    /// share this one handle; their adds and subs sum into the cell-wide
-    /// depth, exactly like the multiplexed engine's single queue.
+    /// Device tasks parked on a deadline, summed over the cell.
     pub(crate) producer_queue_depth: Arc<Gauge>,
     /// Bytes aboard in-flight producer batches.
     pub(crate) inflight_batch_bytes: Arc<Gauge>,
@@ -187,8 +186,10 @@ impl StageGauges {
                 let Some(g) = reactor.gauges.as_deref() else {
                     return;
                 };
-                g.reactor_ready_depth.set(reactor.reactor.ready_depth());
-                g.reactor_poll_us.set(reactor.reactor.poll_time_us() as i64);
+                g.reactor_ready_depth
+                    .set(reactor.cloud_reactor.ready_depth());
+                g.reactor_poll_us
+                    .set(reactor.cloud_reactor.poll_time_us() as i64);
             }),
             Box::new(move || {
                 let Some(g) = storage.gauges.as_deref() else {

@@ -3,8 +3,8 @@
 //! modules; knob-composition and drop-semantics suites live in the
 //! workspace `tests/` directory.)
 
-use crate::faas::{CloudFactory, Context, ProcessOutcome};
-use crate::pipeline::EdgeToCloudPipeline;
+use crate::faas::{CloudFactory, Context, ProcessOutcome, ProduceFactory};
+use crate::pipeline::{EdgeToCloudPipeline, PipelineError};
 use crate::processors::{baseline_factory, datagen_produce_factory};
 use pilot_core::{Pilot, PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
@@ -212,4 +212,72 @@ fn abort_stops_early() {
     // completes quickly.
     let summary = running.wait(Duration::from_secs(10)).unwrap();
     assert!(summary.messages < 100_000);
+}
+
+/// Run a two-device paced pipeline — its streams would last for minutes —
+/// one of whose tasks panics: `wait` must name the panic well before its
+/// timeout and join both reactors' threads on the way out.
+fn assert_panic_is_reported(produce: ProduceFactory, cloud_fn: CloudFactory, panic_msg: &str) {
+    let svc = PilotComputeService::new();
+    let (edge, cloud) = pilots(&svc, 1, 1);
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(produce)
+        .process_cloud_function(cloud_fn)
+        .devices(2)
+        .rate_per_device(100.0)
+        .start()
+        .unwrap();
+    let shared = Arc::clone(&running.ctl.shared);
+    let t = std::time::Instant::now();
+    let err = running.wait(WAIT).unwrap_err();
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "wait() took {:?} to report a panicked task",
+        t.elapsed()
+    );
+    match &err {
+        PipelineError::Task(msg) => {
+            assert!(msg.contains("panicked") && msg.contains(panic_msg), "{msg}")
+        }
+        other => panic!("expected a task error, got {other}"),
+    }
+    let threads = shared.edge_reactor.thread_count() + shared.cloud_reactor.thread_count();
+    assert_eq!(threads, 0, "reactor threads leaked");
+}
+
+#[test]
+fn panicking_produce_edge_is_a_task_error() {
+    // Device 1 panics at its third message. One edge thread serves both
+    // devices, before and after the panic.
+    let inner = datagen_produce_factory(DataGenConfig::paper(10), 100_000);
+    let produce: ProduceFactory = Arc::new(move |ctx, device| {
+        let mut produce = inner(ctx, device);
+        let mut n = 0;
+        Box::new(move |ctx: &Context| {
+            n += 1;
+            if device == 1 && n == 3 {
+                panic!("sensor fell off");
+            }
+            produce(ctx)
+        })
+    });
+    assert_panic_is_reported(produce, baseline_factory(), "sensor fell off");
+}
+
+#[test]
+fn panicking_process_cloud_is_a_task_error() {
+    let explosive: CloudFactory = Arc::new(|_ctx| {
+        let mut n = 0u64;
+        Box::new(move |_ctx: &Context, _block| {
+            n += 1;
+            if n == 3 {
+                panic!("model diverged");
+            }
+            Ok(ProcessOutcome::default())
+        })
+    });
+    let produce = datagen_produce_factory(DataGenConfig::paper(10), 100_000);
+    assert_panic_is_reported(produce, explosive, "model diverged");
 }

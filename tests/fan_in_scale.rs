@@ -1,9 +1,9 @@
-//! Fan-in scale-out integration tests (DESIGN.md §9): the multiplexed
-//! producer engine (`producer_threads`) and the multi-partition consumer
-//! fetch must preserve every delivery and determinism guarantee of the
-//! thread-per-device seed path — identical per-device message sets under a
-//! fixed seed, conservation across consumer-group rebalances when
-//! `processors << devices`, and unchanged defaults.
+//! Fan-in scale-out integration tests (DESIGN.md §9): devices multiplexed
+//! onto a few edge reactor threads (`producer_threads`) and the
+//! multi-partition consumer fetch must preserve every delivery and
+//! determinism guarantee of a thread per device — identical per-device
+//! message sets under a fixed seed, conservation across consumer-group
+//! rebalances when `processors << devices`, and unchanged defaults.
 
 use parking_lot::Mutex;
 use pilot_core::{PilotComputeService, PilotDescription};
@@ -58,9 +58,7 @@ fn capturing_factory(seen: Arc<Mutex<HashSet<(u64, u64)>>>) -> CloudFactory {
 
 #[test]
 fn defaults_leave_multiplexing_off() {
-    // Producer multiplexing is opt-in: a default config runs
-    // thread-per-device producers. The consumers' reactor is sized from
-    // the cloud pilot's cores unless overridden.
+    // Both reactors are sized from their pilot's cores unless overridden.
     let cfg = PipelineConfig::default();
     assert_eq!(cfg.producer_threads, None);
     assert_eq!(cfg.reactor_threads, None);
@@ -68,7 +66,7 @@ fn defaults_leave_multiplexing_off() {
 
 #[test]
 fn threaded_and_multiplexed_message_sets_match() {
-    // The same seeded workload through both engines: per-device message
+    // The same seeded workload at both thread counts: per-device message
     // sets (msg_id sequence + exact payload content) must be identical.
     // Per-device seeding makes every device's stream distinct, so the set
     // of (msg_id, content-hash) pairs across devices captures the full
@@ -101,15 +99,15 @@ fn threaded_and_multiplexed_message_sets_match() {
     assert_eq!(threaded.len(), DEVICES * MESSAGES);
     assert_eq!(
         threaded, multiplexed,
-        "multiplexed engine changed the message set"
+        "sharing edge threads changed the message set"
     );
 }
 
 #[test]
 fn multiplexed_with_batching_and_prefetch() {
-    // The engine must compose with the pipelined transport: per-device
-    // batching state lives inside each DeviceProducer, so interleaved
-    // stepping on two workers must not mix batches across devices.
+    // Shared edge threads must compose with the pipelined transport:
+    // per-device batching state lives inside each DeviceProducer, so
+    // interleaved polling on two threads must not mix batches across devices.
     let (edge, cloud) = pilots(2, 4);
     let summary = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
@@ -163,7 +161,7 @@ fn rebalance_with_few_processors_over_many_partitions() {
 
 #[test]
 fn multiplexed_respects_rate_pacing() {
-    // The deadline queue must reproduce the RateLimiter schedule: message n
+    // Device timers must reproduce the RateLimiter schedule: message n
     // of a device is due at epoch + n × interval, so 4 messages at 50 /s
     // cannot finish faster than ~3 intervals.
     let (edge, cloud) = pilots(2, 2);
@@ -189,7 +187,7 @@ fn multiplexed_respects_rate_pacing() {
 
 #[test]
 fn multiplexed_abort_drains_sentinels() {
-    // Abort mid-stream: engine workers must drain every device (batch
+    // Abort mid-stream: every device task must drain (batch
     // flush + sentinel) so wait() completes instead of timing out.
     let (edge, cloud) = pilots(2, 2);
     let running = EdgeToCloudPipeline::builder()
@@ -211,9 +209,21 @@ fn multiplexed_abort_drains_sentinels() {
 
 #[test]
 fn small_edge_pilot_hosts_many_devices() {
-    // The capacity check follows the engine: 2 edge cores cannot host 64
-    // thread-per-device producers, but they can drive 64 multiplexed ones.
+    // The capacity check is about threads, not devices: 2 edge cores drive
+    // 64 devices with `producer_threads` unset (2 edge reactor threads) as
+    // well as with it set to 2 — but cannot lend 4 threads.
     let (edge, cloud) = pilots(2, 2);
+    let summary = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge.clone())
+        .pilot_cloud_processing(cloud.clone())
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(5), 2))
+        .process_cloud_function(pilot_edge::processors::baseline_factory())
+        .devices(64)
+        .processors(2)
+        .run(WAIT)
+        .unwrap();
+    assert_eq!(summary.messages, 128, "64 devices × 2 messages");
+    assert_eq!(summary.errors, 0);
     let err = EdgeToCloudPipeline::builder()
         .pilot_edge(edge.clone())
         .pilot_cloud_processing(cloud.clone())
@@ -221,6 +231,7 @@ fn small_edge_pilot_hosts_many_devices() {
         .process_cloud_function(pilot_edge::processors::baseline_factory())
         .devices(64)
         .processors(2)
+        .producer_threads(4)
         .start()
         .unwrap_err();
     assert!(matches!(err, pilot_edge::PipelineError::Capacity(_)));

@@ -167,6 +167,27 @@ fn pilot_energy_grows_with_work() {
 }
 
 #[test]
+fn edge_pilot_is_billed_for_producing() {
+    // The devices run on the edge pilot's cores: the time its reactor
+    // spent producing, encoding and shipping is the pilot's busy time.
+    let svc = PilotComputeService::new();
+    let (edge, cloud) = pilots(&svc);
+    assert_eq!(edge.energy().busy_secs(), 0.0);
+    EdgeToCloudPipeline::builder()
+        .pilot_edge(edge.clone())
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(2000), 10))
+        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .devices(2)
+        .run(WAIT)
+        .unwrap();
+    assert!(
+        edge.energy().busy_secs() > 0.0,
+        "edge reactor poll time billed to the edge pilot"
+    );
+}
+
+#[test]
 fn custom_counters_flow_through_context() {
     let svc = PilotComputeService::new();
     let (edge, cloud) = pilots(&svc);

@@ -322,6 +322,62 @@ fn lookahead_overlaps_transfer_with_processing_only_at_positive_depth() {
 }
 
 #[test]
+fn paced_batch_lands_within_linger_plus_flight() {
+    // One device at 2 msg/s, batching on, loopback links. A batch ships by
+    // the time its linger window closes and lands when its transfer is due
+    // — not when the device next sends, 500 ms later, and for the last
+    // message not only at the end of the stream. Read off the spans:
+    // processing starts well within one send interval of the message
+    // leaving its producer. At a 400 ms linger the window closes before
+    // the next send too, so nothing can join the batch and it ships at
+    // once instead of waiting the window out.
+    for linger_ms in [2, 400] {
+        paced_messages_reach_their_processor_promptly(Duration::from_millis(linger_ms));
+    }
+}
+
+fn paced_messages_reach_their_processor_promptly(linger: Duration) {
+    const MESSAGES: usize = 4;
+    let (edge, cloud) = pilots(1, 1);
+    let registry = MetricsRegistry::new();
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), MESSAGES))
+        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .metrics(registry.clone())
+        .devices(1)
+        .rate_per_device(2.0)
+        .batch_max_bytes(64 * 1024)
+        .linger(linger)
+        .start()
+        .unwrap();
+    let job_id = running.job_id();
+    let summary = running.wait(WAIT).unwrap();
+    assert_eq!(summary.messages as usize, MESSAGES);
+    assert_eq!(summary.errors, 0);
+    let mut produced = HashMap::new();
+    let mut processing = HashMap::new();
+    for span in registry.snapshot().iter().filter(|s| s.job_id == job_id) {
+        match span.component {
+            Component::EdgeProducer => produced.insert(span.msg_id, span.end_us),
+            Component::CloudProcessor => processing.insert(span.msg_id, span.start_us),
+            _ => None,
+        };
+    }
+    assert_eq!(produced.len(), MESSAGES);
+    for (msg, left_producer_us) in produced {
+        let waited_us = processing[&msg].saturating_sub(left_producer_us);
+        assert!(
+            waited_us < 250_000,
+            "linger {linger:?}: message {msg} reached its processor {waited_us} µs \
+             after it was produced: its batch waited for the next send or for \
+             a window nothing could join"
+        );
+    }
+}
+
+#[test]
 fn prefetch_hot_swap_mid_stream() {
     // Function replacement while look-ahead batches are in flight: the
     // swap must take effect without dropping them.
