@@ -300,8 +300,8 @@ fn main() {
             e.cause.lag,
             e.cause.verdict,
             e.action.label(),
-            e.before,
-            e.after,
+            e.action.before(),
+            e.action.after(),
             e.cause.bottleneck.as_deref().unwrap_or("-"),
         );
     }

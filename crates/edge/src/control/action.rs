@@ -1,70 +1,21 @@
 //! Typed control actions and the append-only action journal.
 //!
-//! Every decision the controller makes is a value of [`Action`]; every
-//! applied decision is journalled as a [`ControlEvent`] carrying the
+//! Every decision the controller makes — and every operator tune from the
+//! gateway — is a value of [`Action`]; every applied one is journalled, in
+//! the pipeline's one journal, as a [`ControlEvent`] carrying the
 //! [`Cause`] (observed lag, hysteresis verdict, attributed bottleneck) and
 //! the gauge snapshot that triggered it — so a run's adaptation history is
 //! fully replayable from the journal alone.
 
+use super::Knob;
 use std::time::Duration;
-
-/// Which knob an [`Action`] turns. Cooldowns are tracked per knob: two
-/// actions on the same knob are never closer than the configured cooldown,
-/// while distinct knobs may fire on consecutive ticks (escalation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Knob {
-    /// Consumer-pool size (`scale_processors`).
-    Processors,
-    /// Intra-task compute-pool width (`ComputePool::set_width`).
-    Compute,
-    /// Producer batch threshold (`TuneTable::set_batch_max_bytes`).
-    Batch,
-    /// Prefetch admission depth (`TuneTable::set_prefetch_depth`).
-    Prefetch,
-    /// Per-partition fetch budget (`TuneTable::set_fetch_max`).
-    Fetch,
-    /// Where the processing function runs (model migration).
-    Placement,
-    /// Producer linger window (`TuneTable::set_linger`). Turned only by
-    /// external operators (the gateway's `POST /control/tune`), never by
-    /// the controller core itself.
-    Linger,
-}
-
-impl Knob {
-    pub(crate) const COUNT: usize = 7;
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Knob::Processors => 0,
-            Knob::Compute => 1,
-            Knob::Batch => 2,
-            Knob::Prefetch => 3,
-            Knob::Fetch => 4,
-            Knob::Placement => 5,
-            Knob::Linger => 6,
-        }
-    }
-}
 
 /// One typed control decision. `from`/`to` carry the knob level before and
 /// after, so the journal needs no out-of-band state to interpret.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
-    /// Grow or shrink the consumer pool to `to` members.
-    ScaleProcessors { from: usize, to: usize },
-    /// Widen or narrow the shared compute pool to `to` worker threads.
-    ResizeComputePool { from: usize, to: usize },
-    /// Widen (or, at 0, disable) producer batching.
-    SetBatchMaxBytes { from: usize, to: usize },
-    /// Deepen or shallow the consumer prefetch admission gate.
-    SetPrefetchDepth { from: usize, to: usize },
-    /// Raise or lower the per-partition fetch budget.
-    SetFetchMax { from: usize, to: usize },
-    /// Set the producer linger window (µs). Emitted only for externally
-    /// requested tunes (`Verdict::External`); the controller core never
-    /// turns this knob on its own.
-    SetLinger { from_us: u64, to_us: u64 },
+    /// Move `knob` from level `from` to level `to` (linger in µs).
+    Set { knob: Knob, from: usize, to: usize },
     /// Hot-swap processing to the migration policy's edge-side factory
     /// (shed WAN bytes when the edge→broker link is the bottleneck).
     MigrateToEdge,
@@ -76,12 +27,7 @@ impl Action {
     /// The knob this action turns (for cooldown bookkeeping).
     pub fn knob(&self) -> Knob {
         match self {
-            Action::ScaleProcessors { .. } => Knob::Processors,
-            Action::ResizeComputePool { .. } => Knob::Compute,
-            Action::SetBatchMaxBytes { .. } => Knob::Batch,
-            Action::SetPrefetchDepth { .. } => Knob::Prefetch,
-            Action::SetFetchMax { .. } => Knob::Fetch,
-            Action::SetLinger { .. } => Knob::Linger,
+            Action::Set { knob, .. } => *knob,
             Action::MigrateToEdge | Action::MigrateToCloud => Knob::Placement,
         }
     }
@@ -89,12 +35,7 @@ impl Action {
     /// Knob level before the action (placement encoded 0 = cloud, 1 = edge).
     pub fn before(&self) -> i64 {
         match self {
-            Action::ScaleProcessors { from, .. }
-            | Action::ResizeComputePool { from, .. }
-            | Action::SetBatchMaxBytes { from, .. }
-            | Action::SetPrefetchDepth { from, .. }
-            | Action::SetFetchMax { from, .. } => *from as i64,
-            Action::SetLinger { from_us, .. } => *from_us as i64,
+            Action::Set { from, .. } => *from as i64,
             Action::MigrateToEdge => 0,
             Action::MigrateToCloud => 1,
         }
@@ -103,12 +44,7 @@ impl Action {
     /// Knob level after the action (placement encoded 0 = cloud, 1 = edge).
     pub fn after(&self) -> i64 {
         match self {
-            Action::ScaleProcessors { to, .. }
-            | Action::ResizeComputePool { to, .. }
-            | Action::SetBatchMaxBytes { to, .. }
-            | Action::SetPrefetchDepth { to, .. }
-            | Action::SetFetchMax { to, .. } => *to as i64,
-            Action::SetLinger { to_us, .. } => *to_us as i64,
+            Action::Set { to, .. } => *to as i64,
             Action::MigrateToEdge => 1,
             Action::MigrateToCloud => 0,
         }
@@ -117,12 +53,7 @@ impl Action {
     /// Short stable label for CSV output and logs.
     pub fn label(&self) -> &'static str {
         match self {
-            Action::ScaleProcessors { .. } => "scale_processors",
-            Action::ResizeComputePool { .. } => "resize_compute_pool",
-            Action::SetBatchMaxBytes { .. } => "set_batch_max_bytes",
-            Action::SetPrefetchDepth { .. } => "set_prefetch_depth",
-            Action::SetFetchMax { .. } => "set_fetch_max",
-            Action::SetLinger { .. } => "set_linger",
+            Action::Set { knob, .. } => knob.label(),
             Action::MigrateToEdge => "migrate_to_edge",
             Action::MigrateToCloud => "migrate_to_cloud",
         }
@@ -167,19 +98,16 @@ pub struct Cause {
     pub bottleneck: Option<String>,
 }
 
-/// One entry of the append-only action journal.
+/// One entry of a pipeline's append-only action journal.
 #[derive(Debug, Clone)]
 pub struct ControlEvent {
-    /// Time since the controller started.
+    /// Time since the pipeline started (one clock for the controller and
+    /// operator tunes alike).
     pub at: Duration,
     /// What triggered the decision.
     pub cause: Cause,
     /// The typed decision.
     pub action: Action,
-    /// Knob level before (mirrors `action`, for flat CSV export).
-    pub before: i64,
-    /// Knob level after.
-    pub after: i64,
     /// The latest telemetry frame's gauge levels at decision time (empty
     /// when the telemetry plane is off).
     pub gauges: Vec<(String, i64)>,

@@ -24,7 +24,8 @@
 //! their minimum bounds in reverse-cost order: restore cloud placement,
 //! −processor, −compute, shallower prefetch, halve fetch, halve batch.
 
-use super::action::{Action, Cause, Knob, Verdict};
+use super::action::{Action, Cause, Verdict};
+use super::{ControllerConfig, Knob};
 use crate::planner::{size_processors, Calibration, PlannerInput};
 use std::time::Duration;
 
@@ -46,10 +47,10 @@ pub enum BottleneckStage {
     Other,
 }
 
-/// Per-knob bounds the controller must stay within. An action whose target
-/// would leave `[min, max]` is never emitted; when *every* candidate is at
-/// its bound the controller is a guaranteed no-op (`tests/control.rs` pins
-/// this).
+/// Per-knob bounds the controller must stay within, read per knob through
+/// [`ControlBounds::range`]. An action whose target would leave
+/// `[min, max]` is never emitted; when *every* candidate is at its bound
+/// the controller is a guaranteed no-op (`tests/control.rs` pins this).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlBounds {
     /// Never shrink the consumer pool below this.
@@ -120,18 +121,10 @@ impl ControlBounds {
     }
 
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let pairs = [
-            ("processors", self.min_processors, self.max_processors),
-            ("compute", self.min_compute, self.max_compute),
-            ("batch_bytes", self.min_batch_bytes, self.max_batch_bytes),
-            ("prefetch", self.min_prefetch, self.max_prefetch),
-            ("fetch_max", self.min_fetch_max, self.max_fetch_max),
-        ];
-        for (name, min, max) in pairs {
+        for knob in Knob::ALL {
+            let (min, max) = self.range(knob);
             if min > max {
-                return Err(format!(
-                    "controller bounds: min_{name} {min} > max_{name} {max}"
-                ));
+                return Err(format!("controller bounds: {knob:?} min {min} > max {max}"));
             }
         }
         if self.min_processors == 0 {
@@ -146,7 +139,8 @@ impl ControlBounds {
 /// clock — the core itself never reads wall time.
 #[derive(Debug, Clone)]
 pub struct Observation {
-    /// Time since the controller started (the cooldown clock).
+    /// The cooldown clock: time since the pipeline started, the journal's
+    /// clock (any monotonic origin works for the core).
     pub now: Duration,
     /// Total consumer-group lag (records).
     pub lag: u64,
@@ -166,22 +160,10 @@ pub struct Observation {
     pub fetch_max: usize,
 }
 
-/// Static configuration of the decision core (a subset of
-/// [`super::ControllerConfig`], without the thread/plumbing fields).
-#[derive(Debug, Clone)]
-pub(crate) struct CoreConfig {
-    pub(crate) lag_bound: u64,
-    pub(crate) lag_low: u64,
-    pub(crate) hysteresis: usize,
-    pub(crate) cooldown: Duration,
-    pub(crate) bounds: ControlBounds,
-    pub(crate) migration_available: bool,
-}
-
 /// The deterministic decision state machine: hysteresis counters, per-knob
 /// last-fired times, and the tracked placement.
 pub struct ControllerCore {
-    cfg: CoreConfig,
+    cfg: ControllerConfig,
     over: usize,
     under: usize,
     placement_edge: bool,
@@ -189,7 +171,12 @@ pub struct ControllerCore {
 }
 
 impl ControllerCore {
-    pub(crate) fn new(cfg: CoreConfig) -> Self {
+    /// Build a core from a controller config — what the controller thread
+    /// runs, and the entry point for property tests driving the pure logic
+    /// without a pipeline.
+    pub fn from_config(config: &ControllerConfig) -> Self {
+        let mut cfg = config.clone();
+        cfg.hysteresis = cfg.hysteresis.max(1);
         Self {
             cfg,
             over: 0,
@@ -197,24 +184,6 @@ impl ControllerCore {
             placement_edge: false,
             last_fired: [None; Knob::COUNT],
         }
-    }
-
-    /// Build a core directly from a controller config — the entry point
-    /// for property tests driving the pure logic without a pipeline.
-    pub fn from_config(config: &super::ControllerConfig) -> Self {
-        Self::new(CoreConfig {
-            lag_bound: config.lag_bound,
-            lag_low: config.lag_low,
-            hysteresis: config.hysteresis.max(1),
-            cooldown: config.cooldown,
-            bounds: config.bounds.clone(),
-            migration_available: config.migration.is_some(),
-        })
-    }
-
-    /// Whether the core currently believes processing runs at the edge.
-    pub fn placement_edge(&self) -> bool {
-        self.placement_edge
     }
 
     /// Feed one observation; returns the released decision, if any.
@@ -310,96 +279,108 @@ impl ControllerCore {
     }
 
     fn grow_processors(&self, obs: &Observation) -> Option<Action> {
-        let to = (obs.processors + 1).min(self.cfg.bounds.max_processors);
-        (to > obs.processors).then_some(Action::ScaleProcessors {
-            from: obs.processors,
-            to,
-        })
+        let (_, max) = self.cfg.bounds.range(Knob::Processors);
+        raise(
+            Knob::Processors,
+            obs.processors,
+            (obs.processors + 1).min(max),
+        )
     }
 
     fn shrink_processors(&self, obs: &Observation) -> Option<Action> {
-        (obs.processors > self.cfg.bounds.min_processors).then_some(Action::ScaleProcessors {
-            from: obs.processors,
-            to: obs.processors - 1,
-        })
+        let (min, _) = self.cfg.bounds.range(Knob::Processors);
+        (obs.processors > min).then(|| set(Knob::Processors, obs.processors, obs.processors - 1))
     }
 
     fn grow_compute(&self, obs: &Observation) -> Option<Action> {
-        let to = (obs.compute_width + 1).min(self.cfg.bounds.max_compute);
-        (to > obs.compute_width).then_some(Action::ResizeComputePool {
-            from: obs.compute_width,
-            to,
-        })
+        let (_, max) = self.cfg.bounds.range(Knob::Compute);
+        raise(
+            Knob::Compute,
+            obs.compute_width,
+            (obs.compute_width + 1).min(max),
+        )
     }
 
     fn shrink_compute(&self, obs: &Observation) -> Option<Action> {
-        (obs.compute_width > self.cfg.bounds.min_compute).then_some(Action::ResizeComputePool {
-            from: obs.compute_width,
-            to: obs.compute_width - 1,
-        })
+        let (min, _) = self.cfg.bounds.range(Knob::Compute);
+        (obs.compute_width > min)
+            .then(|| set(Knob::Compute, obs.compute_width, obs.compute_width - 1))
     }
 
     /// First widen turns batching on at 64 KiB; after that the threshold
     /// doubles up to the bound.
     fn widen_batch(&self, obs: &Observation) -> Option<Action> {
+        let (min, max) = self.cfg.bounds.range(Knob::Batch);
+        if max == 0 {
+            return None;
+        }
         let cur = obs.batch_max_bytes;
         let target = if cur == 0 {
             64 * 1024
         } else {
             cur.saturating_mul(2)
         };
-        let to = target.clamp(
-            self.cfg.bounds.min_batch_bytes.max(1),
-            self.cfg.bounds.max_batch_bytes.max(1),
-        );
-        (self.cfg.bounds.max_batch_bytes > 0 && to > cur)
-            .then_some(Action::SetBatchMaxBytes { from: cur, to })
+        raise(Knob::Batch, cur, target.clamp(min.max(1), max))
     }
 
     fn narrow_batch(&self, obs: &Observation) -> Option<Action> {
+        let (min, _) = self.cfg.bounds.range(Knob::Batch);
         let cur = obs.batch_max_bytes;
-        if cur <= self.cfg.bounds.min_batch_bytes {
+        if cur <= min {
             return None;
         }
-        let to = (cur / 2).max(self.cfg.bounds.min_batch_bytes);
-        (to < cur).then_some(Action::SetBatchMaxBytes { from: cur, to })
+        lower(Knob::Batch, cur, (cur / 2).max(min))
     }
 
     /// Policy: a pipeline configured without look-ahead keeps depth 0 —
     /// the controller deepens a window the operator opened, it does not
     /// open one (any member would honour a live depth at its next poll).
     fn deepen_prefetch(&self, obs: &Observation) -> Option<Action> {
+        let (_, max) = self.cfg.bounds.range(Knob::Prefetch);
         let cur = obs.prefetch_depth;
-        let to = (cur + 1).min(self.cfg.bounds.max_prefetch);
-        (cur > 0 && to > cur).then_some(Action::SetPrefetchDepth { from: cur, to })
+        if cur == 0 {
+            return None;
+        }
+        raise(Knob::Prefetch, cur, (cur + 1).min(max))
     }
 
     fn shallow_prefetch(&self, obs: &Observation) -> Option<Action> {
+        let (min, _) = self.cfg.bounds.range(Knob::Prefetch);
         let cur = obs.prefetch_depth;
-        let floor = self.cfg.bounds.min_prefetch.max(1);
-        (cur > floor).then_some(Action::SetPrefetchDepth {
-            from: cur,
-            to: cur - 1,
-        })
+        (cur > min.max(1)).then(|| set(Knob::Prefetch, cur, cur - 1))
     }
 
     fn grow_fetch(&self, obs: &Observation) -> Option<Action> {
+        let (_, max) = self.cfg.bounds.range(Knob::Fetch);
         let cur = obs.fetch_max.max(1);
-        let to = cur.saturating_mul(2).min(self.cfg.bounds.max_fetch_max);
-        (to > cur).then_some(Action::SetFetchMax { from: cur, to })
+        raise(Knob::Fetch, cur, cur.saturating_mul(2).min(max))
     }
 
     fn shrink_fetch(&self, obs: &Observation) -> Option<Action> {
+        let (min, _) = self.cfg.bounds.range(Knob::Fetch);
         let cur = obs.fetch_max.max(1);
-        let to = (cur / 2).max(self.cfg.bounds.min_fetch_max).max(1);
-        (to < cur).then_some(Action::SetFetchMax { from: cur, to })
+        lower(Knob::Fetch, cur, (cur / 2).max(min).max(1))
     }
 
     fn migrate_to_edge(&self) -> Option<Action> {
-        (self.cfg.migration_available && !self.placement_edge).then_some(Action::MigrateToEdge)
+        (self.cfg.migration.is_some() && !self.placement_edge).then_some(Action::MigrateToEdge)
     }
 
     fn migrate_to_cloud(&self) -> Option<Action> {
         self.placement_edge.then_some(Action::MigrateToCloud)
     }
+}
+
+fn set(knob: Knob, from: usize, to: usize) -> Action {
+    Action::Set { knob, from, to }
+}
+
+/// A `Set` when it raises the knob.
+fn raise(knob: Knob, from: usize, to: usize) -> Option<Action> {
+    (to > from).then(|| set(knob, from, to))
+}
+
+/// A `Set` when it lowers the knob.
+fn lower(knob: Knob, from: usize, to: usize) -> Option<Action> {
+    (to < from).then(|| set(knob, from, to))
 }

@@ -19,7 +19,10 @@
 //! runs [`pilot_metrics::attribute`] over the recent span/frame window to
 //! find the dominant component, and feeds the [`ControllerCore`] decision
 //! machine. Released actions are applied to the live pipeline and appended
-//! to a journal of [`ControlEvent`]s; two gauges export the loop's own
+//! to the pipeline's one journal of [`ControlEvent`]s — the same journal,
+//! on the same clock, that operator tunes through the gateway append to.
+//! Every knob is declared once, in the [`Knob`] table. Two gauges export
+//! the loop's own
 //! activity to the same telemetry plane it consumes:
 //! [`GAUGE_CONTROL_ACTIONS`] (actions applied so far) and
 //! [`GAUGE_CONTROL_LAST_CAUSE`] (coded cause of the most recent action).
@@ -31,17 +34,18 @@
 
 mod action;
 mod core;
+mod knob;
 
-pub use action::{Action, Cause, ControlEvent, Knob, Verdict};
+pub use action::{Action, Cause, ControlEvent, Verdict};
 pub use core::{BottleneckStage, ControlBounds, ControllerCore, Observation};
+pub use knob::Knob;
 
 use crate::faas::CloudFactory;
 use crate::runtime::PipelineCtl;
-use parking_lot::Mutex;
 use pilot_metrics::Component;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Gauge counting actions the controller has applied (monotonic).
 pub const GAUGE_CONTROL_ACTIONS: &str = "control.actions";
@@ -71,9 +75,8 @@ impl std::fmt::Debug for MigrationPolicy {
 }
 
 /// Controller tuning. Attach via
-/// [`PipelineConfig::controller`](crate::pipeline::PipelineConfig) (the
-/// runtime spawns it with the pipeline) or
-/// [`RunningPipeline::attach_controller`](crate::runtime::RunningPipeline::attach_controller).
+/// [`PipelineConfig::controller`](crate::pipeline::PipelineConfig): the
+/// runtime spawns the controller with the pipeline.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Sampling interval of the control loop.
@@ -136,26 +139,11 @@ impl ControllerConfig {
     }
 }
 
-/// Handle to a running controller thread: stop it, read its journal.
-pub struct ControllerHandle {
+/// Handle to a running controller thread; dropping it stops and joins the
+/// thread. The journal lives on the pipeline, not here.
+pub(crate) struct ControllerHandle {
     stop: Arc<AtomicBool>,
-    events: Arc<Mutex<Vec<ControlEvent>>>,
     thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ControllerHandle {
-    /// Stop the controller and join its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// The action journal so far (append-only; clones the entries).
-    pub fn events(&self) -> Vec<ControlEvent> {
-        self.events.lock().clone()
-    }
 }
 
 impl Drop for ControllerHandle {
@@ -167,51 +155,43 @@ impl Drop for ControllerHandle {
     }
 }
 
-/// The controller loop (spawned by the runtime when
-/// `PipelineConfig::controller` is set, or by `attach_controller`).
+/// The controller loop, spawned by the runtime when
+/// `PipelineConfig::controller` is set.
 pub(crate) struct Controller;
 
 impl Controller {
     pub(crate) fn spawn(ctl: Arc<PipelineCtl>, config: ControllerConfig) -> ControllerHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        let events = Arc::new(Mutex::new(Vec::new()));
         let stop2 = Arc::clone(&stop);
-        let events2 = Arc::clone(&events);
         let thread = std::thread::Builder::new()
             .name("pilot-edge-controller".into())
-            .spawn(move || Self::run(&ctl, &config, &stop2, &events2))
+            .spawn(move || Self::run(&ctl, &config, &stop2))
             .expect("spawn controller thread");
         ControllerHandle {
             stop,
-            events,
             thread: Some(thread),
         }
     }
 
-    fn run(
-        ctl: &PipelineCtl,
-        config: &ControllerConfig,
-        stop: &AtomicBool,
-        events: &Mutex<Vec<ControlEvent>>,
-    ) {
+    fn run(ctl: &PipelineCtl, config: &ControllerConfig, stop: &AtomicBool) {
         let metrics = ctl.shared.metrics();
         let actions_gauge = metrics.gauge(GAUGE_CONTROL_ACTIONS);
         let cause_gauge = metrics.gauge(GAUGE_CONTROL_LAST_CAUSE);
-        let started = Instant::now();
+        let tune = &ctl.shared.tune;
         let mut core = ControllerCore::from_config(config);
         while !stop.load(Ordering::Relaxed) && !ctl.is_stopped() && !ctl.all_done() {
             std::thread::sleep(config.tick);
-            let (bottleneck, label, gauges) = Self::sense(ctl, config);
+            let (bottleneck, label) = Self::sense(ctl, config);
             let obs = Observation {
-                now: started.elapsed(),
+                now: ctl.elapsed(),
                 lag: ctl.total_lag(),
                 bottleneck,
                 bottleneck_label: label,
                 processors: ctl.processor_count(),
                 compute_width: ctl.shared.ctx.compute.threads(),
-                batch_max_bytes: ctl.shared.tune.batch_max_bytes(),
-                prefetch_depth: ctl.shared.tune.prefetch_depth(),
-                fetch_max: ctl.shared.tune.fetch_max(),
+                batch_max_bytes: tune.batch_max_bytes(),
+                prefetch_depth: tune.prefetch_depth(),
+                fetch_max: tune.fetch_max(),
             };
             let Some((cause, action)) = core.observe(&obs) else {
                 continue;
@@ -219,40 +199,27 @@ impl Controller {
             if Self::apply(ctl, config, &action) {
                 actions_gauge.incr();
                 cause_gauge.set(cause_code(cause.verdict, obs.bottleneck));
-                events.lock().push(ControlEvent {
-                    at: obs.now,
-                    before: action.before(),
-                    after: action.after(),
-                    cause,
-                    action,
-                    gauges,
-                });
+                ctl.journal(cause, &[action]);
             }
         }
     }
 
-    /// One sensing pass: the latest gauge frame (for the journal) and —
-    /// when attribution is on and telemetry exists — the dominant
-    /// component of the most recent attribution window, mapped onto the
-    /// planner's stage model via the pipeline's own link names.
-    #[allow(clippy::type_complexity)]
+    /// One sensing pass: when attribution is on and telemetry exists, the
+    /// dominant component of the most recent attribution window, mapped
+    /// onto the planner's stage model via the pipeline's own link names.
     fn sense(
         ctl: &PipelineCtl,
         config: &ControllerConfig,
-    ) -> (Option<BottleneckStage>, Option<String>, Vec<(String, i64)>) {
+    ) -> (Option<BottleneckStage>, Option<String>) {
         let Some(sampler) = ctl.telemetry_sampler() else {
-            return (None, None, Vec::new());
+            return (None, None);
         };
-        let gauges: Vec<(String, i64)> = sampler
-            .latest()
-            .map(|f| f.values.iter().map(|(n, v)| (n.to_string(), *v)).collect())
-            .unwrap_or_default();
         if !config.use_attribution {
-            return (None, None, gauges);
+            return (None, None);
         }
         let frames = sampler.frames();
         if frames.len() < 2 {
-            return (None, None, gauges);
+            return (None, None);
         }
         let shared = &ctl.shared;
         // Only recent spans: the controller wants the bottleneck *now*,
@@ -269,7 +236,7 @@ impl Controller {
             .filter(|s| s.job_id == shared.ctx.job_id && s.end_us >= cutoff)
             .collect();
         if spans.is_empty() {
-            return (None, None, gauges);
+            return (None, None);
         }
         let attr = pilot_metrics::attribute(&spans, &frames, config.attribution_window_us);
         let dominant = attr
@@ -280,50 +247,34 @@ impl Controller {
             .cloned();
         let stage = dominant.as_ref().map(|c| map_component(ctl, c));
         let label = dominant.as_ref().map(|c| c.label());
-        (stage, label, gauges)
+        (stage, label)
     }
 
+    /// Apply a released action to the live pipeline; `false` when it
+    /// changed nothing (a migration without a policy, a pool already at
+    /// the requested width).
     fn apply(ctl: &PipelineCtl, config: &ControllerConfig, action: &Action) -> bool {
-        let tune = &ctl.shared.tune;
-        match action {
-            Action::ScaleProcessors { to, .. } => ctl.scale_processors(*to).is_ok(),
-            Action::ResizeComputePool { to, .. } => {
-                let applied = ctl.shared.ctx.compute.set_width(*to);
-                tune.set_compute_width(applied);
-                applied != action.before() as usize
-            }
-            Action::SetBatchMaxBytes { to, .. } => {
-                tune.set_batch_max_bytes(*to);
+        let migrate = |to: fn(&MigrationPolicy) -> &CloudFactory| match &config.migration {
+            Some(policy) => {
+                ctl.shared.cloud_slot.replace(Arc::clone(to(policy)));
                 true
             }
-            Action::SetPrefetchDepth { to, .. } => {
-                tune.set_prefetch_depth(*to);
-                true
-            }
-            Action::SetFetchMax { to, .. } => {
-                tune.set_fetch_max(*to);
-                true
-            }
-            // The core never emits linger actions (external-only knob);
-            // apply it anyway so a replayed journal stays executable.
-            Action::SetLinger { to_us, .. } => {
-                tune.set_linger(Duration::from_micros(*to_us));
-                true
-            }
-            Action::MigrateToEdge => match &config.migration {
-                Some(policy) => {
-                    ctl.shared.cloud_slot.replace(Arc::clone(&policy.to_edge));
-                    true
-                }
-                None => false,
-            },
-            Action::MigrateToCloud => match &config.migration {
-                Some(policy) => {
-                    ctl.shared.cloud_slot.replace(Arc::clone(&policy.to_cloud));
-                    true
-                }
-                None => false,
-            },
+            None => false,
+        };
+        match *action {
+            Action::Set {
+                knob: Knob::Processors,
+                to,
+                ..
+            } => ctl.scale_processors(to).is_ok(),
+            Action::Set {
+                knob: Knob::Compute,
+                from,
+                to,
+            } => ctl.shared.ctx.compute.set_width(to) != from,
+            Action::Set { knob, to, .. } => ctl.shared.tune.set(knob, to),
+            Action::MigrateToEdge => migrate(|p| &p.to_edge),
+            Action::MigrateToCloud => migrate(|p| &p.to_cloud),
         }
     }
 }

@@ -75,6 +75,5 @@ pub use faas::{CloudFactory, Context, EdgeFactory, ProcessOutcome, ProduceFactor
 pub use federation::{FederationConfig, FederationSummary, RunningFederation};
 pub use pilot_dataflow::ComputePool;
 pub use pipeline::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
-pub use runtime::config::{ConsumerConfig, ProducerConfig, StageConfigs, TransportConfig};
 pub use runtime::RunningPipeline;
 pub use summary::RunSummary;

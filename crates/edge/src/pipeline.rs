@@ -17,7 +17,7 @@ use crate::deployment::DeploymentMode;
 use crate::faas::{identity_edge_factory, CloudFactory, EdgeFactory, ProduceFactory};
 use crate::runtime::{self, RunningPipeline};
 use crate::summary::RunSummary;
-use pilot_broker::{BrokerError, RetentionPolicy};
+use pilot_broker::BrokerError;
 use pilot_core::{Pilot, PilotState};
 use pilot_metrics::MetricsRegistry;
 use pilot_netsim::Link;
@@ -42,8 +42,6 @@ pub struct PipelineConfig {
     pub rate_per_device: f64,
     /// Max records per consumer fetch.
     pub fetch_max: usize,
-    /// Broker retention.
-    pub retention: RetentionPolicy,
     /// Wire codec for blocks crossing the network (paper Section II-D:
     /// "data compression to ensure that the amount of data movement is
     /// minimal"). Consumers auto-detect, so it can differ between runs.
@@ -126,24 +124,13 @@ pub struct PipelineConfig {
     /// process. `Some(dir)` persists every partition of the pipeline topic
     /// under `dir` through the broker's segmented storage engine: appends
     /// mirror into per-partition segment files, a group-commit flusher
-    /// fsyncs all partitions once per commit window and advances the
-    /// durable watermark, cold segments are evicted from memory (bounding
+    /// fsyncs all partitions once per commit window (the engine defaults:
+    /// 5 ms or 1 MiB, whichever comes first) and advances the durable
+    /// watermark, cold segments are evicted from memory (bounding
     /// the resident footprint of unbounded runs), and reopening the same
     /// directory recovers the log — truncating any torn tail a crash left.
     /// See `pilot_broker::storage`.
     pub log_dir: Option<std::path::PathBuf>,
-    /// Group-commit window in milliseconds for the durable log (the
-    /// broker-side analogue of the producer [`Self::linger`]: one fsync
-    /// covers every append of every partition in the window). `None` with
-    /// `log_dir` set uses the engine default (5 ms). Requires `log_dir`;
-    /// `Some(0)` is rejected by [`Self::validate`].
-    pub fsync_interval_ms: Option<u64>,
-    /// Early-kick threshold for the group-commit flusher: when un-synced
-    /// bytes reach this figure the fsync happens immediately instead of
-    /// waiting out the interval. `None` with `log_dir` set uses the engine
-    /// default (1 MiB). Requires `log_dir`; `Some(0)` is rejected by
-    /// [`Self::validate`].
-    pub fsync_batch_bytes: Option<u64>,
     /// The feedback controller (DESIGN.md §15). `None` (the default) runs
     /// no control loop: no controller thread, no `control.*` gauges, a
     /// fixed-width compute pool, and every stage knob frozen at its
@@ -174,7 +161,6 @@ impl Default for PipelineConfig {
             topic: None,
             rate_per_device: 0.0,
             fetch_max: 4,
-            retention: RetentionPolicy::default(),
             codec: pilot_datagen::Codec::F64,
             compute_threads: None,
             batch_max_bytes: 0,
@@ -184,8 +170,6 @@ impl Default for PipelineConfig {
             telemetry_sample_ms: None,
             reactor_threads: None,
             log_dir: None,
-            fsync_interval_ms: None,
-            fsync_batch_bytes: None,
             controller: None,
             gateway: None,
         }
@@ -428,21 +412,6 @@ impl EdgeToCloudPipeline {
         self
     }
 
-    /// Group-commit fsync window in milliseconds (requires
-    /// [`Self::log_dir`]). See [`PipelineConfig::fsync_interval_ms`].
-    pub fn fsync_interval_ms(mut self, ms: u64) -> Self {
-        self.config.fsync_interval_ms = Some(ms);
-        self
-    }
-
-    /// Early-kick dirty-bytes threshold for the group-commit flusher
-    /// (requires [`Self::log_dir`]). See
-    /// [`PipelineConfig::fsync_batch_bytes`].
-    pub fn fsync_batch_bytes(mut self, bytes: u64) -> Self {
-        self.config.fsync_batch_bytes = Some(bytes);
-        self
-    }
-
     /// Attach the feedback controller: a control loop spawned with the
     /// pipeline that closes the telemetry→knob loop (consumer pool,
     /// compute width, batching, prefetch, fetch budget, model placement).
@@ -460,12 +429,6 @@ impl EdgeToCloudPipeline {
     /// [`RunningPipeline::gateway_addr`]: crate::runtime::RunningPipeline::gateway_addr
     pub fn gateway(mut self, config: pilot_gateway::GatewayConfig) -> Self {
         self.config.gateway = Some(config);
-        self
-    }
-
-    /// Override the full config.
-    pub fn config(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
         self
     }
 

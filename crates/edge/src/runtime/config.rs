@@ -1,76 +1,9 @@
-//! Per-stage configuration: the validated form of [`PipelineConfig`].
-//!
-//! The flat [`PipelineConfig`] (and its builder methods) stays the public
-//! compatibility surface; [`PipelineConfig::resolve`] turns it into
-//! [`StageConfigs`] — one sub-config per stage, checked by
-//! [`PipelineConfig::validate`] — at `start()`. The stages only ever see
-//! their own sub-config, so a knob cannot leak into the wrong stage.
+//! Validation of the flat [`PipelineConfig`]: `start()` checks it once and
+//! the runtime keeps the validated config itself; the live knobs among its
+//! fields seed the [`TuneTable`](super::TuneTable).
 
-use crate::deployment::DeploymentMode;
 use crate::pipeline::{PipelineConfig, PipelineError};
 use std::time::Duration;
-
-/// Producer-stage configuration (who produces, how fast, where edge
-/// processing runs).
-#[derive(Debug, Clone)]
-pub struct ProducerConfig {
-    /// Edge devices = broker partitions.
-    pub devices: usize,
-    /// Edge reactor threads driving the device tasks (`None` = the edge
-    /// pilot's core count, the default).
-    pub reactor_threads: Option<usize>,
-    /// Per-device send rate in messages/second (0 = unthrottled).
-    pub rate_per_device: f64,
-    /// Deployment modality (decides whether `process_edge` runs).
-    pub mode: DeploymentMode,
-}
-
-/// Transport-stage configuration (how encoded messages cross the
-/// edge→broker link).
-#[derive(Debug, Clone)]
-pub struct TransportConfig {
-    /// Wire codec for blocks crossing the network.
-    pub codec: pilot_datagen::Codec,
-    /// Producer batch threshold in encoded bytes (0 = serial per-message
-    /// transfers, the default).
-    pub batch_max_bytes: usize,
-    /// How long the first message of a batch may wait for batch-mates.
-    pub linger: Duration,
-}
-
-impl TransportConfig {
-    /// Whether producer batching (the pipelined transport) is on.
-    pub fn batching(&self) -> bool {
-        self.batch_max_bytes > 0
-    }
-}
-
-/// Consumer-stage configuration (fetch, look-ahead, and processor pool).
-#[derive(Debug, Clone)]
-pub struct ConsumerConfig {
-    /// Initial consumer-member count.
-    pub processors: usize,
-    /// Batches each consumer keeps in flight on the broker→cloud link
-    /// ahead of the one it is processing (0 = none, the default).
-    pub prefetch_depth: usize,
-    /// Max records per partition per fetch.
-    pub fetch_max: usize,
-    /// Reactor threads driving the consumer members (`None` = the cloud
-    /// pilot's core count, the default).
-    pub reactor_threads: Option<usize>,
-}
-
-/// The per-stage sub-configs resolved from a validated [`PipelineConfig`]
-/// at `start()`.
-#[derive(Debug, Clone)]
-pub struct StageConfigs {
-    /// Producer stage.
-    pub producer: ProducerConfig,
-    /// Edge→broker transport.
-    pub transport: TransportConfig,
-    /// Consumer stage.
-    pub consumer: ConsumerConfig,
-}
 
 impl PipelineConfig {
     /// Check knob consistency without needing pilots.
@@ -139,37 +72,6 @@ impl PipelineConfig {
                     .into(),
             ));
         }
-        if self.log_dir.is_none() {
-            if self.fsync_interval_ms.is_some() {
-                return Err(PipelineError::Config(
-                    "fsync_interval_ms requires log_dir (there is no durable \
-                     log for the fsync window to apply to)"
-                        .into(),
-                ));
-            }
-            if self.fsync_batch_bytes.is_some() {
-                return Err(PipelineError::Config(
-                    "fsync_batch_bytes requires log_dir (there is no durable \
-                     log for the early-kick threshold to apply to)"
-                        .into(),
-                ));
-            }
-        }
-        if self.fsync_interval_ms == Some(0) {
-            return Err(PipelineError::Config(
-                "fsync_interval_ms must be > 0 when set (a zero commit \
-                 window would fsync per append; omit it for the default)"
-                    .into(),
-            ));
-        }
-        if self.fsync_batch_bytes == Some(0) {
-            return Err(PipelineError::Config(
-                "fsync_batch_bytes must be > 0 when set (a zero threshold \
-                 would kick the flusher on every append; omit it for the \
-                 default)"
-                    .into(),
-            ));
-        }
         if let Some(ctl) = &self.controller {
             ctl.validate().map_err(PipelineError::Config)?;
         }
@@ -180,56 +82,14 @@ impl PipelineConfig {
         Ok(())
     }
 
-    /// Resolve the durable-log knobs into the broker's
-    /// [`DurabilityConfig`](pilot_broker::DurabilityConfig) — `None` when
-    /// [`log_dir`](PipelineConfig::log_dir) is unset (the seed memory-only
-    /// log). Assumes [`Self::validate`] passed.
+    /// The broker's [`DurabilityConfig`](pilot_broker::DurabilityConfig)
+    /// for [`log_dir`](PipelineConfig::log_dir) with the engine's
+    /// group-commit defaults — `None` when `log_dir` is unset (the seed
+    /// memory-only log).
     pub fn durability(&self) -> Option<pilot_broker::DurabilityConfig> {
-        let dir = self.log_dir.as_ref()?;
-        let (mut interval, mut batch_bytes) = match pilot_broker::SyncPolicy::group_commit_default()
-        {
-            pilot_broker::SyncPolicy::GroupCommit {
-                interval,
-                batch_bytes,
-            } => (interval, batch_bytes),
-            _ => unreachable!("default policy is group commit"),
-        };
-        if let Some(ms) = self.fsync_interval_ms {
-            interval = Duration::from_millis(ms);
-        }
-        if let Some(b) = self.fsync_batch_bytes {
-            batch_bytes = b;
-        }
-        Some(pilot_broker::DurabilityConfig::new(dir).with_policy(
-            pilot_broker::SyncPolicy::GroupCommit {
-                interval,
-                batch_bytes,
-            },
-        ))
-    }
-
-    /// Validate and split into per-stage sub-configs.
-    pub fn resolve(&self) -> Result<StageConfigs, PipelineError> {
-        self.validate()?;
-        Ok(StageConfigs {
-            producer: ProducerConfig {
-                devices: self.devices,
-                reactor_threads: self.producer_threads,
-                rate_per_device: self.rate_per_device,
-                mode: self.mode,
-            },
-            transport: TransportConfig {
-                codec: self.codec,
-                batch_max_bytes: self.batch_max_bytes,
-                linger: self.linger,
-            },
-            consumer: ConsumerConfig {
-                processors: self.processors,
-                prefetch_depth: self.prefetch_depth,
-                fetch_max: self.fetch_max,
-                reactor_threads: self.reactor_threads,
-            },
-        })
+        self.log_dir
+            .as_ref()
+            .map(pilot_broker::DurabilityConfig::new)
     }
 }
 
@@ -315,65 +175,13 @@ mod tests {
     }
 
     #[test]
-    fn fsync_knobs_require_log_dir() {
-        for cfg in [
-            PipelineConfig {
-                fsync_interval_ms: Some(5),
-                ..PipelineConfig::default()
-            },
-            PipelineConfig {
-                fsync_batch_bytes: Some(1 << 20),
-                ..PipelineConfig::default()
-            },
-        ] {
-            let err = cfg.validate().unwrap_err();
-            assert!(matches!(err, PipelineError::Config(_)), "{err}");
-            assert!(err.to_string().contains("log_dir"), "{err}");
-        }
-    }
-
-    #[test]
-    fn zero_fsync_knobs_rejected() {
-        let base = PipelineConfig {
-            log_dir: Some(std::env::temp_dir().join("pilot-knob-test")),
-            ..PipelineConfig::default()
-        };
-        assert!(base.validate().is_ok());
-        assert!(base.durability().is_some());
-        let cfg = PipelineConfig {
-            fsync_interval_ms: Some(0),
-            ..base.clone()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = PipelineConfig {
-            fsync_batch_bytes: Some(0),
-            ..base
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn durability_resolves_knobs_onto_policy() {
+    fn durability_is_log_dir_with_group_commit_defaults() {
         assert!(PipelineConfig::default().durability().is_none());
         let cfg = PipelineConfig {
             log_dir: Some(std::env::temp_dir().join("pilot-knob-test")),
-            fsync_interval_ms: Some(7),
-            fsync_batch_bytes: Some(4096),
             ..PipelineConfig::default()
         };
-        let d = cfg.durability().unwrap();
-        assert_eq!(
-            d.policy,
-            pilot_broker::SyncPolicy::GroupCommit {
-                interval: Duration::from_millis(7),
-                batch_bytes: 4096,
-            }
-        );
-        // Unset knobs fall back to the engine default.
-        let cfg = PipelineConfig {
-            log_dir: Some(std::env::temp_dir().join("pilot-knob-test")),
-            ..PipelineConfig::default()
-        };
+        assert!(cfg.validate().is_ok());
         assert_eq!(
             cfg.durability().unwrap().policy,
             pilot_broker::SyncPolicy::group_commit_default()
@@ -440,31 +248,5 @@ mod tests {
             ..PipelineConfig::default()
         };
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn resolve_maps_knobs_onto_stages() {
-        let cfg = PipelineConfig {
-            devices: 8,
-            processors: 2,
-            producer_threads: Some(3),
-            batch_max_bytes: 1024,
-            linger: Duration::from_millis(1),
-            prefetch_depth: 2,
-            reactor_threads: Some(4),
-            ..PipelineConfig::default()
-        };
-        let stages = cfg.resolve().unwrap();
-        assert_eq!(stages.producer.devices, 8);
-        assert_eq!(stages.producer.reactor_threads, Some(3));
-        assert!(stages.transport.batching());
-        assert_eq!(stages.consumer.processors, 2);
-        assert_eq!(stages.consumer.prefetch_depth, 2);
-        assert_eq!(stages.consumer.reactor_threads, Some(4));
-        let defaults = PipelineConfig::default().resolve().unwrap();
-        assert!(!defaults.transport.batching());
-        // Unset = sized from the edge / cloud pilot's cores at `start()`.
-        assert_eq!(defaults.producer.reactor_threads, None);
-        assert_eq!(defaults.consumer.reactor_threads, None);
     }
 }

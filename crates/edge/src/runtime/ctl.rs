@@ -7,9 +7,14 @@
 //! reactors so tasks drain at their next poll; and *dropping* a mid-run
 //! pipeline aborts and joins everything with a bounded grace period, so a
 //! dropped handle cannot leak tasks or reactor threads.
+//!
+//! The ctl also holds the pipeline's one control journal: controller
+//! decisions and operator tunes append to it, stamped on one clock (time
+//! since the pipeline started).
 
 use super::consumer::ConsumerStage;
 use super::Shared;
+use crate::control::{Action, Cause, ControlEvent, ControllerHandle};
 use crate::faas::{CloudFactory, Context};
 use crate::pipeline::PipelineError;
 use crate::summary::RunSummary;
@@ -40,6 +45,10 @@ pub(crate) struct PipelineCtl {
     /// Stopped explicitly at the end of `wait()` (so the final frame sees
     /// the drained gauge levels) and implicitly by its own `Drop`.
     telemetry: Option<TelemetrySampler>,
+    /// The journal clock's zero.
+    started: Instant,
+    /// Every applied control action, in the order applied.
+    journal: Mutex<Vec<ControlEvent>>,
 }
 
 impl PipelineCtl {
@@ -58,7 +67,40 @@ impl PipelineCtl {
             retired: Mutex::new(Vec::new()),
             next_member: AtomicUsize::new(0),
             telemetry,
+            started: Instant::now(),
+            journal: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Time since the pipeline started: the clock of the control journal.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Journal applied actions with their cause and the latest telemetry
+    /// frame's gauge levels (empty when the telemetry plane is off). One
+    /// call stamps one `at`; taking it under the lock keeps the journal in
+    /// time order whoever appends.
+    pub(crate) fn journal(&self, cause: Cause, actions: &[Action]) {
+        let gauges: Vec<(String, i64)> = self
+            .telemetry
+            .as_ref()
+            .and_then(|s| s.latest())
+            .map(|f| f.values.iter().map(|(n, v)| (n.to_string(), *v)).collect())
+            .unwrap_or_default();
+        let mut journal = self.journal.lock();
+        let at = self.elapsed();
+        journal.extend(actions.iter().map(|action| ControlEvent {
+            at,
+            cause: cause.clone(),
+            action: action.clone(),
+            gauges: gauges.clone(),
+        }));
+    }
+
+    /// The journal so far.
+    pub(crate) fn journal_events(&self) -> Vec<ControlEvent> {
+        self.journal.lock().clone()
     }
 
     /// Add `n` consumer members. All of them join the group in **one**
@@ -160,8 +202,6 @@ impl PipelineCtl {
                 // re-sync against the new generation instead of waiting
                 // for data (or the idle backstop) to surface it.
                 self.wake_reactor();
-                // Keep the tune-table mirror in step for observers.
-                self.shared.tune.set_processors(n);
                 return Ok(());
             }
             if current < n {
@@ -185,40 +225,26 @@ impl PipelineCtl {
 pub struct RunningPipeline {
     pub(crate) ctl: Arc<PipelineCtl>,
     /// One task per edge device, in device order.
-    producers: Vec<ReactorHandle>,
-    /// The attached feedback controller (`attach_controller` /
-    /// `PipelineConfig::controller`). One slot: attaching replaces the
-    /// previous one. `Arc`'d so the gateway's `/control/journal` handler
-    /// can read the journal without holding a `RunningPipeline` reference.
-    pub(crate) scaler: Arc<Mutex<Option<crate::control::ControllerHandle>>>,
+    pub(crate) producers: Vec<ReactorHandle>,
+    /// The feedback controller, when [`PipelineConfig::controller`] is set.
+    ///
+    /// [`PipelineConfig::controller`]: crate::pipeline::PipelineConfig::controller
+    pub(crate) controller: Option<ControllerHandle>,
     /// The observability gateway, when [`PipelineConfig::gateway`] is set.
     /// Lives here (not in [`PipelineCtl`]): its handlers capture
     /// `Arc<PipelineCtl>`, so storing it inside the ctl would cycle.
     ///
     /// [`PipelineConfig::gateway`]: crate::pipeline::PipelineConfig::gateway
-    gateway: Mutex<Option<pilot_gateway::Gateway>>,
+    pub(crate) gateway: Option<pilot_gateway::Gateway>,
 }
 
 impl RunningPipeline {
-    pub(crate) fn new(ctl: Arc<PipelineCtl>, producers: Vec<ReactorHandle>) -> Self {
-        Self {
-            ctl,
-            producers,
-            scaler: Arc::new(Mutex::new(None)),
-            gateway: Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn install_gateway(&self, gateway: pilot_gateway::Gateway) {
-        *self.gateway.lock() = Some(gateway);
-    }
-
     /// The bound address of the observability gateway, when
     /// [`PipelineConfig::gateway`] is set (resolves `:0` ephemeral ports).
     ///
     /// [`PipelineConfig::gateway`]: crate::pipeline::PipelineConfig::gateway
     pub fn gateway_addr(&self) -> Option<std::net::SocketAddr> {
-        self.gateway.lock().as_ref().map(|g| g.addr())
+        self.gateway.as_ref().map(|g| g.addr())
     }
 
     /// A handle to the broker carrying this pipeline's topic (the gateway's
@@ -271,34 +297,18 @@ impl RunningPipeline {
         self.ctl.scale_processors(n)
     }
 
-    /// Attach the feedback controller (DESIGN.md §15), closing the
-    /// telemetry→knob loop over this pipeline. Replaces any previously
-    /// attached controller. Called automatically by the
-    /// runtime when [`PipelineConfig::controller`] is set.
-    ///
-    /// [`PipelineConfig::controller`]: crate::pipeline::PipelineConfig::controller
-    pub fn attach_controller(&self, config: crate::control::ControllerConfig) {
-        let handle = crate::control::Controller::spawn(Arc::clone(&self.ctl), config);
-        if let Some(old) = self.scaler.lock().replace(handle) {
-            old.stop();
-        }
-    }
-
-    /// The attached control loop's full action journal: every applied
-    /// action with its cause, knob levels before/after, and the gauge
-    /// snapshot at decision time. Empty when no controller is attached
-    /// (the default — asserted zero-footprint in `tests/control.rs`).
-    pub fn control_events(&self) -> Vec<crate::control::ControlEvent> {
-        self.scaler
-            .lock()
-            .as_ref()
-            .map(|s| s.events())
-            .unwrap_or_default()
+    /// The pipeline's control journal: every action the controller or an
+    /// operator (the gateway's `POST /control/tune`) applied, in order, with
+    /// its cause and the gauge snapshot at decision time, stamped on one
+    /// clock. Empty when nothing tuned the pipeline (the default with no
+    /// controller — asserted zero-footprint in `tests/control.rs`).
+    pub fn control_events(&self) -> Vec<ControlEvent> {
+        self.ctl.journal_events()
     }
 
     /// The live knob table shared with the stages: batch threshold,
     /// linger, prefetch depth, fetch budget. Writes take effect within one
-    /// stage round; an attached controller writes the same cells.
+    /// stage round; the controller and the gateway write the same cells.
     pub fn tune(&self) -> Arc<crate::runtime::TuneTable> {
         Arc::clone(&self.ctl.shared.tune)
     }
@@ -335,10 +345,9 @@ impl RunningPipeline {
     /// 100 ms past it). Stopped tasks drain: devices flush and append their
     /// sentinels, members leave the group. The first task error is the
     /// run's; a task that does not settle in time is a timeout.
-    fn stop_and_join(&self, deadline: Instant) -> Result<(), PipelineError> {
-        if let Some(scaler) = self.scaler.lock().take() {
-            scaler.stop();
-        }
+    fn stop_and_join(&mut self, deadline: Instant) -> Result<(), PipelineError> {
+        // Dropping the controller's handle stops and joins its thread.
+        drop(self.controller.take());
         self.ctl.shared.stop();
         let consumers = std::mem::take(&mut *self.ctl.consumers.lock());
         let retired = std::mem::take(&mut *self.ctl.retired.lock());
@@ -364,9 +373,10 @@ impl RunningPipeline {
     /// Wait for the run to complete: producers finish their streams,
     /// consumers drain every partition's sentinel. Returns the run summary.
     /// A task that failed or panicked ends the run with its error.
-    pub fn wait(self, timeout: Duration) -> Result<RunSummary, PipelineError> {
+    pub fn wait(mut self, timeout: Duration) -> Result<RunSummary, PipelineError> {
         let deadline = Instant::now() + timeout;
-        let shared = &self.ctl.shared;
+        let ctl = Arc::clone(&self.ctl);
+        let shared = &ctl.shared;
         // A task that failed cleanly has raised the stop flag itself; one
         // that panicked only shows in its reactor's failure count.
         let halted = || {
@@ -404,7 +414,7 @@ impl RunningPipeline {
         // The gateway goes down before the sampler: its SSE streams poll
         // the sampler, and shutdown() joins the worker threads, so no
         // handler can observe a stopped telemetry plane.
-        if let Some(mut gw) = self.gateway.lock().take() {
+        if let Some(mut gw) = self.gateway.take() {
             gw.shutdown();
         }
         // Stop the sampler after every stage drained, so its final frame
@@ -422,7 +432,7 @@ impl RunningPipeline {
 }
 
 impl Drop for RunningPipeline {
-    /// Abort-and-join: stop the scaler, raise `stop_all`, wake both
+    /// Abort-and-join: stop the controller, raise `stop_all`, wake both
     /// reactors, and give the tasks a bounded grace period to drain. After
     /// a completed [`RunningPipeline::wait`] every task is already settled
     /// and this is instantaneous; after a mid-run drop the stages drain
@@ -431,7 +441,7 @@ impl Drop for RunningPipeline {
     /// pilots' cores are free for the next pipeline.
     fn drop(&mut self) {
         const GRACE: Duration = Duration::from_secs(5);
-        if let Some(mut gw) = self.gateway.lock().take() {
+        if let Some(mut gw) = self.gateway.take() {
             gw.shutdown();
         }
         let _ = self.stop_and_join(Instant::now() + GRACE);

@@ -17,17 +17,18 @@
 //! | `GET /telemetry/stream`  | SSE: each new frame + periodic bottleneck verdict |
 //! | `GET /top`               | the `pilot_top` table as JSON ([`TopView`])     |
 //! | `GET /trace`             | Chrome `trace_event` JSON, streamed to the socket |
-//! | `GET /control/journal`   | controller + external tune actions, merged      |
+//! | `GET /control/journal`   | the pipeline's control journal (controller + tunes) |
 //! | `POST /control/tune`     | set `TuneTable` knobs live, bounds-checked      |
 //! | `POST /produce`          | append a record to a topic partition            |
 //!
 //! External tunes are journalled as [`ControlEvent`]s with
-//! [`Verdict::External`] so `GET /control/journal` shows one causal
+//! [`Verdict::External`] into the pipeline's one journal, on the clock the
+//! controller's decisions use, so `GET /control/journal` shows one causal
 //! history: what the controller did, what an operator did, interleaved.
+//! The tune grammar is the knob table's wire names ([`Knob`]).
 
 use super::ctl::PipelineCtl;
-use crate::control::{Action, Cause, ControlBounds, ControlEvent, ControllerHandle, Verdict};
-use parking_lot::Mutex;
+use crate::control::{Action, Cause, ControlBounds, ControlEvent, Knob, Verdict};
 use pilot_broker::{BrokerError, Record};
 use pilot_gateway::{Gateway, GatewayConfig, Request, Response, Router, StopFlag};
 use pilot_metrics::{
@@ -38,11 +39,6 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Ceiling for externally set linger windows (10 s in µs): the knob has no
-/// [`ControlBounds`] entry because the controller core never turns it, so
-/// the gateway enforces its own sanity bound.
-pub const LINGER_MAX_US: u64 = 10_000_000;
-
 /// SSE frame poll interval.
 const STREAM_POLL: Duration = Duration::from_millis(25);
 /// Minimum spacing between two SSE bottleneck verdicts.
@@ -51,17 +47,13 @@ const VERDICT_EVERY: Duration = Duration::from_millis(250);
 const ATTRIBUTION_WINDOW_US: u64 = 250_000;
 
 /// Start the pipeline's gateway: build every endpoint around `ctl` and
-/// serve on `cfg.bind`. `scaler` is the controller slot (for the journal
-/// endpoint); `bounds` gates `POST /control/tune`.
+/// serve on `cfg.bind`. `bounds` gates `POST /control/tune`.
 pub(crate) fn start(
     cfg: &GatewayConfig,
     ctl: &Arc<PipelineCtl>,
-    scaler: &Arc<Mutex<Option<ControllerHandle>>>,
     bounds: ControlBounds,
 ) -> io::Result<Gateway> {
     let stop = StopFlag::new();
-    let journal: Arc<Mutex<Vec<ControlEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let started = Instant::now();
     let registry = ctl.shared.metrics().clone();
     let job_id = ctl.shared.ctx.job_id;
 
@@ -71,10 +63,8 @@ pub(crate) fn start(
     let stream_stop = stop.clone();
     let top_ctl = Arc::clone(ctl);
     let trace_ctl = Arc::clone(ctl);
-    let journal_scaler = Arc::clone(scaler);
-    let journal_log = Arc::clone(&journal);
+    let journal_ctl = Arc::clone(ctl);
     let tune_ctl = Arc::clone(ctl);
-    let tune_log = Arc::clone(&journal);
     let produce_ctl = Arc::clone(ctl);
 
     let router = Router::new()
@@ -150,19 +140,12 @@ pub(crate) fn start(
         .get(
             "/control/journal",
             Box::new(move |_req: &Request| {
-                let mut events: Vec<ControlEvent> = journal_scaler
-                    .lock()
-                    .as_ref()
-                    .map(|s| s.events())
-                    .unwrap_or_default();
-                events.extend(journal_log.lock().iter().cloned());
-                events.sort_by_key(|e| e.at);
-                Response::json(events_json(&events))
+                Response::json(events_json(&journal_ctl.journal_events()))
             }),
         )
         .post(
             "/control/tune",
-            Box::new(move |req: &Request| apply_tune(req, &tune_ctl, &bounds, &tune_log, started)),
+            Box::new(move |req: &Request| apply_tune(req, &tune_ctl, &bounds)),
         )
         .post(
             "/produce",
@@ -266,9 +249,9 @@ fn events_json(events: &[ControlEvent]) -> String {
         out.push_str(",\"action\":");
         push_json_string(&mut out, e.action.label());
         out.push_str(",\"before\":");
-        out.push_str(&e.before.to_string());
+        out.push_str(&e.action.before().to_string());
         out.push_str(",\"after\":");
-        out.push_str(&e.after.to_string());
+        out.push_str(&e.action.after().to_string());
         out.push_str(",\"cause\":{\"lag\":");
         out.push_str(&e.cause.lag.to_string());
         out.push_str(",\"verdict\":");
@@ -295,119 +278,59 @@ fn events_json(events: &[ControlEvent]) -> String {
 
 /// `POST /control/tune?batch_max_bytes=..&linger_us=..&prefetch_depth=..&fetch_max=..`
 ///
-/// Validates the whole request against `bounds` first (tracking the
-/// would-be state so `batch_max_bytes=65536&linger_us=2000` in one request
-/// is legal), then applies and journals every action. Any unknown knob,
-/// unparsable value, or out-of-bounds target rejects the request whole —
-/// nothing is applied.
-fn apply_tune(
-    req: &Request,
-    ctl: &PipelineCtl,
-    bounds: &ControlBounds,
-    journal: &Mutex<Vec<ControlEvent>>,
-    started: Instant,
-) -> Response {
+/// One loop over the knob table: each query parameter names a tunable
+/// [`Knob`], checked against its `bounds.range` while tracking the
+/// would-be state (so `batch_max_bytes=65536&linger_us=2000` in one request
+/// is legal). Any unknown knob, unparsable value, or out-of-bounds target
+/// rejects the request whole — nothing is applied. Then every action is
+/// applied and journalled, in request order.
+fn apply_tune(req: &Request, ctl: &PipelineCtl, bounds: &ControlBounds) -> Response {
     if req.query.is_empty() {
-        return Response::bad_request(
-            "no knobs given; supported: batch_max_bytes, linger_us, prefetch_depth, fetch_max",
-        );
+        return Response::bad_request(format!("no knobs given; supported: {}", Knob::supported()));
     }
     let tune = &ctl.shared.tune;
     // Validation pass over the planned state.
-    let mut batch = tune.batch_max_bytes();
+    let mut planned = Knob::ALL.map(|k| tune.get(k).unwrap_or_default());
     let mut actions: Vec<Action> = Vec::with_capacity(req.query.len());
-    for (knob, value) in &req.query {
+    for (name, value) in &req.query {
         let v: u64 = match value.parse() {
             Ok(v) => v,
             Err(_) => {
-                return Response::bad_request(format!("knob {knob}: not an integer: {value:?}"))
+                return Response::bad_request(format!("knob {name}: not an integer: {value:?}"))
             }
         };
-        let action = match knob.as_str() {
-            "batch_max_bytes" => {
-                let to = v as usize;
-                if to < bounds.min_batch_bytes || to > bounds.max_batch_bytes {
-                    return out_of_bounds(knob, v, bounds.min_batch_bytes, bounds.max_batch_bytes);
-                }
-                let from = batch;
-                batch = to;
-                Action::SetBatchMaxBytes { from, to }
-            }
-            "linger_us" => {
-                if v > LINGER_MAX_US {
-                    return out_of_bounds(knob, v, 0, LINGER_MAX_US as usize);
-                }
-                if v > 0 && batch == 0 {
-                    return Response::bad_request(
-                        "linger_us requires batching on (set batch_max_bytes > 0 first, \
-                         or in the same request)",
-                    );
-                }
-                Action::SetLinger {
-                    from_us: tune.linger().as_micros() as u64,
-                    to_us: v,
-                }
-            }
-            "prefetch_depth" => {
-                let to = v as usize;
-                if to < bounds.min_prefetch || to > bounds.max_prefetch {
-                    return out_of_bounds(knob, v, bounds.min_prefetch, bounds.max_prefetch);
-                }
-                Action::SetPrefetchDepth {
-                    from: tune.prefetch_depth(),
-                    to,
-                }
-            }
-            "fetch_max" => {
-                let to = v as usize;
-                if to < bounds.min_fetch_max || to > bounds.max_fetch_max {
-                    return out_of_bounds(knob, v, bounds.min_fetch_max, bounds.max_fetch_max);
-                }
-                Action::SetFetchMax {
-                    from: tune.fetch_max(),
-                    to,
-                }
-            }
-            other => {
-                return Response::bad_request(format!(
-                    "unknown knob {other:?}; supported: batch_max_bytes, linger_us, \
-                     prefetch_depth, fetch_max"
-                ))
-            }
+        let Some(knob) = Knob::parse(name) else {
+            return Response::bad_request(format!(
+                "unknown knob {name:?}; supported: {}",
+                Knob::supported()
+            ));
         };
-        actions.push(action);
+        let (min, max) = bounds.range(knob);
+        if v < min as u64 || v > max as u64 {
+            return out_of_bounds(name, v, min, max);
+        }
+        if knob == Knob::Linger && v > 0 && planned[Knob::Batch.index()] == 0 {
+            return Response::bad_request(
+                "linger_us requires batching on (set batch_max_bytes > 0 first, \
+                 or in the same request)",
+            );
+        }
+        let to = v as usize;
+        let from = std::mem::replace(&mut planned[knob.index()], to);
+        actions.push(Action::Set { knob, from, to });
     }
     // Apply pass: everything validated, nothing can fail now.
-    let lag = ctl.total_lag();
-    let gauges: Vec<(String, i64)> = ctl
-        .telemetry_sampler()
-        .and_then(|s| s.latest())
-        .map(|f| f.values.iter().map(|(n, v)| (n.to_string(), *v)).collect())
-        .unwrap_or_default();
-    let at = started.elapsed();
-    let mut applied = journal.lock();
     for action in &actions {
-        match action {
-            Action::SetBatchMaxBytes { to, .. } => tune.set_batch_max_bytes(*to),
-            Action::SetLinger { to_us, .. } => tune.set_linger(Duration::from_micros(*to_us)),
-            Action::SetPrefetchDepth { to, .. } => tune.set_prefetch_depth(*to),
-            Action::SetFetchMax { to, .. } => tune.set_fetch_max(*to),
-            _ => unreachable!("tune endpoint only builds knob-set actions"),
+        if let Action::Set { knob, to, .. } = *action {
+            tune.set(knob, to);
         }
-        applied.push(ControlEvent {
-            at,
-            cause: Cause {
-                lag,
-                verdict: Verdict::External,
-                bottleneck: None,
-            },
-            action: action.clone(),
-            before: action.before(),
-            after: action.after(),
-            gauges: gauges.clone(),
-        });
     }
-    drop(applied);
+    let cause = Cause {
+        lag: ctl.total_lag(),
+        verdict: Verdict::External,
+        bottleneck: None,
+    };
+    ctl.journal(cause, &actions);
     let mut body = String::from("{\"applied\":[");
     for (i, action) in actions.iter().enumerate() {
         if i > 0 {

@@ -30,8 +30,11 @@
 //! run with its error. The cross-cutting concerns each live in exactly one
 //! module:
 //!
-//! * [`config`] — validated per-stage sub-configs resolved from the flat
-//!   [`PipelineConfig`](crate::pipeline::PipelineConfig) at `start()`;
+//! * [`config`] — validation of the flat [`PipelineConfig`]; the runtime
+//!   keeps the validated config in `Shared`, and its live knobs seed the
+//!   [`TuneTable`] — one atomic cell per knob of the knob table
+//!   ([`crate::control::Knob`]), written by the controller, the gateway and
+//!   applications alike;
 //! * `producer` — the `DeviceProducer`, the one producer implementation:
 //!   produce, encode, pace and ship one device's stream as a state machine
 //!   that parks on its next deadline;
@@ -43,8 +46,9 @@
 //!   pipelined transport; never sleeps, reports the deadline it waits on;
 //! * `sentinel` — the end-of-stream protocol and per-partition tracker;
 //! * `spans` — metric message identity and hot-path counters;
-//! * `ctl` — `PipelineCtl` / [`RunningPipeline`]: scaling, hot-swap,
-//!   wait/abort/drop shutdown.
+//! * `ctl` — `PipelineCtl` / [`RunningPipeline`]: scaling, hot-swap, the
+//!   pipeline's one control journal (controller decisions and operator
+//!   tunes on one clock), wait/abort/drop shutdown.
 //!
 //! **Termination**: each producer appends an empty *sentinel* record after
 //! its stream ends; a partition is complete once its sentinel is consumed;
@@ -102,10 +106,10 @@ pub(crate) use ctl::PipelineCtl;
 pub use ctl::RunningPipeline;
 pub use tune::TuneTable;
 
+use crate::control::{Controller, Knob};
 use crate::faas::{Context, SwappableCloudFactory};
-use crate::pipeline::{EdgeToCloudPipeline, PipelineError};
-use config::{ProducerConfig, TransportConfig};
-use pilot_broker::{Broker, GroupCoordinator};
+use crate::pipeline::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
+use pilot_broker::{Broker, GroupCoordinator, RetentionPolicy};
 use pilot_core::Pilot;
 use pilot_metrics::{JobSpans, MetricsRegistry, TelemetrySampler};
 use pilot_netsim::Link;
@@ -119,13 +123,13 @@ use telemetry::StageGauges;
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Everything the stages of one pipeline share: context, broker, links,
-/// the resolved per-stage configs, and the termination state.
+/// the validated config, and the termination state.
 pub(crate) struct Shared {
     pub(crate) ctx: Context,
     pub(crate) broker: Broker,
     pub(crate) topic: String,
-    pub(crate) producer: ProducerConfig,
-    pub(crate) transport: TransportConfig,
+    /// The validated config; the live knobs are read from `tune` instead.
+    pub(crate) config: PipelineConfig,
     pub(crate) link_edge_broker: Link,
     pub(crate) link_broker_cloud: Link,
     pub(crate) cloud_slot: SwappableCloudFactory,
@@ -135,8 +139,7 @@ pub(crate) struct Shared {
     pub(crate) claims: consumer::Claims,
     pub(crate) stop_all: AtomicBool,
     /// Live knob cells the stages re-read at loop/poll boundaries; seeded
-    /// from the resolved configs, so an untouched table is bit-identical
-    /// to the frozen-config behaviour.
+    /// from `config`, so an untouched table reads the configured values.
     pub(crate) tune: Arc<TuneTable>,
     /// Stage gauges of the live telemetry plane; `None` (the default, when
     /// `telemetry_sample_ms` is unset) keeps every hot-path update a single
@@ -191,7 +194,6 @@ pub(crate) fn start(
 ) -> Result<RunningPipeline, PipelineError> {
     let job_id = NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed);
     let cfg = builder.config.clone();
-    let stages = cfg.resolve()?;
     let broker = broker_pilot
         .start_broker()
         .map_err(|e| PipelineError::Task(e.to_string()))?;
@@ -208,10 +210,13 @@ pub(crate) fn start(
     // fsync, crash recovery, O(1) segment-file retention. Without it the
     // topic is the seed's memory-only structure, byte for byte.
     match cfg.durability() {
-        Some(durability) => {
-            broker.create_topic_durable(&topic, cfg.devices, cfg.retention, &durability)?
-        }
-        None => broker.create_topic(&topic, cfg.devices, cfg.retention)?,
+        Some(durability) => broker.create_topic_durable(
+            &topic,
+            cfg.devices,
+            RetentionPolicy::default(),
+            &durability,
+        )?,
+        None => broker.create_topic(&topic, cfg.devices, RetentionPolicy::default())?,
     }
     // One intra-task compute pool per cloud pilot, sized from its cores
     // unless overridden: a 1-core pilot gets a width-1 (inline) pool, a
@@ -226,7 +231,7 @@ pub(crate) fn start(
     let compute_pool = match &cfg.controller {
         Some(ctl_cfg) => pilot_dataflow::ComputePool::resizable(
             compute_width,
-            ctl_cfg.bounds.max_compute.max(compute_width),
+            ctl_cfg.bounds.range(Knob::Compute).1.max(compute_width),
         ),
         None => pilot_dataflow::ComputePool::new(compute_width),
     };
@@ -241,15 +246,11 @@ pub(crate) fn start(
     // share no thread, so a `produce_edge` that blocks never stalls a
     // consumer.
     let edge_reactor = pilot_dataflow::LocalExecutor::new(
-        stages
-            .producer
-            .reactor_threads
+        cfg.producer_threads
             .unwrap_or_else(|| edge.description().cores),
     );
     let cloud_reactor = pilot_dataflow::LocalExecutor::new(
-        stages
-            .consumer
-            .reactor_threads
+        cfg.reactor_threads
             .unwrap_or_else(|| cloud.description().cores),
     );
     let ctx = Context::new(
@@ -260,13 +261,11 @@ pub(crate) fn start(
         builder.settings.clone(),
     )
     .with_compute_pool(Arc::new(compute_pool));
-    let tune = Arc::new(TuneTable::from_stages(&stages, compute_width));
+    let tune = Arc::new(TuneTable::new(&cfg));
     let shared = Arc::new(Shared {
         ctx,
         broker,
         topic,
-        producer: stages.producer,
-        transport: stages.transport,
         link_edge_broker: builder.link_edge_broker.clone(),
         link_broker_cloud: builder.link_broker_cloud.clone(),
         cloud_slot: SwappableCloudFactory::new(
@@ -280,7 +279,9 @@ pub(crate) fn start(
         gauges,
         edge_reactor,
         cloud_reactor,
+        config: cfg,
     });
+    let cfg = &shared.config;
     // The sampler thread snapshots the gauges every `telemetry_sample_ms`;
     // it is owned by the ctl (not by Shared), stopped on wait()/drop.
     let sampler = cfg.telemetry_sample_ms.map(|ms| {
@@ -305,27 +306,32 @@ pub(crate) fn start(
             (format!("produce-edge-{device}"), Box::new(task) as _)
         }));
 
-    let ctl = Arc::new(PipelineCtl::new(shared, edge, cloud, sampler));
+    let ctl = Arc::new(PipelineCtl::new(Arc::clone(&shared), edge, cloud, sampler));
     ctl.spawn_consumers(cfg.processors)?;
-    let running = RunningPipeline::new(ctl, producers);
     // Close the loop last: the controller's first tick already sees every
     // startup member and the seeded tune table.
-    if let Some(ctl_cfg) = cfg.controller.clone() {
-        running.attach_controller(ctl_cfg);
-    }
-    // The observability front door opens after the controller attached, so
-    // `/control/journal` never races an armed-but-empty scaler slot. The
-    // tune endpoint reuses the controller's bounds when one is configured
-    // (external tunes obey the same envelope), defaults otherwise.
+    let controller = cfg
+        .controller
+        .clone()
+        .map(|c| Controller::spawn(Arc::clone(&ctl), c));
+    let mut running = RunningPipeline {
+        ctl: Arc::clone(&ctl),
+        producers,
+        controller,
+        gateway: None,
+    };
+    // The tune endpoint reuses the controller's bounds when one is
+    // configured (external tunes obey the same envelope), defaults
+    // otherwise.
     if let Some(gw_cfg) = &cfg.gateway {
         let bounds = cfg
             .controller
             .as_ref()
             .map(|c| c.bounds.clone())
             .unwrap_or_default();
-        let gw = gateway::start(gw_cfg, &running.ctl, &running.scaler, bounds)
+        let gw = gateway::start(gw_cfg, &ctl, bounds)
             .map_err(|e| PipelineError::Task(format!("gateway: {e}")))?;
-        running.install_gateway(gw);
+        running.gateway = Some(gw);
     }
     Ok(running)
 }

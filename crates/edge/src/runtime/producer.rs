@@ -69,14 +69,14 @@ impl DeviceProducer {
         edge: &EdgeFactory,
     ) -> Self {
         let ctx = &shared.ctx;
-        let rate = shared.producer.rate_per_device;
+        let rate = shared.config.rate_per_device;
         let interval =
             (rate.is_finite() && rate > 0.0).then(|| Duration::from_secs_f64(1.0 / rate));
         Self {
             device,
             produce: produce(ctx, device),
             edge_fn: shared
-                .producer
+                .config
                 .mode
                 .edge_processing()
                 .then(|| edge(ctx, device)),
@@ -125,12 +125,8 @@ impl DeviceProducer {
             }
             None => block,
         };
-        let payload = pilot_datagen::encode_with_into(
-            shared.transport.codec,
-            &block,
-            t0,
-            &mut self.enc_scratch,
-        );
+        let payload =
+            pilot_datagen::encode_with_into(shared.config.codec, &block, t0, &mut self.enc_scratch);
         let bytes = payload.len() as u64;
         spans.record(mid, Component::EdgeProducer, t0, spans.now_us(), bytes);
         self.batcher.push(PendingMsg { payload, mid, t0 });

@@ -406,7 +406,11 @@ impl OutlierModel for IsolationForest {
                 }
                 for s in chunk.iter_mut() {
                     let e_h = *s / n_trees;
-                    *s = 2f64.powf(-e_h / c);
+                    // `exp2`, not `2f64.powf`: LLVM rewrites the `pow`
+                    // call to `exp2` only when optimising, and the two
+                    // differ in the last bit, so the scores would depend
+                    // on the build profile.
+                    *s = (-e_h / c).exp2();
                 }
             });
         scores

