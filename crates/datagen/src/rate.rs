@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 
 /// Paces a loop at a target rate, absorbing jitter by tracking the ideal
 /// schedule rather than sleeping a fixed interval (so a slow iteration is
-/// followed by faster ones until the schedule catches up).
+/// followed by faster ones until the schedule catches up). A caller that
+/// must not block (a reactor task) reads [`RateLimiter::next_due`], parks
+/// on it itself, and accounts with [`RateLimiter::record`].
 #[derive(Debug)]
 pub struct RateLimiter {
     interval: Option<Duration>,
@@ -39,16 +41,35 @@ impl RateLimiter {
         Self::new(0.0)
     }
 
+    /// When the next emission slot opens: `start + interval × emitted`,
+    /// computed at full width so the schedule does not restart after 2^32
+    /// emissions. Unlimited limiters are always due (at `start`).
+    pub fn next_due(&self) -> Instant {
+        let Some(interval) = self.interval else {
+            return self.start;
+        };
+        const NANOS: u128 = 1_000_000_000;
+        let nanos = interval.as_nanos().saturating_mul(u128::from(self.emitted));
+        let offset = Duration::new(
+            u64::try_from(nanos / NANOS).unwrap_or(u64::MAX),
+            (nanos % NANOS) as u32,
+        );
+        self.start + offset
+    }
+
+    /// Account for one emission without waiting for its slot.
+    pub fn record(&mut self) {
+        self.emitted += 1;
+    }
+
     /// Block until the next emission slot, then account for it.
     pub fn pace(&mut self) {
-        if let Some(interval) = self.interval {
-            let due = self.start + interval * self.emitted as u32;
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
+        let due = self.next_due();
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
         }
-        self.emitted += 1;
+        self.record();
     }
 
     /// Messages emitted so far.
@@ -105,6 +126,28 @@ mod tests {
             rl.pace(); // all 4 are already due → no sleeping
         }
         assert!(t.elapsed() < Duration::from_millis(20));
+    }
+
+    #[test]
+    fn schedule_does_not_wrap_after_2_pow_32_emissions() {
+        // Slot 2^32 + 1 of a 1 ms schedule is 2^32 + 1 ms past the start,
+        // not 1 ms (where a 32-bit multiplier would put it).
+        let mut rl = RateLimiter::new(1000.0);
+        rl.emitted = (1 << 32) + 1;
+        let offset = rl.next_due() - rl.start;
+        assert_eq!(offset, Duration::from_millis((1 << 32) + 1));
+        rl.record();
+        assert_eq!(
+            rl.next_due() - rl.start,
+            Duration::from_millis((1 << 32) + 2)
+        );
+    }
+
+    #[test]
+    fn unlimited_is_always_due() {
+        let mut rl = RateLimiter::unlimited();
+        rl.emitted = (1 << 32) + 1;
+        assert_eq!(rl.next_due(), rl.start);
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub struct PipelineConfig {
     /// on the pipelined transport: encoded messages accumulate until their
     /// summed size reaches this threshold (or [`Self::linger`] expires),
     /// then ship over one link reservation whose flight time overlaps the
-    /// encoding of the next batch. Batches pay propagation once.
+    /// encoding of the next batches. Batches pay propagation once. How
+    /// many may be in flight is not a knob: the devices share a byte
+    /// credit of the edge→broker link's bandwidth-delay product.
     pub batch_max_bytes: usize,
     /// How long the first message of a producer batch may wait for
     /// batch-mates before the batch ships anyway (the `linger.ms` of
@@ -101,7 +103,8 @@ pub struct PipelineConfig {
     /// default) disables the telemetry plane entirely: no gauges are
     /// registered, no sampler thread runs, and the per-message hot path
     /// carries zero extra instructions. `Some(ms)` registers per-stage
-    /// gauges (producer deadline-queue depth, in-flight batch bytes,
+    /// gauges (producer deadline-queue and credit-wait depth, in-flight
+    /// batch bytes,
     /// prefetch occupancy, per-partition consumer lag, link
     /// reservation-queue depth and busy time, compute-pool occupancy) and
     /// spawns a sampler thread snapshotting them every `ms` milliseconds

@@ -4,9 +4,18 @@
 //! Encoded messages accumulate in a [`Batcher`] until their summed size
 //! reaches `batch_max_bytes` or the linger window closes; the batch then
 //! ships over one non-blocking link reservation while the next batch
-//! encodes (one older batch may still be in flight — a double buffer). When
-//! the reservation's deadline passes, each message is appended to the
-//! broker individually with its own Network and Broker spans.
+//! encodes. When the reservation's deadline passes, each message is
+//! appended to the broker individually with its own Network and Broker
+//! spans.
+//!
+//! How much may be in flight is the edge→broker link's business, not a
+//! count: the pipeline's devices share one [`LinkCredit`] of the link's
+//! bandwidth-delay product (mean bandwidth × (mean flight + linger)). A
+//! batch takes its bytes when it ships and returns them when it lands. A
+//! device due to send while the credit is spent registers its waker with
+//! the credit and parks; the landing that returns credit wakes the waiting
+//! devices in arrival order. A device with nothing in flight is always
+//! admitted, so one batch larger than the credit cannot deadlock.
 //!
 //! The batcher never sleeps. [`Batcher::poll`] does whatever is possible
 //! *now* — land the batches whose deadline passed, oldest first; ship the
@@ -21,15 +30,99 @@
 //! degenerate case, not a second path: every message ships as a full
 //! one-message batch, and the device may not send again until it landed.
 //! Offsets, ordering and the per-message span chain are therefore the same
-//! at every threshold.
+//! at every threshold and every credit.
 
 use super::Shared;
 use bytes::Bytes;
+use parking_lot::Mutex;
 use pilot_broker::Record;
 use pilot_metrics::Component;
-use pilot_netsim::Reservation;
+use pilot_netsim::{LinkSpec, Reservation};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::task::Waker;
+use std::time::{Duration, Instant};
+
+/// The byte credit of the edge→broker link, shared by every device of a
+/// pipeline: its budget is the link's bandwidth-delay product at the live
+/// linger window, so it follows a retuned window without a knob of its own.
+pub(crate) struct LinkCredit {
+    link: LinkSpec,
+    state: Mutex<CreditState>,
+}
+
+struct CreditState {
+    /// Bytes taken by shipped batches since the start; what is in flight is
+    /// `acquired - released`.
+    acquired: u64,
+    /// Bytes returned by landed batches since the start.
+    released: u64,
+    /// Devices parked until credit returns, in arrival order, with whether
+    /// each device is queued (a device re-parked by its own timer queues
+    /// once).
+    waiting: VecDeque<(usize, Waker)>,
+    queued: Vec<bool>,
+}
+
+impl LinkCredit {
+    pub(crate) fn new(link: &LinkSpec, devices: usize) -> Self {
+        Self {
+            link: link.clone(),
+            state: Mutex::new(CreditState {
+                acquired: 0,
+                released: 0,
+                waiting: VecDeque::new(),
+                queued: vec![false; devices],
+            }),
+        }
+    }
+
+    /// Whether the link has credit left at the window `linger`. If it does
+    /// not, `device` is queued to be woken by the landing that returns some.
+    fn admit(&self, device: usize, linger: Duration, waker: &Waker) -> bool {
+        let budget = self.link.bdp_bytes(linger);
+        let mut st = self.state.lock();
+        if st.acquired - st.released < budget {
+            return true;
+        }
+        if !std::mem::replace(&mut st.queued[device], true) {
+            st.waiting.push_back((device, waker.clone()));
+        }
+        false
+    }
+
+    fn acquire(&self, bytes: u64) {
+        self.state.lock().acquired += bytes;
+    }
+
+    /// Return a landed batch's bytes; if that leaves credit at the window
+    /// `linger`, wake every waiting device, oldest first.
+    fn release(&self, bytes: u64, linger: Duration) {
+        let budget = self.link.bdp_bytes(linger);
+        let woken = {
+            let mut st = self.state.lock();
+            st.released += bytes;
+            if st.waiting.is_empty() || st.acquired - st.released >= budget {
+                return;
+            }
+            let woken = std::mem::take(&mut st.waiting);
+            for (device, _) in &woken {
+                st.queued[*device] = false;
+            }
+            woken
+        };
+        for (_, waker) in woken {
+            waker.wake();
+        }
+    }
+
+    /// `(acquired, released)` bytes since the start: equal once nothing is
+    /// in flight.
+    #[cfg(test)]
+    pub(crate) fn totals(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.acquired, st.released)
+    }
+}
 
 /// An encoded message waiting inside (or in flight with) a producer batch.
 pub(crate) struct PendingMsg {
@@ -55,6 +148,9 @@ struct InFlightBatch {
 pub(crate) struct Transport {
     /// Whether the device may push another message now.
     pub(crate) open: bool,
+    /// Closed because the link's credit is spent: the device's waker is
+    /// queued with the credit.
+    pub(crate) on_credit: bool,
     /// The earliest instant at which polling again makes progress: the
     /// oldest in-flight batch's deadline or the open batch's linger expiry.
     /// `None` when nothing is accumulated or in flight.
@@ -98,23 +194,28 @@ impl Batcher {
     /// before then cannot gain a batch-mate, so the batch ships now instead
     /// of parking on a timer that changes nothing. With `close` the open
     /// batch ships regardless and the transport stays shut until everything
-    /// landed — what precedes the sentinel.
+    /// landed — what precedes the sentinel. A device due to push (`next_push`
+    /// has passed) while its batches are in flight asks the link's credit,
+    /// and queues `waker` with it when the credit is spent.
     pub(crate) fn poll(
         &mut self,
         shared: &Shared,
         next_push: Instant,
         close: bool,
+        waker: &Waker,
     ) -> Result<Transport, String> {
         self.land(shared)?;
         let max_bytes = shared.tune.batch_max_bytes();
+        let linger = shared.tune.linger();
         // Serial transport and the close alike: ship at once, nothing may
         // stay in flight behind the device's next move.
         let drain = max_bytes == 0 || close;
-        let window_end = self.batch_open.map(|t| t + shared.tune.linger());
+        let window_end = self.batch_open.map(|t| t + linger);
+        let now = Instant::now();
         if !self.pending.is_empty()
             && (drain
                 || self.pending_bytes >= max_bytes
-                || window_end.is_some_and(|t| t < next_push || t <= Instant::now()))
+                || window_end.is_some_and(|t| t < next_push || t <= now))
         {
             self.flush(shared);
             // A zero-latency link delivers inline instead of bouncing
@@ -123,8 +224,14 @@ impl Batcher {
         }
         let landing = self.in_flight.front().map(|b| b.reservation.deadline());
         let window_end = window_end.filter(|_| !self.pending.is_empty());
+        // Nothing in flight: always open. Otherwise shut while draining,
+        // and for a device due to push, open only on credit.
+        let idle = self.in_flight.is_empty();
+        let on_credit =
+            !idle && !drain && next_push <= now && !shared.credit.admit(self.device, linger, waker);
         Ok(Transport {
-            open: self.in_flight.len() <= usize::from(!drain),
+            open: idle || !(drain || on_credit),
+            on_credit,
             wake_at: landing.into_iter().chain(window_end).min(),
         })
     }
@@ -139,6 +246,7 @@ impl Batcher {
         let net_start_us = shared.metrics().now_us();
         let reservation = shared.link_edge_broker.reserve_batch(&sizes);
         let bytes: u64 = sizes.iter().sum();
+        shared.credit.acquire(bytes);
         if let Some(g) = shared.stage_gauges() {
             g.inflight_batch_bytes.add(bytes as i64);
         }
@@ -164,6 +272,7 @@ impl Batcher {
             .is_some_and(|b| b.reservation.is_complete())
         {
             let batch = self.in_flight.pop_front().expect("front checked above");
+            shared.credit.release(batch.bytes, shared.tune.linger());
             if let Some(g) = shared.stage_gauges() {
                 g.inflight_batch_bytes.sub(batch.bytes as i64);
             }

@@ -43,7 +43,8 @@
 //!   a waker-based state machine on a fixed pool of reactor threads
 //!   (DESIGN.md §12); the delivery contract is stated there, once;
 //! * `batch` — producer-side batching (accumulate / flush / land) of the
-//!   pipelined transport; never sleeps, reports the deadline it waits on;
+//!   pipelined transport and the edge→broker link's byte credit; never
+//!   sleeps, reports the deadline it waits on;
 //! * `sentinel` — the end-of-stream protocol and per-partition tracker;
 //! * `spans` — metric message identity and hot-path counters;
 //! * `ctl` — `PipelineCtl` / [`RunningPipeline`]: scaling, hot-swap, the
@@ -60,8 +61,9 @@
 //! [`PipelineConfig::prefetch_depth`](crate::pipeline::PipelineConfig::prefetch_depth)):
 //! producers batch encoded messages
 //! and ship each batch over one non-blocking link reservation, which lands
-//! (per-message append) on its own deadline while the next batch is
-//! encoding; consumers fetch and reserve up to `prefetch_depth` batches
+//! (per-message append) on its own deadline while the next batches are
+//! encoding — as many in flight as the link's bandwidth-delay product
+//! allows; consumers fetch and reserve up to `prefetch_depth` batches
 //! ahead of the one being processed — a look-ahead window over
 //! non-blocking link reservations, no extra thread — so batch N+1 crosses
 //! the link while batch N is in `process_cloud`. Per-message metric spans
@@ -73,7 +75,8 @@
 //! **Fan-in scale-out**: any number of devices share
 //! [`producer_threads`](crate::pipeline::PipelineConfig::producer_threads)
 //! edge threads (default: the edge pilot's cores) — a device waiting for
-//! its send time, its linger window or a transfer is a timer, not a thread
+//! its send time, its linger window, a transfer or the link's credit is a
+//! timer or a queued waker, not a thread
 //! — so a 1024-device cell runs on 2 edge cores. Per-device message sets
 //! are identical at every thread count under a fixed seed. Likewise any
 //! number of members share
@@ -132,6 +135,9 @@ pub(crate) struct Shared {
     pub(crate) config: PipelineConfig,
     pub(crate) link_edge_broker: Link,
     pub(crate) link_broker_cloud: Link,
+    /// The edge→broker link's byte credit: what the devices may keep in
+    /// flight on it together (its bandwidth-delay product).
+    pub(crate) credit: batch::LinkCredit,
     pub(crate) cloud_slot: SwappableCloudFactory,
     pub(crate) coordinator: GroupCoordinator,
     pub(crate) sentinels: SentinelTracker,
@@ -172,8 +178,8 @@ impl Shared {
     }
 
     /// Raise the pipeline-wide stop flag and re-queue every task of both
-    /// reactors, so a device parked on its next send and a member parked on
-    /// the arrival registry observe it now.
+    /// reactors, so a device parked on its next send or on the link's
+    /// credit and a member parked on the arrival registry observe it now.
     pub(crate) fn stop(&self) {
         self.stop_all.store(true, Ordering::Relaxed);
         self.edge_reactor.wake_all();
@@ -267,6 +273,7 @@ pub(crate) fn start(
         broker,
         topic,
         link_edge_broker: builder.link_edge_broker.clone(),
+        credit: batch::LinkCredit::new(builder.link_edge_broker.spec(), cfg.devices),
         link_broker_cloud: builder.link_broker_cloud.clone(),
         cloud_slot: SwappableCloudFactory::new(
             builder.cloud_factory.clone().expect("validated by builder"),

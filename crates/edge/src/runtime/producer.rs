@@ -8,9 +8,10 @@
 //! `producer_threads` overrides it), the mirror of the consumer stage on the
 //! cloud reactor. It never sleeps on a thread: between messages it parks on
 //! the earliest of its next send deadline, its open batch's linger expiry
-//! and its oldest in-flight batch's landing, so any number of devices share
-//! the edge threads and a batch lands when it is due, not when the device
-//! next sends.
+//! and its oldest in-flight batch's landing — and, when it is due but the
+//! edge→broker link's credit is spent, on the credit as well — so any
+//! number of devices share the edge threads and a batch lands when it is
+//! due, not when the device next sends.
 //!
 //! ```text
 //!   spawn ──▶ step ──▶ step ──▶ … ──▶ end of stream ──▶ flush, land ──▶ sentinel ──▶ Ok(sent)
@@ -31,10 +32,11 @@ use super::spans::metric_msg_id;
 use super::Shared;
 use crate::faas::{EdgeFactory, ProduceFactory};
 use pilot_dataflow::{ReactorPoll, ReactorTask};
+use pilot_datagen::RateLimiter;
 use pilot_metrics::Component;
 use std::sync::Arc;
 use std::task::Waker;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The complete producing state of one edge device, stepped one message per
 /// poll.
@@ -43,21 +45,28 @@ pub(crate) struct DeviceProducer {
     device: usize,
     produce: crate::faas::ProduceFn,
     edge_fn: Option<crate::faas::EdgeFn>,
-    sent: u64,
     // One long-lived encode scratch per producer: every message encodes
     // through it (`encode_with_into`), the producer-side mirror of the
     // consumer's decode scratch — steady state allocates nothing.
     enc_scratch: bytes::BytesMut,
     batcher: Batcher,
-    /// Pacing schedule origin: message `n` is due at `epoch + interval × n`
-    /// (the ideal-schedule pacing of `pilot_datagen::RateLimiter`).
-    epoch: Instant,
-    interval: Option<Duration>,
+    /// The pacing schedule, which also counts the messages sent: message
+    /// `n` is due at `start + interval × n`. The device parks on the due
+    /// time instead of sleeping in `RateLimiter::pace`.
+    pacing: RateLimiter,
     /// The stream ended or the run is stopping: what is left is to flush,
     /// land everything in flight, and append the sentinel.
     ended: bool,
-    /// Counted in `producer.deadline_queue_depth` (parked on a deadline).
-    parked: bool,
+    /// What the device is parked on, as counted in the stage gauges.
+    parked: Option<Park>,
+}
+
+/// What a parked device waits for: a deadline (its next send, its batch's
+/// linger expiry, a landing) or the link's credit.
+#[derive(Clone, Copy, PartialEq)]
+enum Park {
+    Deadline,
+    Credit,
 }
 
 impl DeviceProducer {
@@ -69,9 +78,6 @@ impl DeviceProducer {
         edge: &EdgeFactory,
     ) -> Self {
         let ctx = &shared.ctx;
-        let rate = shared.config.rate_per_device;
-        let interval =
-            (rate.is_finite() && rate > 0.0).then(|| Duration::from_secs_f64(1.0 / rate));
         Self {
             device,
             produce: produce(ctx, device),
@@ -80,23 +86,12 @@ impl DeviceProducer {
                 .mode
                 .edge_processing()
                 .then(|| edge(ctx, device)),
-            sent: 0,
             enc_scratch: bytes::BytesMut::new(),
             batcher: Batcher::new(device),
-            epoch: Instant::now(),
-            interval,
+            pacing: RateLimiter::new(shared.config.rate_per_device),
             ended: false,
-            parked: false,
+            parked: None,
             shared,
-        }
-    }
-
-    /// When this device's next message may be emitted. Unthrottled devices
-    /// are always due.
-    fn next_due(&self) -> Instant {
-        match self.interval {
-            Some(iv) => self.epoch + iv * self.sent as u32,
-            None => self.epoch,
         }
     }
 
@@ -113,7 +108,7 @@ impl DeviceProducer {
         // ensures that progress and errors can be consistently tracked"):
         // a per-device sequence replaces whatever the produce function set,
         // so duplicate user-assigned ids cannot corrupt metric linking.
-        block.msg_id = self.sent;
+        block.msg_id = self.pacing.emitted();
         let mid = metric_msg_id(self.device, block.msg_id);
         // Edge processing (hybrid / edge-centric deployments).
         let block = match self.edge_fn.as_mut() {
@@ -130,26 +125,28 @@ impl DeviceProducer {
         let bytes = payload.len() as u64;
         spans.record(mid, Component::EdgeProducer, t0, spans.now_us(), bytes);
         self.batcher.push(PendingMsg { payload, mid, t0 });
-        self.sent += 1;
+        self.pacing.record();
         Ok(true)
     }
 
     /// One poll: move the transport along, then send if a message is due
     /// and the transport has room for it; otherwise say what to wait for.
-    fn advance(&mut self) -> Result<ReactorPoll, String> {
+    /// A device shut out by the link's credit still arms its own landing:
+    /// the credit's wake only comes earlier.
+    fn advance(&mut self, waker: &Waker) -> Result<ReactorPoll, String> {
         let shared = Arc::clone(&self.shared);
         let mut stepped = false;
         loop {
             self.ended |= shared.stopping();
-            let due = self.next_due();
-            let transport = self.batcher.poll(&shared, due, self.ended)?;
+            let due = self.pacing.next_due();
+            let transport = self.batcher.poll(&shared, due, self.ended, waker)?;
             if self.ended {
                 // Everything accumulated or in flight lands in the
                 // partition before the sentinel does.
                 return match transport.wake_at {
-                    Some(landing) => Ok(ReactorPoll::PendingUntil(landing)),
+                    Some(landing) => self.park(Park::Deadline, landing),
                     None => sentinel::append_sentinel(&shared, self.device)
-                        .map(|()| ReactorPoll::Complete(Ok(self.sent))),
+                        .map(|()| ReactorPoll::Complete(Ok(self.pacing.emitted()))),
                 };
             }
             let wait = if !transport.open {
@@ -160,7 +157,12 @@ impl DeviceProducer {
                 None
             };
             if let Some(at) = wait {
-                return Ok(ReactorPoll::PendingUntil(at));
+                let park = if transport.on_credit {
+                    Park::Credit
+                } else {
+                    Park::Deadline
+                };
+                return self.park(park, at);
             }
             if stepped {
                 // One message per poll: an unthrottled device yields to its
@@ -172,26 +174,40 @@ impl DeviceProducer {
         }
     }
 
-    /// Keep `producer.deadline_queue_depth` — device tasks parked on a
-    /// deadline — in step with this device.
-    fn set_parked(&mut self, parked: bool) {
-        if parked != self.parked {
-            self.parked = parked;
-            if let Some(g) = self.shared.stage_gauges() {
-                g.producer_queue_depth.add(if parked { 1 } else { -1 });
+    /// Park until `at` (or an earlier wake), counted as waiting on `park`.
+    fn park(&mut self, park: Park, at: Instant) -> Result<ReactorPoll, String> {
+        self.set_parked(Some(park));
+        Ok(ReactorPoll::PendingUntil(at))
+    }
+
+    /// Keep `producer.deadline_queue_depth` and `producer.credit_wait_depth`
+    /// — device tasks parked on a deadline, on the link's credit — in step
+    /// with this device.
+    fn set_parked(&mut self, parked: Option<Park>) {
+        if parked == self.parked {
+            return;
+        }
+        if let Some(g) = self.shared.stage_gauges() {
+            let gauge = |park| match park {
+                Park::Deadline => &g.producer_queue_depth,
+                Park::Credit => &g.credit_wait_depth,
+            };
+            if let Some(old) = self.parked {
+                gauge(old).add(-1);
+            }
+            if let Some(new) = parked {
+                gauge(new).add(1);
             }
         }
+        self.parked = parked;
     }
 }
 
 impl ReactorTask for DeviceProducer {
-    fn poll(&mut self, _waker: &Waker) -> ReactorPoll {
-        self.set_parked(false);
-        match self.advance() {
-            Ok(poll) => {
-                self.set_parked(matches!(poll, ReactorPoll::PendingUntil(_)));
-                poll
-            }
+    fn poll(&mut self, waker: &Waker) -> ReactorPoll {
+        self.set_parked(None);
+        match self.advance(waker) {
+            Ok(poll) => poll,
             Err(e) => {
                 // The first device to fail stops the run: every other
                 // device drains at its next poll, every member exits.

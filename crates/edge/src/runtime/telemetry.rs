@@ -4,8 +4,8 @@
 //! When [`PipelineConfig::telemetry_sample_ms`] is set, `start()` registers
 //! one [`Gauge`] per instrumentation point under a stable name in the job's
 //! [`MetricsRegistry`] and stores the handles here. **Push** gauges are
-//! updated inline by the stage that owns the state (deadline-queue depth by
-//! the device tasks, in-flight batch bytes by the batcher, prefetch
+//! updated inline by the stage that owns the state (deadline-queue and
+//! credit-wait depth by the device tasks, in-flight batch bytes by the batcher, prefetch
 //! occupancy by the consumer) — one relaxed atomic add on a path that
 //! already crosses a simulated network link. **Pull** gauges (link
 //! reservation queues, compute-pool occupancy, per-partition consumer lag)
@@ -28,6 +28,9 @@ use std::sync::Arc;
 /// a deadline — their next send time, their batch's linger expiry, or a
 /// transfer's landing).
 pub const GAUGE_PRODUCER_QUEUE_DEPTH: &str = "producer.deadline_queue_depth";
+/// Stable gauge name: device tasks due to send but parked on the
+/// edge→broker link's byte credit (the in-flight window binds).
+pub const GAUGE_CREDIT_WAIT_DEPTH: &str = "producer.credit_wait_depth";
 /// Stable gauge name: encoded bytes aboard in-flight producer batches
 /// (reservation issued, messages not yet appended).
 pub const GAUGE_INFLIGHT_BATCH_BYTES: &str = "producer.inflight_batch_bytes";
@@ -84,6 +87,8 @@ pub fn partition_lag_gauge(partition: usize) -> String {
 pub(crate) struct StageGauges {
     /// Device tasks parked on a deadline, summed over the cell.
     pub(crate) producer_queue_depth: Arc<Gauge>,
+    /// Device tasks parked on the link's credit.
+    pub(crate) credit_wait_depth: Arc<Gauge>,
     /// Bytes aboard in-flight producer batches.
     pub(crate) inflight_batch_bytes: Arc<Gauge>,
     /// Look-ahead batches in flight ahead of the consumers' front batch.
@@ -114,6 +119,7 @@ impl StageGauges {
     pub(crate) fn new(registry: &MetricsRegistry, devices: usize) -> Self {
         Self {
             producer_queue_depth: registry.gauge(GAUGE_PRODUCER_QUEUE_DEPTH),
+            credit_wait_depth: registry.gauge(GAUGE_CREDIT_WAIT_DEPTH),
             inflight_batch_bytes: registry.gauge(GAUGE_INFLIGHT_BATCH_BYTES),
             prefetch_occupancy: registry.gauge(GAUGE_PREFETCH_OCCUPANCY),
             compute_pool_occupancy: registry.gauge(GAUGE_COMPUTE_POOL_OCCUPANCY),

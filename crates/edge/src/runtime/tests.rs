@@ -281,3 +281,33 @@ fn panicking_process_cloud_is_a_task_error() {
     let produce = datagen_produce_factory(DataGenConfig::paper(10), 100_000);
     assert_panic_is_reported(produce, explosive, "model diverged");
 }
+
+#[test]
+fn link_credit_is_conserved() {
+    // Two unthrottled devices batching over a 1 MB/s link whose
+    // bandwidth-delay product (21 KB) holds about two of their batches:
+    // devices park on the credit and are woken by landings. Every byte a
+    // shipped batch took is returned when it lands.
+    let svc = PilotComputeService::new();
+    let (edge, cloud) = pilots(&svc, 1, 1);
+    let link = pilot_netsim::LinkSpec::fixed("edge->broker", 20.0, 8e6);
+    assert_eq!(link.bdp_bytes(Duration::from_millis(1)), 21_000);
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), 20))
+        .process_cloud_function(baseline_factory())
+        .devices(2)
+        .link_edge_to_broker(link.build())
+        .batch_max_bytes(8 * 1024)
+        .linger(Duration::from_millis(1))
+        .start()
+        .unwrap();
+    let shared = Arc::clone(&running.ctl.shared);
+    let summary = running.wait(WAIT).unwrap();
+    assert_eq!(summary.messages, 40);
+    let (acquired, released) = shared.credit.totals();
+    let message = pilot_datagen::Codec::F64.serialized_size(20, pilot_datagen::PAPER_FEATURES);
+    assert_eq!(acquired, 40 * message as u64, "every message shipped once");
+    assert_eq!(acquired, released, "credit taken and never returned");
+}

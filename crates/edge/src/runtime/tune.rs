@@ -7,8 +7,8 @@
 //!
 //! | cell              | re-read at                                         |
 //! |-------------------|----------------------------------------------------|
-//! | `batch_max_bytes` | every `DeviceProducer::step` / `Batcher::push`     |
-//! | `linger_us`       | every `Batcher::push`                              |
+//! | `batch_max_bytes` | every `Batcher::poll`                              |
+//! | `linger_us`       | every `Batcher::poll` (also sizes the link credit) |
 //! | `prefetch_depth`  | every `ConsumerStage` poll (look-ahead window size)|
 //! | `fetch_max`       | every `Fetcher::poll_ready`                        |
 //!
@@ -56,7 +56,7 @@ impl TuneTable {
 
     /// Set the knob's level; `false` (and nothing stored) when it has no
     /// cell here. Setting batching to 0 live is safe: a producer's next
-    /// push ships its open batch and lands everything in flight first. A
+    /// poll ships its open batch and lands everything in flight first. A
     /// shallower look-ahead (0 included) stops fetching until the batches
     /// already in flight are processed.
     pub fn set(&self, knob: Knob, level: usize) -> bool {

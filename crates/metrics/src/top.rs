@@ -15,6 +15,7 @@ use crate::telemetry::TelemetryFrame;
 /// `GET /top` both show exactly these).
 pub const PIPELINE_GAUGES: &[&str] = &[
     "producer.deadline_queue_depth",
+    "producer.credit_wait_depth",
     "producer.inflight_batch_bytes",
     "consumer.prefetch_occupancy",
     "broker.lag.total",

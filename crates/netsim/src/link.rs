@@ -83,6 +83,20 @@ impl LinkSpec {
         };
         transit + self.latency.mean_ms() / 1e3
     }
+
+    /// The link's bandwidth-delay product in bytes: mean bandwidth ×
+    /// (mean propagation + `extra`) — what a sender must keep in flight to
+    /// fill the pipe when each send also waits `extra` (a linger window)
+    /// before it leaves. A link without a finite positive bandwidth never
+    /// fills, so its budget is unbounded (`u64::MAX`).
+    pub fn bdp_bytes(&self, extra: Duration) -> u64 {
+        let bw = (self.bw_min_bps + self.bw_max_bps) / 2.0;
+        if !(bw.is_finite() && bw > 0.0) {
+            return u64::MAX;
+        }
+        let secs = self.latency.mean_ms() / 1e3 + extra.as_secs_f64();
+        (bw / 8.0 * secs).round() as u64
+    }
 }
 
 /// What one transfer actually cost.
@@ -413,6 +427,33 @@ mod tests {
         };
         // 1 MB at mean 80 Mbit/s = 0.1 s + 0.075 s latency.
         assert!((spec.expected_secs(1_000_000) - 0.175).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bdp_of_the_transatlantic_path() {
+        // Mean 80 Mbit/s = 10 MB/s over a mean 75 ms flight plus a 2 ms
+        // linger: 770 KB.
+        let spec = crate::profiles::transatlantic("wan", 0);
+        assert_eq!(spec.bdp_bytes(Duration::ZERO), 750_000);
+        assert_eq!(spec.bdp_bytes(Duration::from_millis(2)), 770_000);
+    }
+
+    #[test]
+    fn bdp_of_an_infinite_link_is_unbounded() {
+        let spec = crate::profiles::loopback("lo");
+        assert_eq!(spec.bdp_bytes(Duration::ZERO), u64::MAX);
+        assert_eq!(spec.bdp_bytes(Duration::from_millis(2)), u64::MAX);
+        let fast = LinkSpec::fixed("t", 50.0, f64::INFINITY);
+        assert_eq!(fast.bdp_bytes(Duration::ZERO), u64::MAX);
+    }
+
+    #[test]
+    fn bdp_at_zero_latency_is_the_extra_window() {
+        // 8 Mbit/s = 1 MB/s: nothing in flight without a window, 2 KB
+        // across a 2 ms one.
+        let spec = LinkSpec::fixed("t", 0.0, 8e6);
+        assert_eq!(spec.bdp_bytes(Duration::ZERO), 0);
+        assert_eq!(spec.bdp_bytes(Duration::from_millis(2)), 2_000);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::faas::{CloudFactory, ProcessOutcome};
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
-use pilot_edge::runtime::telemetry::GAUGE_PREFETCH_OCCUPANCY;
+use pilot_edge::runtime::telemetry::{GAUGE_CREDIT_WAIT_DEPTH, GAUGE_PREFETCH_OCCUPANCY};
 use pilot_edge::{EdgeToCloudPipeline, PipelineConfig};
 use pilot_metrics::{Component, MetricsRegistry};
 use pilot_ml::ModelKind;
@@ -373,6 +373,200 @@ fn paced_messages_reach_their_processor_promptly(linger: Duration) {
             "linger {linger:?}: message {msg} reached its processor {waited_us} µs \
              after it was produced: its batch waited for the next send or for \
              a window nothing could join"
+        );
+    }
+}
+
+#[test]
+fn paced_device_keeps_its_schedule_across_a_long_flight() {
+    // One device sending every 10 ms over a link whose 60 ms flight is six
+    // send intervals long. The link's bandwidth-delay product (775 KB) is
+    // far above the 5 KB messages, so the device never waits on the
+    // window: each message starts within 20 ms of its send time, ships at
+    // once, and is processed one flight later — which takes six batches in
+    // flight at a time. A fixed two-batch window would make the device fall
+    // behind and catch up in bursts.
+    const MESSAGES: usize = 40;
+    const LINK: &str = "edge->broker(60ms)";
+    const FLIGHT_US: u64 = 60_000;
+    const INTERVAL_US: u64 = 10_000;
+    let (edge, cloud) = pilots(1, 1);
+    let registry = MetricsRegistry::new();
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), MESSAGES))
+        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .metrics(registry.clone())
+        .devices(1)
+        .rate_per_device(1e6 / INTERVAL_US as f64)
+        .link_edge_to_broker(LinkSpec::fixed(LINK, 60.0, 100e6).build())
+        .batch_max_bytes(64 * 1024)
+        .linger(Duration::from_millis(2))
+        .start()
+        .unwrap();
+    let job_id = running.job_id();
+    let summary = running.wait(WAIT).unwrap();
+    assert_eq!(summary.messages as usize, MESSAGES);
+    assert_eq!(summary.errors, 0);
+    let mut produced = BTreeMap::new();
+    let mut processing = HashMap::new();
+    let mut batches = HashSet::new();
+    for span in registry.snapshot().iter().filter(|s| s.job_id == job_id) {
+        match &span.component {
+            Component::EdgeProducer => {
+                produced.insert(span.msg_id, (span.start_us, span.end_us));
+            }
+            Component::CloudProcessor => {
+                processing.insert(span.msg_id, span.start_us);
+            }
+            Component::Network(link) if link == LINK => {
+                batches.insert((span.start_us, span.end_us));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(produced.len(), MESSAGES);
+    let first_us = produced.values().next().unwrap().0;
+    for (n, (msg, (started_us, left_us))) in produced.iter().enumerate() {
+        let due_us = first_us + n as u64 * INTERVAL_US;
+        assert!(
+            *started_us < due_us + 20_000,
+            "message {n} started {} µs after its send time: the device fell \
+             behind its schedule",
+            started_us.saturating_sub(due_us)
+        );
+        let waited_us = processing[msg].saturating_sub(*left_us);
+        assert!(
+            waited_us < FLIGHT_US + 20_000,
+            "message {n} reached its processor {waited_us} µs after it left \
+             its producer; the flight is {FLIGHT_US} µs"
+        );
+    }
+    // Peak batches in flight at once: sweep the transfer windows.
+    let mut edges: Vec<(u64, i32)> = batches
+        .iter()
+        .flat_map(|&(start, end)| [(start, 1), (end, -1)])
+        .collect();
+    edges.sort_by_key(|&(t, delta)| (t, delta));
+    let peak = edges
+        .iter()
+        .scan(0, |in_flight, &(_, delta)| {
+            *in_flight += delta;
+            Some(*in_flight)
+        })
+        .max()
+        .unwrap_or(0);
+    assert!(peak > 2, "at most {peak} batches were ever in flight");
+}
+
+/// Each partition's records in log order, decoded (sentinels dropped).
+fn partition_logs(
+    broker: &pilot_broker::Broker,
+    topic: &str,
+    devices: usize,
+) -> Vec<Vec<pilot_datagen::Block>> {
+    (0..devices)
+        .map(|p| {
+            let hw = broker.high_watermark(topic, p).unwrap();
+            broker
+                .fetch(topic, p, 0, hw as usize)
+                .unwrap()
+                .iter()
+                .filter(|r| !r.value.is_empty())
+                .map(|r| pilot_datagen::decode_any(&r.value).unwrap().0)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn credit_smaller_than_one_message_delivers_the_serial_message_set() {
+    // A 1 MB/s link with a 5 ms flight holds 6 KB at a 1 ms linger; every
+    // message is 25 KB. A device with nothing in flight is always
+    // admitted, so the credit cannot deadlock: each device keeps one batch
+    // in flight, and every partition holds the same messages in the same
+    // order as under the serial transport.
+    const DEVICES: usize = 3;
+    let link = LinkSpec::fixed("edge->broker(6KB)", 5.0, 8e6);
+    assert_eq!(link.bdp_bytes(Duration::from_millis(1)), 6_000);
+    let run = |batched: bool| {
+        let (edge, cloud) = pilots(1, 1);
+        let mut b = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge)
+            .pilot_cloud_processing(cloud)
+            .produce_function(datagen_produce_factory(
+                DataGenConfig::paper(100).with_seed(5),
+                8,
+            ))
+            .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+            .devices(DEVICES)
+            .link_edge_to_broker(link.clone().build());
+        if batched {
+            b = b
+                .batch_max_bytes(64 * 1024)
+                .linger(Duration::from_millis(1));
+        }
+        let running = b.start().unwrap();
+        let (broker, topic) = (running.broker(), running.topic().to_string());
+        let summary = running.wait(WAIT).unwrap();
+        assert_eq!(summary.messages as usize, DEVICES * 8);
+        assert_eq!(summary.errors, 0);
+        partition_logs(&broker, &topic, DEVICES)
+    };
+    let serial = run(false);
+    assert!(
+        serial.iter().all(|log| log.len() == 8),
+        "8 messages a device"
+    );
+    assert_eq!(serial, run(true));
+}
+
+#[test]
+fn stop_drains_devices_parked_on_credit() {
+    // Four unthrottled devices batching over a link that holds 52 KB: they
+    // park on its credit. Stopping the run then must still drain each of
+    // them — land what is in flight, append the sentinel — and `wait`
+    // returns well within its timeout with the credit-wait gauge at zero.
+    const DEVICES: usize = 4;
+    let (edge, cloud) = pilots(2, 2);
+    let registry = MetricsRegistry::new();
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), 100_000))
+        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .metrics(registry.clone())
+        .devices(DEVICES)
+        .processors(2)
+        .link_edge_to_broker(LinkSpec::fixed("edge->broker(52KB)", 50.0, 8e6).build())
+        .batch_max_bytes(16 * 1024)
+        .linger(Duration::from_millis(2))
+        .telemetry_sample_ms(5)
+        .start()
+        .unwrap();
+    let (broker, topic) = (running.broker(), running.topic().to_string());
+    let t = Instant::now();
+    while registry.gauge_value(GAUGE_CREDIT_WAIT_DEPTH).unwrap_or(0) == 0 {
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "no device ever parked on the link's credit"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    running.abort();
+    let t = Instant::now();
+    running.wait(WAIT).unwrap();
+    assert!(t.elapsed() < WAIT);
+    assert_eq!(registry.gauge_value(GAUGE_CREDIT_WAIT_DEPTH), Some(0));
+    for partition in 0..DEVICES {
+        let hw = broker.high_watermark(&topic, partition).unwrap();
+        let records = broker.fetch(&topic, partition, 0, hw as usize).unwrap();
+        let sentinels = records.iter().filter(|r| r.value.is_empty()).count();
+        assert_eq!(sentinels, 1, "partition {partition}: {sentinels} sentinels");
+        assert!(
+            records.last().unwrap().value.is_empty(),
+            "partition {partition} does not end with its sentinel"
         );
     }
 }

@@ -6,8 +6,8 @@ use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
 use pilot_edge::runtime::telemetry::{
-    GAUGE_BROKER_LAG_TOTAL, GAUGE_INFLIGHT_BATCH_BYTES, GAUGE_PREFETCH_OCCUPANCY,
-    GAUGE_PRODUCER_QUEUE_DEPTH,
+    GAUGE_BROKER_LAG_TOTAL, GAUGE_CREDIT_WAIT_DEPTH, GAUGE_INFLIGHT_BATCH_BYTES,
+    GAUGE_PREFETCH_OCCUPANCY, GAUGE_PRODUCER_QUEUE_DEPTH,
 };
 use pilot_edge::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
 use pilot_metrics::{attribute, validate_trace_json, Component, MetricsRegistry};
@@ -120,6 +120,7 @@ fn gauges_read_zero_after_drain() {
     assert_eq!(summary.messages, 32);
     for name in [
         GAUGE_PRODUCER_QUEUE_DEPTH,
+        GAUGE_CREDIT_WAIT_DEPTH,
         GAUGE_INFLIGHT_BATCH_BYTES,
         GAUGE_PREFETCH_OCCUPANCY,
         GAUGE_BROKER_LAG_TOTAL,
