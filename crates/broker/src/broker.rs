@@ -40,12 +40,10 @@ pub struct TopicId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(u32);
 
-/// The offset store's key: three machine words, hashed without touching a
-/// heap allocation — the per-message commit path stops rehashing two owned
-/// `String`s per lookup.
+/// The offset store's key: one partition of one topic, two machine words
+/// hashed without touching a heap allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OffsetKey {
-    group: GroupId,
+struct PartitionKey {
     topic: TopicId,
     partition: u32,
 }
@@ -68,8 +66,13 @@ struct Inner {
     topic_ids: RwLock<HashMap<String, u32>>,
     /// Interned consumer-group names. Insert-only.
     group_ids: RwLock<HashMap<String, u32>>,
-    /// (group, topic, partition) → committed offset, keyed by interned ids.
-    offsets: RwLock<HashMap<OffsetKey, Offset>>,
+    /// (topic, partition) → every group that has committed there, with its
+    /// committed offset — usually one entry. The partition's commit floor
+    /// is the lowest of them, found without scanning other partitions.
+    offsets: RwLock<HashMap<PartitionKey, Vec<(GroupId, Offset)>>>,
+    /// Topics created with [`RetentionPolicy::committed`], by interned id:
+    /// the ones a commit trims.
+    floor_topics: RwLock<HashMap<TopicId, Arc<Topic>>>,
 }
 
 impl Broker {
@@ -81,6 +84,7 @@ impl Broker {
                 topic_ids: RwLock::new(HashMap::new()),
                 group_ids: RwLock::new(HashMap::new()),
                 offsets: RwLock::new(HashMap::new()),
+                floor_topics: RwLock::new(HashMap::new()),
             }),
         }
     }
@@ -125,10 +129,8 @@ impl Broker {
             }
             return Ok(());
         }
-        topics.insert(
-            name.to_string(),
-            Arc::new(Topic::new(name, partitions, retention)),
-        );
+        let topic = Arc::new(Topic::new(name, partitions, retention));
+        self.register(&mut topics, topic, retention);
         Ok(())
     }
 
@@ -167,8 +169,26 @@ impl Broker {
         }
         let topic = Topic::new_durable(name, partitions, retention, cfg)
             .map_err(|e| BrokerError::Storage(format!("open durable topic '{name}': {e}")))?;
-        topics.insert(name.to_string(), Arc::new(topic));
+        self.register(&mut topics, Arc::new(topic), retention);
         Ok(())
+    }
+
+    /// Enter a new topic in the registry (the caller holds its write lock)
+    /// and, under [`RetentionPolicy::committed`], in the set of topics a
+    /// commit trims.
+    fn register(
+        &self,
+        topics: &mut HashMap<String, Arc<Topic>>,
+        topic: Arc<Topic>,
+        retention: RetentionPolicy,
+    ) {
+        if retention.committed {
+            self.inner
+                .floor_topics
+                .write()
+                .insert(self.topic_id(topic.name()), Arc::clone(&topic));
+        }
+        topics.insert(topic.name().to_string(), topic);
     }
 
     /// Aggregate storage-engine stats across every topic (the
@@ -246,7 +266,11 @@ impl Broker {
     /// Delete a topic (consumers with open handles keep theirs; new
     /// lookups fail). Returns true if the topic existed.
     pub fn delete_topic(&self, name: &str) -> bool {
-        self.inner.topics.write().remove(name).is_some()
+        let removed = self.inner.topics.write().remove(name).is_some();
+        if removed {
+            self.inner.floor_topics.write().remove(&self.topic_id(name));
+        }
+        removed
     }
 
     /// First offset at/after `ts_us` in a partition (Kafka's
@@ -269,21 +293,19 @@ impl Broker {
     /// Commit a consumer-group offset (the *next* offset to read).
     ///
     /// Interns the group and topic names (a read-lock hash of `&str`, no
-    /// allocation after first use) — the per-message hot path no longer
-    /// clones two `String`s per commit. Hot loops should intern once via
+    /// allocation after first use). Hot loops should intern once via
     /// [`Broker::group_id`]/[`Broker::topic_id`] and use
     /// [`Broker::commit_offset_by_id`] or [`Broker::commit_offsets`].
     pub fn commit_offset(&self, group: &str, topic: &str, partition: usize, offset: Offset) {
-        let key = OffsetKey {
-            group: self.group_id(group),
-            topic: self.topic_id(topic),
-            partition: partition as u32,
-        };
-        self.inner.offsets.write().insert(key, offset);
+        self.commit_offsets(
+            self.group_id(group),
+            self.topic_id(topic),
+            [(partition, offset)],
+        );
     }
 
-    /// Commit an offset under pre-interned ids: three-word key, one write
-    /// lock, zero allocation.
+    /// Commit an offset under pre-interned ids (see
+    /// [`Broker::commit_offsets`]).
     pub fn commit_offset_by_id(
         &self,
         group: GroupId,
@@ -291,33 +313,48 @@ impl Broker {
         partition: usize,
         offset: Offset,
     ) {
-        let key = OffsetKey {
-            group,
-            topic,
-            partition: partition as u32,
-        };
-        self.inner.offsets.write().insert(key, offset);
+        self.commit_offsets(group, topic, [(partition, offset)]);
     }
 
     /// Batched commit: all of a member's partition offsets land under one
     /// write lock — a member owning 128 partitions pays one lock instead
     /// of 128.
+    ///
+    /// On a topic created with [`RetentionPolicy::committed`] each
+    /// committed partition's floor — the lowest offset among the groups
+    /// that have committed on it — is read under that lock, and the log is
+    /// trimmed up to it after the lock is released: O(groups on the
+    /// partition) per entry, no scan of the offset store.
     pub fn commit_offsets(
         &self,
         group: GroupId,
         topic: TopicId,
         entries: impl IntoIterator<Item = (usize, Offset)>,
     ) {
-        let mut offsets = self.inner.offsets.write();
-        for (partition, offset) in entries {
-            offsets.insert(
-                OffsetKey {
-                    group,
+        let floor_topic = self.inner.floor_topics.read().get(&topic).cloned();
+        let mut floors = Vec::new();
+        {
+            let mut offsets = self.inner.offsets.write();
+            for (partition, offset) in entries {
+                let key = PartitionKey {
                     topic,
                     partition: partition as u32,
-                },
-                offset,
-            );
+                };
+                let groups = offsets.entry(key).or_default();
+                match groups.iter_mut().find(|(g, _)| *g == group) {
+                    Some(slot) => slot.1 = offset,
+                    None => groups.push((group, offset)),
+                }
+                if floor_topic.is_some() {
+                    let floor = groups.iter().map(|&(_, o)| o).min().unwrap_or(offset);
+                    floors.push((partition, floor));
+                }
+            }
+        }
+        if let Some(t) = floor_topic {
+            for (partition, floor) in floors {
+                t.raise_floor(partition, floor);
+            }
         }
     }
 
@@ -338,12 +375,12 @@ impl Broker {
         self.inner
             .offsets
             .read()
-            .get(&OffsetKey {
-                group,
+            .get(&PartitionKey {
                 topic,
                 partition: partition as u32,
-            })
-            .copied()
+            })?
+            .iter()
+            .find_map(|&(g, offset)| (g == group).then_some(offset))
     }
 
     /// Consumer-group lag: high watermark − committed, per partition.
@@ -659,5 +696,79 @@ mod tests {
         }
         let err = b.fetch("t", 0, 0, 1).unwrap_err();
         assert!(matches!(err, BrokerError::OffsetOutOfRange { .. }));
+    }
+
+    #[test]
+    fn commit_floor_trims_to_the_slowest_group() {
+        let b = Broker::new();
+        b.create_topic("t", 2, RetentionPolicy::committed())
+            .unwrap();
+        for _ in 0..10 {
+            b.append("t", 0, rec("x")).unwrap();
+        }
+        let t = b.topic("t").unwrap();
+        let size = rec("x").wire_size() as u64;
+        b.commit_offset("fast", "t", 0, 2);
+        assert_eq!(t.log_start(0), Some(2));
+        assert_eq!(t.log_stats().retained_bytes, 8 * size);
+        // The slower group pins the floor …
+        b.commit_offset("slow", "t", 0, 2);
+        b.commit_offset("fast", "t", 0, 9);
+        assert_eq!(t.log_start(0), Some(2));
+        // … until it moves too.
+        b.commit_offset("slow", "t", 0, 7);
+        assert_eq!(t.log_start(0), Some(7));
+        assert_eq!(t.log_stats().retained_bytes, 3 * size);
+        assert!(matches!(
+            b.fetch("t", 0, 6, 1),
+            Err(BrokerError::OffsetOutOfRange { log_start: 7, .. })
+        ));
+        assert_eq!(b.fetch("t", 0, 7, 10).unwrap().len(), 3);
+        // Other partitions are untouched by a commit elsewhere.
+        assert_eq!(t.log_start(1), Some(0));
+    }
+
+    #[test]
+    fn group_that_never_committed_pins_nothing() {
+        let b = Broker::new();
+        b.create_topic("t", 1, RetentionPolicy::committed())
+            .unwrap();
+        for _ in 0..5 {
+            b.append("t", 0, rec("x")).unwrap();
+        }
+        // A member of "idle" reads but never commits.
+        let mut idle = crate::Consumer::new(b.clone(), "t", "idle", &[0]).unwrap();
+        assert_eq!(idle.poll(10, std::time::Duration::ZERO).unwrap().len(), 5);
+        b.commit_offset("g", "t", 0, 5);
+        let t = b.topic("t").unwrap();
+        assert_eq!(t.log_start(0), Some(5));
+        assert_eq!(t.log_stats().retained_bytes, 0);
+        // A group joining later starts at the log start.
+        let mut late = crate::Consumer::new(b.clone(), "t", "late", &[0]).unwrap();
+        assert_eq!(late.position(0), Some(5));
+        b.append("t", 0, rec("y")).unwrap();
+        assert_eq!(late.poll(10, std::time::Duration::ZERO).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn commits_do_not_trim_other_policies() {
+        let b = Broker::new();
+        b.create_topic("t", 1, RetentionPolicy::unbounded())
+            .unwrap();
+        for _ in 0..5 {
+            b.append("t", 0, rec("x")).unwrap();
+        }
+        b.commit_offset("g", "t", 0, 5);
+        assert_eq!(b.fetch("t", 0, 0, 10).unwrap().len(), 5);
+        // Re-created under another policy, a topic stops trimming too.
+        b.delete_topic("t");
+        b.create_topic("t", 1, RetentionPolicy::committed())
+            .unwrap();
+        b.delete_topic("t");
+        b.create_topic("t", 1, RetentionPolicy::unbounded())
+            .unwrap();
+        b.append("t", 0, rec("x")).unwrap();
+        b.commit_offset("g", "t", 0, 1);
+        assert_eq!(b.fetch("t", 0, 0, 10).unwrap().len(), 1);
     }
 }

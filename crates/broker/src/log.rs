@@ -1,15 +1,18 @@
 //! The per-partition segmented commit log.
 //!
 //! A [`PartitionLog`] is an append-only sequence of [`Record`]s with dense
-//! offsets, stored in fixed-capacity segments so retention can trim from
-//! the head in O(1) amortised (whole segments are dropped, never spliced).
+//! offsets, stored in fixed-capacity segments. Retention only ever moves
+//! the log start forward, through one routine: the records below the new
+//! start have their payloads released at once (the log start may sit
+//! inside a segment, like Kafka's `DeleteRecords`), and segments wholly
+//! below it are dropped whole — O(1) each, however many records they hold.
 //!
 //! A log is either **memory-only** (the seed structure: every record
 //! resident, nothing survives the process) or **durable**
 //! ([`PartitionLog::open_durable`]): each segment is mirrored to an
 //! append-only file through the [`storage`](crate::storage) engine, cold
 //! segments are *evicted* — records dropped from memory, served back from
-//! the page cache on fetch — and retention unlinks whole segment files.
+//! the page cache on fetch — and a dropped segment's file is unlinked.
 //! The append hot path is identical in shape either way; durability adds
 //! one frame encode into a user-space buffer (see
 //! [`storage::writer`](crate::storage::writer)) and *never* a syscall —
@@ -39,9 +42,12 @@ pub const SEGMENT_RECORDS: usize = 1024;
 /// Why a [`PartitionLog::read`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadError {
-    /// The requested offset precedes the retained log (trimmed by
-    /// retention). Carries the current log start, so callers can auto-reset
-    /// (Kafka's `auto.offset.reset = earliest`).
+    /// The requested offset precedes the retained log: a size limit dropped
+    /// its segment, or the commit floor (the lowest offset committed by a
+    /// group that has committed on the partition, see
+    /// [`RetentionPolicy::committed`]) passed it. Carries the current log
+    /// start, so callers can auto-reset (Kafka's
+    /// `auto.offset.reset = earliest`).
     Trimmed(Offset),
     /// A cold segment's file could not be read back, or its frames no
     /// longer decode — an I/O fault or latent corruption discovered after
@@ -69,8 +75,10 @@ struct Segment {
     /// Resident records. Empty for an evicted segment (`count` still
     /// reflects the segment's true population).
     records: Vec<Record>,
-    /// Records in the segment, resident or not.
+    /// Records in the segment, resident or not (trimmed ones included:
+    /// offsets stay dense).
     count: usize,
+    /// Wire bytes of the segment's records at or above the log start.
     bytes: u64,
     /// Largest record timestamp (0 while empty).
     max_ts: u64,
@@ -101,6 +109,24 @@ impl Segment {
     fn is_evicted(&self) -> bool {
         self.count > 0 && self.records.is_empty()
     }
+
+    /// Release the records at in-segment indices `from..to`: drop their
+    /// payloads if resident, and return the wire bytes they leave `bytes`.
+    fn release(&mut self, from: usize, to: usize) -> u64 {
+        let released = match &self.disk {
+            Some(d) if self.is_evicted() => d.wire_bytes(from, to),
+            _ => self.records[from..to]
+                .iter_mut()
+                .map(|r| {
+                    let size = r.wire_size() as u64;
+                    r.value = bytes::Bytes::new();
+                    size
+                })
+                .sum(),
+        };
+        self.bytes -= released;
+        released
+    }
 }
 
 /// The durable half of a [`PartitionLog`]: the buffered file appender plus
@@ -121,14 +147,15 @@ impl std::fmt::Debug for Store {
     }
 }
 
-/// An append-only partition log with segment-level retention.
+/// An append-only partition log with head retention.
 #[derive(Debug)]
 pub struct PartitionLog {
     segments: Vec<Segment>,
     retention: RetentionPolicy,
+    /// Wire bytes of the retained records.
     total_bytes: u64,
-    total_records: u64,
-    /// Offset of the first retained record.
+    /// Offset of the first retained record; `segments[0]` holds it (or it
+    /// equals the high watermark).
     log_start: Offset,
     /// `Some` for a durable log; `None` is the seed memory-only structure.
     store: Option<Store>,
@@ -141,7 +168,6 @@ impl PartitionLog {
             segments: vec![Segment::new(0)],
             retention,
             total_bytes: 0,
-            total_records: 0,
             log_start: 0,
             store: None,
         }
@@ -166,11 +192,9 @@ impl PartitionLog {
         let next = recovered.next_offset;
         let mut segments: Vec<Segment> = Vec::with_capacity(recovered.segments.len() + 1);
         let mut total_bytes = 0u64;
-        let mut total_records = 0u64;
         for seg in recovered.segments {
             let count = seg.disk.positions.len();
             total_bytes += seg.wire_bytes;
-            total_records += count as u64;
             segments.push(Segment {
                 base_offset: seg.base_offset,
                 records: Vec::new(),
@@ -192,7 +216,6 @@ impl PartitionLog {
             segments,
             retention,
             total_bytes,
-            total_records,
             log_start,
             store: Some(Store {
                 writer,
@@ -228,14 +251,15 @@ impl PartitionLog {
         }
     }
 
-    /// Retained records.
+    /// Retained records (offsets are dense, so this is the high watermark
+    /// minus the log start).
     pub fn len(&self) -> u64 {
-        self.total_records
+        self.high_watermark() - self.log_start
     }
 
     /// True if no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.total_records == 0
+        self.len() == 0
     }
 
     /// Retained payload bytes.
@@ -249,7 +273,8 @@ impl PartitionLog {
     }
 
     /// Records currently resident in memory (diagnostic: shows eviction
-    /// bounding the footprint of a long durable run).
+    /// bounding the footprint of a long durable run). Trimmed records of a
+    /// segment still in use count, though their payloads are released.
     pub fn resident_records(&self) -> u64 {
         self.segments.iter().map(|s| s.records.len() as u64).sum()
     }
@@ -283,7 +308,6 @@ impl PartitionLog {
         seg.count += 1;
         seg.bytes += size;
         self.total_bytes += size;
-        self.total_records += 1;
         self.enforce_retention();
         offset
     }
@@ -322,19 +346,43 @@ impl PartitionLog {
         }
     }
 
-    /// Drop head segments while the policy is exceeded. The active (last)
-    /// segment is never dropped. In a durable log the drop is the whole
-    /// point: one `unlink`, O(1) in the segment's record count.
+    /// Drop head segments while a size limit is exceeded. The active (last)
+    /// segment is never dropped. One comparison per append when nothing is
+    /// over a limit.
     fn enforce_retention(&mut self) {
-        while self.segments.len() > 1
-            && self
-                .retention
-                .exceeded(self.total_bytes, self.total_records)
-        {
-            let seg = self.segments.remove(0);
+        let (mut bytes, mut records) = (self.total_bytes, self.len());
+        let mut keep = 0;
+        while keep + 1 < self.segments.len() && self.retention.exceeded(bytes, records) {
+            let seg = &self.segments[keep];
+            bytes -= seg.bytes;
+            records -= seg.next_offset() - self.log_start.max(seg.base_offset);
+            keep += 1;
+        }
+        if keep > 0 {
+            self.advance_start(self.segments[keep].base_offset);
+        }
+    }
+
+    /// Move the log start up to `to` (clamped to the high watermark): the
+    /// one trim routine behind every retention criterion — size limits
+    /// ([`Self::enforce_retention`]) and the commit floor
+    /// ([`Topic::raise_floor`](crate::topic::Topic::raise_floor)). Segments
+    /// wholly below `to` are dropped, except the active one; in a durable
+    /// log their files are unlinked, one `unlink` each. In the segment `to`
+    /// lands in, the records below it have their payloads released. A `to`
+    /// at or below the current start is a no-op: the start never moves
+    /// back.
+    pub(crate) fn advance_start(&mut self, to: Offset) {
+        let to = to.min(self.high_watermark());
+        if to <= self.log_start {
+            return;
+        }
+        let whole = self.segments[..self.segments.len() - 1]
+            .iter()
+            .take_while(|s| s.next_offset() <= to)
+            .count();
+        for seg in self.segments.drain(..whole) {
             self.total_bytes -= seg.bytes;
-            self.total_records -= seg.count as u64;
-            self.log_start = self.segments[0].base_offset;
             if let Some(disk) = seg.disk {
                 // An unsynced sealed file may still sit in the writer's
                 // pending list; its handle stays valid (fsync of a deleted
@@ -342,6 +390,10 @@ impl PartitionLog {
                 let _ = std::fs::remove_file(&disk.path);
             }
         }
+        let seg = &mut self.segments[0];
+        let from = self.log_start.saturating_sub(seg.base_offset) as usize;
+        self.total_bytes -= seg.release(from, (to - seg.base_offset) as usize);
+        self.log_start = to;
     }
 
     /// Capture what the next sync cycle must write and fsync (see
@@ -400,7 +452,8 @@ impl PartitionLog {
             Some(d) if seg.is_evicted() => d.timestamps.partition_point(|&t| t < ts_us),
             _ => seg.records.partition_point(|r| r.timestamp_us < ts_us),
         };
-        seg.base_offset + j as u64
+        // Trimmed records keep their timestamps; never answer below them.
+        (seg.base_offset + j as u64).max(self.log_start)
     }
 
     /// Read up to `max` records starting at `offset`. An offset below
@@ -739,6 +792,125 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn read_below_commit_floor_is_trimmed() {
+        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        for i in 0..10u8 {
+            log.append(Record::new(vec![i; 8]));
+        }
+        log.advance_start(4);
+        assert_eq!(log.log_start(), 4);
+        assert_eq!(log.read(3, 1), Err(ReadError::Trimmed(4)));
+        let recs = log.read(4, 100).unwrap();
+        assert_eq!(recs.len(), 6);
+        assert_eq!(recs[0].offset, 4);
+        assert_eq!(
+            recs[0].value.as_ref(),
+            &[4u8; 8][..],
+            "payload above the floor kept"
+        );
+    }
+
+    #[test]
+    fn bytes_and_len_fall_as_commit_floor_rises() {
+        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        let n = SEGMENT_RECORDS as u64 * 2 + 10;
+        for _ in 0..n {
+            log.append(rec(8));
+        }
+        let size = rec(8).wire_size() as u64;
+        assert_eq!((log.len(), log.bytes()), (n, n * size));
+        // Inside the head segment: payloads released, segment kept.
+        log.advance_start(5);
+        assert_eq!((log.len(), log.bytes()), (n - 5, (n - 5) * size));
+        assert_eq!(log.segment_count(), 3);
+        // Wholly past the head segment: it is dropped.
+        let floor = SEGMENT_RECORDS as u64 + 1;
+        log.advance_start(floor);
+        assert_eq!((log.len(), log.bytes()), (n - floor, (n - floor) * size));
+        assert_eq!(log.segment_count(), 2);
+        // The floor never moves back …
+        log.advance_start(2);
+        assert_eq!(log.log_start(), floor);
+        // … and stops at the high watermark; the active segment stays.
+        log.advance_start(u64::MAX);
+        assert_eq!((log.len(), log.bytes()), (0, 0));
+        assert_eq!(log.log_start(), n);
+        assert_eq!(log.segment_count(), 1);
+        // Appends after a full trim read back normally.
+        assert_eq!(log.append(rec(8)), n);
+        assert_eq!(log.read(n, 10).unwrap().len(), 1);
+        assert_eq!(log.bytes(), size);
+    }
+
+    #[test]
+    fn offset_for_timestamp_never_below_log_start() {
+        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        for ts in 0..20u64 {
+            log.append(Record::new(vec![0u8; 4]).with_timestamp(ts * 10));
+        }
+        log.advance_start(7);
+        assert_eq!(log.offset_for_timestamp(0), 7);
+        assert_eq!(log.offset_for_timestamp(65), 7);
+        assert_eq!(log.offset_for_timestamp(75), 8);
+        assert_eq!(log.offset_for_timestamp(u64::MAX), log.high_watermark());
+    }
+
+    #[test]
+    fn durable_head_file_unlinked_only_once_floor_passes_it() {
+        let dir = tmp_dir("floor");
+        let mut mem = PartitionLog::new(RetentionPolicy::committed());
+        let mut log = open(dir.clone(), RetentionPolicy::committed());
+        let n = SEGMENT_RECORDS * 3 + 5; // the head segment gets evicted
+        for i in 0..n {
+            let r = Record::new(vec![(i % 251) as u8; 1 + i % 40]);
+            mem.append(r.clone());
+            log.append(r);
+            if i % 512 == 511 {
+                log.test_sync();
+            }
+        }
+        log.test_sync();
+        assert!(log.segments[0].is_evicted());
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        let head = SEGMENT_RECORDS as u64;
+        let before = files();
+        // A floor inside the (evicted) head segment keeps its file, and
+        // counts the released bytes exactly as a memory log does.
+        for l in [&mut log, &mut mem] {
+            l.advance_start(head - 1);
+        }
+        assert_eq!(files(), before);
+        assert_eq!(log.bytes(), mem.bytes());
+        assert_eq!(log.read(head - 2, 1), Err(ReadError::Trimmed(head - 1)));
+        assert_eq!(
+            log.read(head - 1, 2).unwrap(),
+            mem.read(head - 1, 2).unwrap()
+        );
+        // Wholly past it: one unlink.
+        for l in [&mut log, &mut mem] {
+            l.advance_start(head + 3);
+        }
+        assert_eq!(files(), before - 1);
+        assert_eq!(log.bytes(), mem.bytes());
+        drop(log);
+        // Reopen recovers from the next file (the floor itself is not
+        // persisted: the log starts at that file's base).
+        let log = open(dir.clone(), RetentionPolicy::committed());
+        assert_eq!(log.log_start(), head);
+        assert_eq!(log.high_watermark(), n as u64);
+        let h = head as usize;
+        assert_eq!(
+            log.read(head, 1).unwrap()[0].value.as_ref(),
+            &vec![(h % 251) as u8; 1 + h % 40][..]
+        );
+        assert_eq!(
+            log.read(head + 3, 5).unwrap(),
+            mem.read(head + 3, 5).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     proptest! {
         /// Any sequence of appends yields dense offsets and reads return
         /// exactly the records asked for, in order.
@@ -757,25 +929,45 @@ mod tests {
             }
         }
 
-        /// Under any record-count retention, the high watermark is
-        /// monotonic, log_start <= hwm, and reads from log_start succeed.
+        /// Under any record-count retention and any commit floors raised
+        /// along the way, the high watermark is monotonic, the log start
+        /// never moves back and never passes it, `len`/`bytes` count
+        /// exactly the records from the log start on, reads below the
+        /// start are `Trimmed` and reads from it succeed.
         #[test]
         fn prop_retention_invariants(
             n in 1usize..4000,
             cap in 1u64..2000,
+            commits in proptest::collection::vec((0usize..4000, 0u64..4000), 0..20),
         ) {
             let mut log = PartitionLog::new(RetentionPolicy::by_records(cap));
-            let mut prev_hwm = 0;
-            for _ in 0..n {
+            let size = rec(4).wire_size() as u64;
+            let (mut prev_hwm, mut prev_start) = (0, 0);
+            for i in 0..n {
                 log.append(rec(4));
+                for &(_, floor) in commits.iter().filter(|&&(at, _)| at == i) {
+                    log.advance_start(floor);
+                }
                 let hwm = log.high_watermark();
                 prop_assert!(hwm > prev_hwm);
                 prev_hwm = hwm;
-                prop_assert!(log.log_start() <= hwm);
+                let start = log.log_start();
+                prop_assert!(start >= prev_start);
+                prev_start = start;
+                prop_assert!(start <= hwm);
+                prop_assert_eq!(log.len(), hwm - start);
+                prop_assert_eq!(log.bytes(), (hwm - start) * size);
             }
-            let from_start = log.read(log.log_start(), 10).unwrap();
-            prop_assert!(!from_start.is_empty());
-            prop_assert_eq!(from_start[0].offset, log.log_start());
+            let start = log.log_start();
+            if start > 0 {
+                prop_assert_eq!(log.read(start - 1, 1), Err(ReadError::Trimmed(start)));
+            }
+            let from_start = log.read(start, 10).unwrap();
+            prop_assert_eq!(from_start.is_empty(), log.is_empty());
+            if let Some(first) = from_start.first() {
+                prop_assert_eq!(first.offset, start);
+                prop_assert_eq!(first.value.len(), 4);
+            }
         }
 
         /// Monotonic timestamps: the binary-search `offset_for_timestamp`

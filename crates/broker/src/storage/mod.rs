@@ -158,6 +158,9 @@ pub struct LogStats {
     /// Records appended but not yet durable, summed over partitions
     /// (high watermark − durable watermark; 0 for memory-only topics).
     pub durable_lag: u64,
+    /// Wire bytes of the records at or above each partition's log start,
+    /// summed over partitions: what retention still holds.
+    pub retained_bytes: u64,
 }
 
 impl LogStats {
@@ -168,6 +171,7 @@ impl LogStats {
         self.fsync_count += other.fsync_count;
         self.segment_count += other.segment_count;
         self.durable_lag += other.durable_lag;
+        self.retained_bytes += other.retained_bytes;
     }
 }
 
@@ -354,9 +358,11 @@ mod tests {
             fsync_count: 3,
             segment_count: 4,
             durable_lag: 5,
+            retained_bytes: 6,
         };
         a.merge(&a.clone());
         assert_eq!(a.dirty_bytes, 2);
         assert_eq!(a.durable_lag, 10);
+        assert_eq!(a.retained_bytes, 12);
     }
 }

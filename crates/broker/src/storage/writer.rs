@@ -23,7 +23,7 @@
 //! [`PartitionLog`](crate::log::PartitionLog) — so a fetch never reads a
 //! file region whose write is still pending.
 
-use super::segment_file::{decode_frame, encode_frame, segment_file_name};
+use super::segment_file::{decode_frame, encode_frame, segment_file_name, FRAME_HEADER};
 use super::StoreStats;
 use crate::record::{Offset, Record};
 use bytes::Bytes;
@@ -55,6 +55,14 @@ pub struct DiskSegment {
 }
 
 impl DiskSegment {
+    /// Summed `wire_size` of the records at in-segment indices `from..to`,
+    /// from the frame positions alone (a frame is a fixed header plus a
+    /// body of exactly the record's wire size) — no I/O.
+    pub fn wire_bytes(&self, from: usize, to: usize) -> u64 {
+        let at = |i: usize| self.positions.get(i).copied().unwrap_or(self.data_len);
+        at(to) - at(from) - (FRAME_HEADER * (to - from)) as u64
+    }
+
     /// Read `take` records starting at in-segment index `rel` — one
     /// buffered read covering exactly the wanted frames (served from the
     /// page cache for anything recent), then zero-copy frame decode.

@@ -451,6 +451,16 @@ impl Topic {
         Some(self.partitions.get(partition)?.lock().log_start())
     }
 
+    /// Raise a partition's commit floor: trim its log up to `floor` (see
+    /// [`RetentionPolicy::committed`]). A floor at or below the log start
+    /// changes nothing. The broker calls this after a commit on a topic
+    /// created with that policy.
+    pub(crate) fn raise_floor(&self, partition: usize, floor: Offset) {
+        if let Some(p) = self.partitions.get(partition) {
+            p.lock().advance_start(floor);
+        }
+    }
+
     /// Durable watermark of a partition: the offset below which every
     /// record survives a crash. Equals the high watermark for a
     /// memory-only topic (nothing stronger exists to wait for); lags it by
@@ -529,6 +539,7 @@ impl Topic {
             let log = p.lock();
             out.segment_count += log.segment_count() as u64;
             out.durable_lag += log.high_watermark() - log.durable_watermark();
+            out.retained_bytes += log.bytes();
         }
         if let Some(store) = &self.store {
             out.dirty_bytes = store.stats.dirty_bytes.load(Ordering::Relaxed);
@@ -557,11 +568,6 @@ impl Topic {
                 .lock()
                 .offset_for_timestamp(ts_us),
         )
-    }
-
-    /// Total retained bytes across partitions.
-    pub fn total_bytes(&self) -> u64 {
-        self.partitions.iter().map(|p| p.lock().bytes()).sum()
     }
 }
 

@@ -15,10 +15,16 @@
 //! consumption. The conservation test in `tests/federation.rs` leans on
 //! exactly this: a federated cell delivers the same `(msg_id, payload)`
 //! set as the equivalent standalone pipeline run.
+//!
+//! A cell's memory is bounded by its lag, not by the length of its run:
+//! the cell topic trims at the consumer's commit floor, and a producer
+//! at its backpressure watermark parks until the consumer's next committed
+//! round wakes it.
 
 use crate::faas::{CloudFn, Context, ProduceFn};
 use crate::runtime::sentinel;
 use bytes::{Bytes, BytesMut};
+use parking_lot::Mutex;
 use pilot_broker::{Broker, Consumer, Record};
 use pilot_dataflow::{ReactorPoll, ReactorTask};
 use pilot_datagen::{decode_any_into, Block, Codec};
@@ -33,9 +39,30 @@ use std::time::{Duration, Instant};
 /// fairness across cells sharing the reactor pool).
 const PRODUCE_BUDGET: usize = 32;
 
-/// How long an over-watermark producer parks before re-checking the
-/// consumer's progress.
-const BACKPRESSURE_PAUSE: Duration = Duration::from_micros(200);
+/// What a cell's producer and consumer share for backpressure: the
+/// consumer's processed count, and the slot a producer at its watermark
+/// leaves its waker in. The consumer wakes the slot after each committed
+/// round, so a blocked producer costs no timer poll.
+#[derive(Default)]
+pub(crate) struct CellProgress {
+    processed: AtomicU64,
+    parked: Mutex<Option<Waker>>,
+}
+
+impl CellProgress {
+    /// Messages appended (`appended` of them so far) but not yet processed.
+    fn lag(&self, appended: u64) -> u64 {
+        appended.saturating_sub(self.processed.load(Ordering::Relaxed))
+    }
+
+    fn wake_producer(&self) {
+        // Take under the lock, wake outside it.
+        let parked = self.parked.lock().take();
+        if let Some(w) = parked {
+            w.wake();
+        }
+    }
+}
 
 /// One device's stream inside the producer task.
 struct DeviceStream {
@@ -58,10 +85,11 @@ pub(crate) struct CellProducerTask {
     cursor: usize,
     /// Cell-local messages appended, for the backpressure watermark.
     appended: u64,
-    /// The consumer task's processed count (shared).
-    processed: Arc<AtomicU64>,
-    /// Park when `appended - processed` exceeds this (0 = unbounded).
-    backpressure: usize,
+    /// Shared with the cell's consumer task.
+    progress: Arc<CellProgress>,
+    /// Park while `appended - processed` is at or above this (0 =
+    /// unbounded).
+    backpressure: u64,
     produced_ctr: Arc<Counter>,
     abort: Arc<AtomicBool>,
 }
@@ -73,7 +101,7 @@ impl CellProducerTask {
         broker: Broker,
         topic: String,
         streams: Vec<ProduceFn>,
-        processed: Arc<AtomicU64>,
+        progress: Arc<CellProgress>,
         backpressure: usize,
         produced_ctr: Arc<Counter>,
         abort: Arc<AtomicBool>,
@@ -93,8 +121,8 @@ impl CellProducerTask {
             scratch: BytesMut::new(),
             cursor: 0,
             appended: 0,
-            processed,
-            backpressure,
+            progress,
+            backpressure: backpressure as u64,
             produced_ctr,
             abort,
         }
@@ -104,10 +132,14 @@ impl CellProducerTask {
         self.abort.store(true, Ordering::Release);
         ReactorPoll::Complete(Err(e))
     }
+
+    fn at_watermark(&self) -> bool {
+        self.backpressure > 0 && self.progress.lag(self.appended) >= self.backpressure
+    }
 }
 
 impl ReactorTask for CellProducerTask {
-    fn poll(&mut self, _waker: &Waker) -> ReactorPoll {
+    fn poll(&mut self, waker: &Waker) -> ReactorPoll {
         if self.abort.load(Ordering::Acquire) {
             return ReactorPoll::Complete(Ok(self.appended));
         }
@@ -117,14 +149,14 @@ impl ReactorTask for CellProducerTask {
                 return ReactorPoll::Complete(Ok(self.appended));
             }
             // Backpressure: a cell whose consumer lags keeps its broker
-            // backlog bounded by parking instead of buffering the run.
-            if self.backpressure > 0
-                && self
-                    .appended
-                    .saturating_sub(self.processed.load(Ordering::Relaxed))
-                    >= self.backpressure as u64
-            {
-                return ReactorPoll::PendingUntil(Instant::now() + BACKPRESSURE_PAUSE);
+            // backlog bounded by parking instead of buffering the run. The
+            // re-check after parking closes the window in which the
+            // consumer's round landed before the waker did.
+            if self.at_watermark() {
+                *self.progress.parked.lock() = Some(waker.clone());
+                if self.at_watermark() {
+                    return ReactorPoll::Pending;
+                }
             }
             // Advance to the next live device.
             while self.streams[self.cursor % devices].done {
@@ -190,7 +222,7 @@ pub(crate) struct CellConsumerTask {
     partitions: usize,
     finished: HashSet<usize>,
     processed: u64,
-    processed_shared: Arc<AtomicU64>,
+    progress: Arc<CellProgress>,
     processed_ctr: Arc<Counter>,
     completion: CellCompletion,
     abort: Arc<AtomicBool>,
@@ -206,7 +238,7 @@ impl CellConsumerTask {
         partitions: usize,
         process: CloudFn,
         fetch_max: usize,
-        processed_shared: Arc<AtomicU64>,
+        progress: Arc<CellProgress>,
         processed_ctr: Arc<Counter>,
         completion: CellCompletion,
         abort: Arc<AtomicBool>,
@@ -228,7 +260,7 @@ impl CellConsumerTask {
             partitions,
             finished: HashSet::new(),
             processed: 0,
-            processed_shared,
+            progress,
             processed_ctr,
             completion,
             abort,
@@ -244,6 +276,7 @@ impl CellConsumerTask {
 
     fn fail(&self, e: String) -> ReactorPoll {
         self.abort.store(true, Ordering::Release);
+        self.progress.wake_producer();
         ReactorPoll::Complete(Err(e))
     }
 }
@@ -282,13 +315,16 @@ impl ReactorTask for CellConsumerTask {
                     return self.fail(format!("cell {}: process: {e}", self.ctx.job_id));
                 }
                 self.processed += 1;
-                self.processed_shared.fetch_add(1, Ordering::Relaxed);
+                self.progress.processed.fetch_add(1, Ordering::Relaxed);
                 self.processed_ctr.add(1);
             }
         }
         // Commit only after the fetched round is fully processed
-        // (at-least-once, same policy as the pipeline consumer).
+        // (at-least-once, same policy as the pipeline consumer). The
+        // commit trims the cell topic to the new floor, and the round's
+        // progress may release a producer parked at its watermark.
         self.consumer.commit();
+        self.progress.wake_producer();
         if self.finished.len() >= self.partitions {
             return self.complete();
         }

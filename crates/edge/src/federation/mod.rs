@@ -47,7 +47,7 @@ pub use aggregate::{GLOBAL_KEY, REGION_KEY};
 use crate::faas::{CloudFactory, Context, ProcessOutcome, ProduceFn};
 use crate::processors::datagen_produce_factory;
 use aggregate::{CloudAggregatorTask, RegionAggregatorTask};
-use cell::{CellCompletion, CellConsumerTask, CellProducerTask};
+use cell::{CellCompletion, CellConsumerTask, CellProducerTask, CellProgress};
 use pilot_broker::{Broker, RetentionPolicy};
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_dataflow::{ComputePool, LocalExecutor, ReactorHandle};
@@ -59,7 +59,7 @@ use pilot_metrics::{
 };
 use pilot_params::ParameterServer;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +76,9 @@ pub const GAUGE_FED_ROUND_MS: &str = "federation.round_ms";
 pub const GAUGE_FED_CELLS_ACTIVE: &str = "federation.cells.active";
 /// Gauge: edge-tier lag — messages appended but not yet processed.
 pub const GAUGE_FED_LAG_CELLS: &str = "federation.lag.cells";
+/// Gauge: bytes the cell brokers still hold — records at or above each
+/// partition's commit floor, summed over every cell.
+pub const GAUGE_FED_RETAINED_BYTES: &str = "federation.retained_bytes";
 /// Gauge: region-tier lag — cell updates published but not yet merged.
 pub const GAUGE_FED_LAG_REGIONS: &str = "federation.lag.regions";
 /// Gauge: cloud-tier lag — region publishes not yet merged globally.
@@ -106,6 +109,7 @@ pub const CTR_GLOBAL_REFRESHES: &str = "fed.global_refreshes";
 pub const FEDERATION_GAUGES: &[&str] = &[
     GAUGE_FED_CELLS_ACTIVE,
     GAUGE_FED_LAG_CELLS,
+    GAUGE_FED_RETAINED_BYTES,
     GAUGE_FED_LAG_REGIONS,
     GAUGE_FED_LAG_CLOUD,
     GAUGE_FED_ROUNDS,
@@ -150,7 +154,8 @@ pub struct FederationConfig {
     /// Max records per partition a cell consumer fetches per poll.
     pub fetch_max: usize,
     /// Per-cell producer watermark: park while `appended − processed`
-    /// is at or above this (0 = unbounded).
+    /// is at or above this (0 = unbounded). The consumer's next committed
+    /// round wakes a parked producer.
     pub backpressure: usize,
     /// Sample interval for the telemetry thread; `None` = no telemetry
     /// thread at all.
@@ -323,6 +328,10 @@ pub struct FederationSummary {
     pub params_puts: u64,
     /// Total reactor polls across all tasks.
     pub reactor_polls: u64,
+    /// Bytes the cell brokers still held once every task completed (the
+    /// `federation.retained_bytes` gauge's final value): 0 when every cell
+    /// committed past its sentinels.
+    pub retained_bytes: u64,
     /// Reactor worker threads the run used.
     pub reactor_threads: usize,
     /// Final global model as `(total_samples, per_feature_model)`.
@@ -367,6 +376,8 @@ pub struct RunningFederation {
     cloud_task: ReactorHandle,
     region_servers: Vec<ParameterServer>,
     cloud_server: ParameterServer,
+    /// One broker per cell (index = cell).
+    brokers: Vec<Broker>,
     produced: Arc<Counter>,
     processed: Arc<Counter>,
     started: Instant,
@@ -483,6 +494,7 @@ impl RunningFederation {
             params_puts: puts,
             reactor_polls: self.executor.poll_count(),
             reactor_threads,
+            retained_bytes: retained_bytes(&self.brokers),
             global: self.global_model(),
         })
     }
@@ -523,6 +535,10 @@ fn split_payload(value: Option<Arc<Vec<f64>>>) -> Option<(f64, Vec<f64>)> {
         return None;
     }
     Some((v[0], v[1..].to_vec()))
+}
+
+fn retained_bytes(brokers: &[Broker]) -> u64 {
+    brokers.iter().map(|b| b.log_stats().retained_bytes).sum()
 }
 
 fn param_traffic(regions: &[ParameterServer], cloud: &ParameterServer) -> (u64, u64) {
@@ -589,15 +605,19 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
 
     let mut producers = Vec::with_capacity(cfg.cells);
     let mut consumers = Vec::with_capacity(cfg.cells);
+    let mut brokers = Vec::with_capacity(cfg.cells);
     for (cell, cell_pilot) in cell_pilots.iter().enumerate() {
         let broker: Broker = cell_pilot.start_broker().map_err(|e| e.to_string())?;
+        // The cell consumer is the topic's only group: what it has
+        // committed is gone from the broker.
         broker
             .create_topic(
                 CELL_TOPIC,
                 cfg.devices_per_cell,
-                RetentionPolicy::unbounded(),
+                RetentionPolicy::committed(),
             )
             .map_err(|e| e.to_string())?;
+        brokers.push(broker.clone());
         let region = cfg.region_of(cell);
         let ctx = Context::new(
             cell as u64,
@@ -613,13 +633,13 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
             .map(|d| produce_factory(&ctx, d))
             .collect();
         let process = factory(&ctx);
-        let cell_processed = Arc::new(AtomicU64::new(0));
+        let progress = Arc::new(CellProgress::default());
         let producer = CellProducerTask::new(
             ctx.clone(),
             broker.clone(),
             CELL_TOPIC.to_string(),
             streams,
-            cell_processed.clone(),
+            progress.clone(),
             cfg.backpressure,
             produced.clone(),
             abort.clone(),
@@ -632,7 +652,7 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
             cfg.devices_per_cell,
             process,
             cfg.fetch_max,
-            cell_processed,
+            progress,
             processed.clone(),
             CellCompletion {
                 region_done: region_done[region].clone(),
@@ -683,6 +703,7 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
             executor.clone(),
             region_servers.clone(),
             cloud_server.clone(),
+            brokers.clone(),
             cells_done,
         )];
         Arc::new(TelemetrySampler::spawn(
@@ -721,6 +742,7 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         cloud_task,
         region_servers,
         cloud_server,
+        brokers,
         produced,
         processed,
         started: Instant::now(),
@@ -832,14 +854,16 @@ fn federation_telemetry_off() -> Response {
 }
 
 /// One probe refreshing every federation gauge before each telemetry
-/// snapshot (per-tier lag, live cells, parameter-plane traffic, reactor
-/// health — the `pilot_top` federation scenario reads these).
+/// snapshot (per-tier lag, retained broker bytes, live cells,
+/// parameter-plane traffic, reactor health — the `pilot_top` federation
+/// scenario reads these).
 fn federation_probe(
     registry: &MetricsRegistry,
     cfg: &FederationConfig,
     executor: Arc<LocalExecutor>,
     region_servers: Vec<ParameterServer>,
     cloud_server: ParameterServer,
+    brokers: Vec<Broker>,
     cells_done: Arc<AtomicUsize>,
 ) -> Probe {
     let produced = registry.counter(CTR_PRODUCED);
@@ -849,6 +873,7 @@ fn federation_probe(
     let region_pubs = registry.counter(CTR_REGION_PUBLISHES);
     let region_merges = registry.counter(CTR_REGION_MERGES);
     let lag_cells = registry.gauge(GAUGE_FED_LAG_CELLS);
+    let retained = registry.gauge(GAUGE_FED_RETAINED_BYTES);
     let lag_regions = registry.gauge(GAUGE_FED_LAG_REGIONS);
     let lag_cloud = registry.gauge(GAUGE_FED_LAG_CLOUD);
     let cells_active = registry.gauge(GAUGE_FED_CELLS_ACTIVE);
@@ -859,6 +884,7 @@ fn federation_probe(
     let cells = cfg.cells;
     Box::new(move || {
         lag_cells.set(produced.get().saturating_sub(processed.get()) as i64);
+        retained.set(retained_bytes(&brokers) as i64);
         lag_regions.set(published.get().saturating_sub(merged.get()) as i64);
         lag_cloud.set(region_pubs.get().saturating_sub(region_merges.get()) as i64);
         cells_active.set(cells.saturating_sub(cells_done.load(Ordering::Relaxed)) as i64);
@@ -878,6 +904,7 @@ pub fn run(cfg: FederationConfig, timeout: Duration) -> Result<FederationSummary
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     fn small() -> FederationConfig {
         FederationConfig {
@@ -957,6 +984,9 @@ mod tests {
         // The final stop() snapshot ran the probe at least once.
         assert!(registry.gauge_value(GAUGE_PARAMS_PUTS).unwrap_or(0) > 0);
         assert_eq!(registry.gauge_value(GAUGE_FED_CELLS_ACTIVE), Some(0));
+        // Every cell committed past its sentinels: the brokers are empty.
+        assert_eq!(registry.gauge_value(GAUGE_FED_RETAINED_BYTES), Some(0));
+        assert_eq!(summary.retained_bytes, 0);
     }
 
     #[test]

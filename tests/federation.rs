@@ -12,6 +12,10 @@
 //! 3. **Hierarchical exactness.** With the built-in streaming-mean
 //!    participant, the final global model is the sample-weighted mean of
 //!    every point generated anywhere in the federation.
+//! 4. **Bounded cells.** A producer at its backpressure watermark parks
+//!    until its consumer's next committed round wakes it, so a cell's lag
+//!    never passes the watermark; and once every cell has committed past
+//!    its sentinels its broker holds nothing.
 
 use parking_lot::Mutex;
 use pilot_core::{PilotComputeService, PilotDescription};
@@ -23,6 +27,7 @@ use pilot_edge::EdgeToCloudPipeline;
 use pilot_metrics::MetricsRegistry;
 use pilot_params::ParameterServer;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -230,4 +235,62 @@ fn hierarchical_fedavg_matches_direct_mean() {
             "feature {feature}: global {got} vs direct mean {want}"
         );
     }
+}
+
+/// Backpressure without a timer: on every processing call the cell's
+/// `fed.produced − fed.processed` stays within the watermark (the message
+/// being processed is counted as produced, not yet processed), and the
+/// run still delivers every message.
+#[test]
+fn backpressure_bounds_cell_lag_and_completes() {
+    const WATERMARK: u64 = 4;
+    let max_lag = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&max_lag);
+    let cfg = FederationConfig {
+        cells: 1,
+        regions: 1,
+        devices_per_cell: 3,
+        messages_per_device: 50,
+        points: 4,
+        reactor_threads: 2,
+        backpressure: WATERMARK as usize,
+        cell_factory: Some(Arc::new(move |ctx: &Context| {
+            let produced = ctx.counter(federation::CTR_PRODUCED);
+            let processed = ctx.counter(federation::CTR_PROCESSED);
+            let seen = Arc::clone(&seen);
+            Box::new(move |_ctx: &Context, _block: &pilot_datagen::Block| {
+                let lag = produced.get().saturating_sub(processed.get());
+                seen.fetch_max(lag, Ordering::Relaxed);
+                Ok(ProcessOutcome::default())
+            })
+        })),
+        ..FederationConfig::default()
+    };
+    let expected = cfg.expected_messages();
+    let summary = federation::run(cfg, WAIT).expect("federation run");
+    assert_eq!(summary.processed, expected);
+    let lag = max_lag.load(Ordering::Relaxed);
+    assert!(
+        (1..=WATERMARK).contains(&lag),
+        "cell lag reached {lag}; the watermark is {WATERMARK}"
+    );
+}
+
+/// Commit-floor retention: after `wait`, every cell has committed past
+/// its sentinels, so no cell broker retains a byte.
+#[test]
+fn cell_brokers_retain_nothing_once_committed() {
+    let cfg = FederationConfig {
+        cells: 3,
+        regions: 1,
+        devices_per_cell: 2,
+        messages_per_device: 20,
+        points: 6,
+        reactor_threads: 2,
+        ..FederationConfig::default()
+    };
+    let expected = cfg.expected_messages();
+    let summary = federation::run(cfg, WAIT).expect("federation run");
+    assert_eq!(summary.processed, expected);
+    assert_eq!(summary.retained_bytes, 0);
 }
