@@ -26,7 +26,6 @@
 
 use super::action::{Action, Cause, Verdict};
 use super::{ControllerConfig, Knob};
-use crate::planner::{size_processors, Calibration, PlannerInput};
 use std::time::Duration;
 
 /// The pipeline stage a bottleneck attribution maps to (the planner's
@@ -94,32 +93,6 @@ impl Default for ControlBounds {
 }
 
 impl ControlBounds {
-    /// Derive bounds from an analytic plan: the processor ceiling comes
-    /// from [`size_processors`] with 50% headroom (the controller may need
-    /// more than the steady-state plan during a burst), everything else
-    /// from the defaults.
-    pub fn from_planner(input: &PlannerInput) -> Self {
-        let max_processors = size_processors(input, 1.5)
-            .unwrap_or_else(|| input.processors.max(Self::default().max_processors))
-            .clamp(1, 64);
-        Self {
-            min_processors: 1,
-            max_processors: max_processors.max(input.processors),
-            ..Self::default()
-        }
-    }
-
-    /// [`ControlBounds::from_planner`] with the plan corrected by measured
-    /// telemetry: the processors-stage correction factor from
-    /// [`crate::planner::Prediction::calibrate`] scales the per-message
-    /// cost before sizing (a model measured 2× slower than planned doubles
-    /// the ceiling).
-    pub fn from_calibrated(input: &PlannerInput, calibration: &Calibration) -> Self {
-        let mut corrected = input.clone();
-        corrected.process_secs *= calibration.factor("processors").max(0.1);
-        Self::from_planner(&corrected)
-    }
-
     pub(crate) fn validate(&self) -> Result<(), String> {
         for knob in Knob::ALL {
             let (min, max) = self.range(knob);

@@ -90,8 +90,7 @@ pub struct ControllerConfig {
     pub lag_bound: u64,
     /// Walk knobs back down when total lag falls to or below this.
     pub lag_low: u64,
-    /// Per-knob bounds; see [`ControlBounds::from_planner`] to derive the
-    /// processor ceiling from an analytic plan.
+    /// Per-knob bounds: no action ever leaves them.
     pub bounds: ControlBounds,
     /// Window width for [`pilot_metrics::attribute`], µs.
     pub attribution_window_us: u64,

@@ -45,6 +45,7 @@ mod cell;
 pub use aggregate::{GLOBAL_KEY, REGION_KEY};
 
 use crate::faas::{CloudFactory, Context, ProcessOutcome, ProduceFn};
+use crate::observe::{Observability, RunView};
 use crate::processors::datagen_produce_factory;
 use aggregate::{CloudAggregatorTask, RegionAggregatorTask};
 use cell::{CellCompletion, CellConsumerTask, CellProducerTask, CellProgress};
@@ -52,11 +53,8 @@ use pilot_broker::{Broker, RetentionPolicy};
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_dataflow::{ComputePool, LocalExecutor, ReactorHandle};
 use pilot_datagen::DataGenConfig;
-use pilot_gateway::{Gateway, GatewayConfig, Request, Response, Router, StopFlag};
-use pilot_metrics::{
-    frames_json, prometheus_exposition, write_chrome_trace_to, Counter, MetricsRegistry, Probe,
-    TelemetrySampler, TopView,
-};
+use pilot_gateway::GatewayConfig;
+use pilot_metrics::{Counter, MetricsRegistry, Probe, TelemetrySampler};
 use pilot_params::ParameterServer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -364,11 +362,9 @@ pub struct RunningFederation {
     _svc: PilotComputeService,
     executor: Arc<LocalExecutor>,
     registry: MetricsRegistry,
-    /// `Arc` so the gateway's stream handlers can hold the sampler across
-    /// their own thread lifetimes (the sampler itself is not `Clone`).
-    sampler: Option<Arc<TelemetrySampler>>,
-    /// The observability gateway, when [`FederationConfig::gateway`] is set.
-    gateway: Option<Gateway>,
+    /// The telemetry sampler and, when [`FederationConfig::gateway`] is
+    /// set, the observability gateway.
+    observed: Observability,
     abort: Arc<AtomicBool>,
     producers: Vec<ReactorHandle>,
     consumers: Vec<ReactorHandle>,
@@ -406,13 +402,13 @@ impl RunningFederation {
 
     /// The telemetry sampler, when `telemetry_sample_ms` was set.
     pub fn sampler(&self) -> Option<&TelemetrySampler> {
-        self.sampler.as_deref()
+        self.observed.sampler()
     }
 
     /// The bound address of the observability gateway, when
     /// [`FederationConfig::gateway`] is set (resolves `:0` ephemeral ports).
     pub fn gateway_addr(&self) -> Option<std::net::SocketAddr> {
-        self.gateway.as_ref().map(|g| g.addr())
+        self.observed.gateway_addr()
     }
 
     /// The shared reactor (thread count, poll stats).
@@ -468,14 +464,7 @@ impl RunningFederation {
         }
         let wall = self.started.elapsed();
         let reactor_threads = self.executor.thread_count();
-        // The gateway goes down before the sampler: its streams poll the
-        // sampler, and shutdown() joins the worker threads.
-        if let Some(mut gw) = self.gateway.take() {
-            gw.shutdown();
-        }
-        if let Some(sampler) = self.sampler.take() {
-            sampler.stop();
-        }
+        self.observed.shutdown();
         self.executor.shutdown();
         if let Some(e) = first_error {
             return Err(e);
@@ -714,27 +703,31 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         ))
     });
 
-    let gateway = match &cfg.gateway {
-        Some(gw_cfg) => Some(
-            start_federation_gateway(
-                gw_cfg,
-                &registry,
-                sampler.clone(),
-                processed.clone(),
-                cfg.expected_messages(),
-            )
-            .map_err(|e| format!("gateway: {e}"))?,
-        ),
-        None => None,
-    };
+    let mut observed = Observability::new(sampler);
+    if let Some(gw_cfg) = &cfg.gateway {
+        let (processed, expected) = (processed.clone(), cfg.expected_messages());
+        let stopped = abort.clone();
+        // The read-only routes alone: the federation has no tune table and
+        // no external ingestion path. It records no spans under a job id,
+        // so its spans are the whole private registry.
+        let view = RunView {
+            registry: registry.clone(),
+            gauges: FEDERATION_GAUGES,
+            job: None,
+            progress: Box::new(move || (processed.get(), Some(expected))),
+            stopped: Box::new(move || stopped.load(Ordering::Acquire)),
+        };
+        observed
+            .serve(gw_cfg, view, |router| router)
+            .map_err(|e| format!("gateway: {e}"))?;
+    }
 
     Ok(RunningFederation {
         cfg,
         _svc: svc,
         executor,
         registry,
-        sampler,
-        gateway,
+        observed,
         abort,
         producers,
         consumers,
@@ -747,110 +740,6 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         processed,
         started: Instant::now(),
     })
-}
-
-/// Build and start the federation's observability gateway: the read-only
-/// endpoint subset (`/metrics`, `/telemetry/frames`, `/telemetry/stream`,
-/// `/top`, `/trace`) over the run's registry. The federation has no tune
-/// table and no external ingestion path, so the control and produce
-/// endpoints of the pipeline gateway do not exist here.
-fn start_federation_gateway(
-    cfg: &GatewayConfig,
-    registry: &MetricsRegistry,
-    sampler: Option<Arc<TelemetrySampler>>,
-    processed: Arc<Counter>,
-    expected: u64,
-) -> std::io::Result<Gateway> {
-    let stop = StopFlag::new();
-    let metrics_registry = registry.clone();
-    let frames_sampler = sampler.clone();
-    let stream_sampler = sampler.clone();
-    let stream_stop = stop.clone();
-    let top_sampler = sampler;
-    let trace_registry = registry.clone();
-
-    let router = Router::new()
-        .get(
-            "/metrics",
-            Box::new(move |_req: &Request| Response::Full {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: prometheus_exposition(&metrics_registry).into_bytes(),
-            }),
-        )
-        .get(
-            "/telemetry/frames",
-            Box::new(move |_req: &Request| {
-                let frames = frames_sampler
-                    .as_ref()
-                    .map(|s| s.frames())
-                    .unwrap_or_default();
-                Response::json(frames_json(&frames))
-            }),
-        )
-        .get(
-            "/telemetry/stream",
-            Box::new(move |_req: &Request| {
-                let Some(sampler) = stream_sampler.clone() else {
-                    return federation_telemetry_off();
-                };
-                let stop = stream_stop.clone();
-                Response::Stream {
-                    content_type: "text/event-stream",
-                    write: Box::new(move |w| {
-                        let mut cursor = 0u64;
-                        while !stop.is_stopped() {
-                            for frame in sampler.frames() {
-                                if frame.t_us <= cursor {
-                                    continue;
-                                }
-                                pilot_gateway::write_sse_event(w, Some("frame"), &frame.to_json())?;
-                                cursor = frame.t_us;
-                            }
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Ok(())
-                    }),
-                }
-            }),
-        )
-        .get(
-            "/top",
-            Box::new(move |_req: &Request| {
-                let Some(sampler) = &top_sampler else {
-                    return federation_telemetry_off();
-                };
-                let Some(latest) = sampler.latest() else {
-                    return Response::text(503, "no telemetry frame sampled yet\n");
-                };
-                let view = TopView::from_frame(
-                    &latest,
-                    FEDERATION_GAUGES,
-                    processed.get(),
-                    Some(expected),
-                );
-                Response::json(view.to_json())
-            }),
-        )
-        .get(
-            "/trace",
-            Box::new(move |_req: &Request| {
-                let registry = trace_registry.clone();
-                Response::Stream {
-                    content_type: "application/json",
-                    write: Box::new(move |w| write_chrome_trace_to(w, &registry.snapshot(), &[])),
-                }
-            }),
-        );
-
-    Gateway::start(cfg, router, registry, stop)
-}
-
-fn federation_telemetry_off() -> Response {
-    Response::text(
-        404,
-        "telemetry plane is off (set telemetry_sample_ms on the federation)\n",
-    )
 }
 
 /// One probe refreshing every federation gauge before each telemetry

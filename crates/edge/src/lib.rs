@@ -59,6 +59,7 @@ pub mod control;
 pub mod deployment;
 pub mod faas;
 pub mod federation;
+mod observe;
 pub mod pipeline;
 pub mod placement;
 pub mod planner;

@@ -316,7 +316,7 @@ impl EdgeToCloudPipeline {
     }
 
     /// Use an existing metrics registry (so multiple runs share one
-    /// timeline); a fresh one is created otherwise.
+    /// clock); a fresh one is created otherwise.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self

@@ -15,11 +15,7 @@
 //! against the simulator (`tests/planner.rs` validates predictions against
 //! measured runs).
 
-use crate::runtime::telemetry::{
-    GAUGE_COMPUTE_POOL_OCCUPANCY, GAUGE_NET_BROKER_CLOUD_BUSY, GAUGE_NET_EDGE_BROKER_BUSY,
-};
 use pilot_datagen::Codec;
-use pilot_metrics::TelemetryFrame;
 use pilot_netsim::LinkSpec;
 
 /// What the planner needs to know about a prospective deployment.
@@ -101,105 +97,6 @@ pub struct Prediction {
     pub latency_floor_ms: f64,
 }
 
-/// Per-stage correction factors relating a [`Prediction`] to what the
-/// telemetry plane actually measured. A factor above 1 means the stage ran
-/// *busier* than the plan assumed (its real per-message cost is higher);
-/// below 1, the plan was pessimistic. Stages without a measurable gauge
-/// keep the identity factor 1.0.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Calibration {
-    /// `(stage label, correction factor)`, aligned with
-    /// [`Prediction::stages`] order.
-    pub factors: Vec<(String, f64)>,
-}
-
-impl Calibration {
-    /// The correction factor for `stage` (1.0 when unknown).
-    pub fn factor(&self, stage: &str) -> f64 {
-        self.factors
-            .iter()
-            .find(|(s, _)| s == stage)
-            .map(|(_, f)| *f)
-            .unwrap_or(1.0)
-    }
-
-    /// Whether every factor is the identity (the no-telemetry fallback).
-    pub fn is_identity(&self) -> bool {
-        self.factors.iter().all(|(_, f)| (*f - 1.0).abs() < 1e-12)
-    }
-}
-
-impl Prediction {
-    /// Correct this prediction against measured telemetry frames.
-    ///
-    /// For each stage with a measurable utilization gauge — the two links
-    /// (cumulative `busy_us` delta over the frame window) and the
-    /// processors (mean compute-pool occupancy as a busy-fraction proxy) —
-    /// the factor is `measured utilization / predicted utilization`,
-    /// clamped to `[0.25, 4.0]` so one noisy window cannot swing a plan by
-    /// more than 4×. Producers and the broker have no utilization gauge
-    /// and keep 1.0.
-    ///
-    /// **Fallback**: with fewer than two frames (telemetry off, or the run
-    /// just started) every factor is 1.0 — calibration degrades to the
-    /// uncorrected plan instead of guessing (pinned by
-    /// `calibrate_without_telemetry_is_identity`).
-    pub fn calibrate(&self, frames: &[TelemetryFrame]) -> Calibration {
-        let identity = Calibration {
-            factors: self.stages.iter().map(|s| (s.stage.clone(), 1.0)).collect(),
-        };
-        let (Some(first), Some(last)) = (frames.first(), frames.last()) else {
-            return identity;
-        };
-        let dt_us = last.t_us.saturating_sub(first.t_us);
-        if dt_us == 0 {
-            return identity;
-        }
-        // Busy fraction of a cumulative-µs gauge over the frame window.
-        let busy_frac = |name: &str| -> Option<f64> {
-            let b0 = first.value(name)?;
-            let b1 = last.value(name)?;
-            Some(((b1 - b0).max(0) as f64 / dt_us as f64).clamp(0.0, 1.0))
-        };
-        let mean_gauge = |name: &str| -> Option<f64> {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for f in frames {
-                if let Some(v) = f.value(name) {
-                    sum += v as f64;
-                    n += 1;
-                }
-            }
-            (n > 0).then(|| sum / n as f64)
-        };
-        let factors = self
-            .stages
-            .iter()
-            .map(|s| {
-                let predicted = if s.capacity_msgs.is_finite() && s.capacity_msgs > 0.0 {
-                    (self.throughput_msgs / s.capacity_msgs).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let measured = match s.stage.as_str() {
-                    "edge->broker link" => busy_frac(GAUGE_NET_EDGE_BROKER_BUSY),
-                    "broker->cloud link" => busy_frac(GAUGE_NET_BROKER_CLOUD_BUSY),
-                    "processors" => {
-                        mean_gauge(GAUGE_COMPUTE_POOL_OCCUPANCY).map(|o| o.clamp(0.0, 1.0))
-                    }
-                    _ => None,
-                };
-                let factor = match measured {
-                    Some(m) if predicted > 1e-9 => (m / predicted).clamp(0.25, 4.0),
-                    _ => 1.0,
-                };
-                (s.stage.clone(), factor)
-            })
-            .collect();
-        Calibration { factors }
-    }
-}
-
 /// Predict throughput, bottleneck, and the latency floor for a deployment.
 pub fn predict(input: &PlannerInput) -> Prediction {
     let msg_bytes = input.message_bytes() as f64;
@@ -279,30 +176,10 @@ pub fn predict(input: &PlannerInput) -> Prediction {
     }
 }
 
-/// Smallest processor count whose capacity exceeds the offered load with
-/// `headroom` (e.g. 1.2 = 20% slack); `None` when the load is unbounded or
-/// another stage caps throughput below the offered load anyway.
-pub fn size_processors(input: &PlannerInput, headroom: f64) -> Option<usize> {
-    if input.rate_per_device <= 0.0 || input.process_secs <= 0.0 {
-        return None;
-    }
-    let offered = input.rate_per_device * input.devices as f64;
-    // If a link/broker stage already caps below the offered load, more
-    // processors cannot help.
-    let mut probe = input.clone();
-    probe.processors = usize::MAX;
-    let p = predict(&probe);
-    if p.throughput_msgs < offered {
-        return None;
-    }
-    Some((offered * headroom * input.process_secs).ceil().max(1.0) as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pilot_netsim::profiles;
-    use std::sync::Arc;
 
     #[test]
     fn wan_is_the_bottleneck_for_big_messages() {
@@ -347,71 +224,6 @@ mod tests {
         let pq = predict(&q16_in);
         let ratio = pq.throughput_msgs / pf.throughput_msgs;
         assert!((3.5..=4.5).contains(&ratio), "ratio={ratio}");
-    }
-
-    #[test]
-    fn size_processors_matches_load() {
-        let mut input = PlannerInput::new(4, 100);
-        input.rate_per_device = 50.0; // 200 msgs/s offered
-        input.process_secs = 0.01; // one processor sustains 100/s
-                                   // 200 msgs/s * 1.2 headroom * 0.01 s = 2.4 → 3 processors.
-        assert_eq!(size_processors(&input, 1.2), Some(3));
-    }
-
-    #[test]
-    fn size_processors_refuses_link_bound_plans() {
-        let mut input = PlannerInput::new(4, 10_000);
-        input.link_edge_broker = profiles::transatlantic("wan", 0);
-        input.rate_per_device = 100.0; // far above the ~4 msgs/s WAN cap
-        input.process_secs = 0.001;
-        assert_eq!(size_processors(&input, 1.2), None);
-    }
-
-    #[test]
-    fn size_processors_none_when_unthrottled() {
-        let input = PlannerInput::new(2, 100);
-        assert_eq!(size_processors(&input, 1.2), None);
-    }
-
-    #[test]
-    fn calibrate_without_telemetry_is_identity() {
-        // Telemetry off (no frames) or a single frame: calibration must
-        // degrade to the uncorrected plan, factor 1.0 on every stage.
-        let p = predict(&PlannerInput::new(4, 1_000));
-        let c = p.calibrate(&[]);
-        assert!(c.is_identity(), "{c:?}");
-        assert_eq!(c.factors.len(), p.stages.len());
-        let one = pilot_metrics::TelemetryFrame {
-            t_us: 1_000,
-            values: vec![("net.edge_broker.busy_us".into(), 500)],
-        };
-        assert!(p.calibrate(&[one]).is_identity());
-        assert_eq!(p.calibrate(&[]).factor("processors"), 1.0);
-        assert_eq!(p.calibrate(&[]).factor("no-such-stage"), 1.0);
-    }
-
-    #[test]
-    fn calibrate_scales_link_factor_from_busy_delta() {
-        // A link planned at ~50% utilization but measured 100% busy over
-        // the window gets a factor of ~2 (its real per-byte cost is twice
-        // the plan's).
-        let mut input = PlannerInput::new(4, 10_000);
-        input.link_edge_broker = profiles::transatlantic("wan", 0);
-        input.rate_per_device = 0.5; // 2 msgs/s offered vs ~3.9 capacity
-        let p = predict(&input);
-        let frame = |t_us: u64, busy: i64| pilot_metrics::TelemetryFrame {
-            t_us,
-            values: vec![(Arc::from("net.edge_broker.busy_us"), busy)],
-        };
-        let frames = vec![frame(0, 0), frame(1_000_000, 1_000_000)];
-        let c = p.calibrate(&frames);
-        let predicted_util = p.throughput_msgs / p.stages[1].capacity_msgs;
-        let expected = (1.0 / predicted_util).clamp(0.25, 4.0);
-        let got = c.factor("edge->broker link");
-        assert!((got - expected).abs() < 1e-9, "got {got}, want {expected}");
-        // Unmeasured stages stay identity.
-        assert_eq!(c.factor("producers"), 1.0);
-        assert_eq!(c.factor("broker"), 1.0);
     }
 
     #[test]

@@ -68,13 +68,17 @@ where
             // flat parametrisation — isolation forests — skip this).
             let weights = model.weights();
             if !weights.is_empty() {
-                let span = ctx
-                    .metrics
-                    .start_span(ctx.job_id, block.msg_id, Component::ParamServer)
-                    .bytes((weights.len() * 8) as u64);
+                let spans = ctx.metrics.for_job(ctx.job_id);
+                let start_us = spans.now_us();
                 ctx.params
                     .update(&ctx.model_key(), MergePolicy::Assign, &weights);
-                ctx.metrics.finish(span);
+                spans.record(
+                    block.msg_id,
+                    Component::ParamServer,
+                    start_us,
+                    spans.now_us(),
+                    (weights.len() * 8) as u64,
+                );
             }
             Ok(ProcessOutcome {
                 scores: Some(scores),

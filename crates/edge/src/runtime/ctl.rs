@@ -16,6 +16,7 @@ use super::consumer::ConsumerStage;
 use super::Shared;
 use crate::control::{Action, Cause, ControlEvent, ControllerHandle};
 use crate::faas::{CloudFactory, Context};
+use crate::observe::Observability;
 use crate::pipeline::PipelineError;
 use crate::summary::RunSummary;
 use parking_lot::Mutex;
@@ -41,10 +42,9 @@ pub(crate) struct PipelineCtl {
     /// Members retired by a scale-down, joined at `wait()`/drop.
     retired: Mutex<Vec<ReactorHandle>>,
     next_member: AtomicUsize,
-    /// The telemetry sampler thread, when `telemetry_sample_ms` is set.
-    /// Stopped explicitly at the end of `wait()` (so the final frame sees
-    /// the drained gauge levels) and implicitly by its own `Drop`.
-    telemetry: Option<TelemetrySampler>,
+    /// The telemetry sampler thread, when `telemetry_sample_ms` is set;
+    /// the [`RunningPipeline`]'s [`Observability`] stops it.
+    telemetry: Option<Arc<TelemetrySampler>>,
     /// The journal clock's zero.
     started: Instant,
     /// Every applied control action, in the order applied.
@@ -56,7 +56,7 @@ impl PipelineCtl {
         shared: Arc<Shared>,
         edge: Pilot,
         cloud: Pilot,
-        telemetry: Option<TelemetrySampler>,
+        telemetry: Option<Arc<TelemetrySampler>>,
     ) -> Self {
         Self {
             shared,
@@ -186,7 +186,7 @@ impl PipelineCtl {
     /// The telemetry sampler, when the telemetry plane is on (the
     /// controller reads frames and attribution input through this).
     pub(crate) fn telemetry_sampler(&self) -> Option<&TelemetrySampler> {
-        self.telemetry.as_ref()
+        self.telemetry.as_deref()
     }
 
     pub(crate) fn scale_processors(&self, n: usize) -> Result<(), PipelineError> {
@@ -230,12 +230,13 @@ pub struct RunningPipeline {
     ///
     /// [`PipelineConfig::controller`]: crate::pipeline::PipelineConfig::controller
     pub(crate) controller: Option<ControllerHandle>,
-    /// The observability gateway, when [`PipelineConfig::gateway`] is set.
-    /// Lives here (not in [`PipelineCtl`]): its handlers capture
-    /// `Arc<PipelineCtl>`, so storing it inside the ctl would cycle.
+    /// The telemetry sampler and, when [`PipelineConfig::gateway`] is set,
+    /// the observability gateway. Lives here (not in [`PipelineCtl`]): the
+    /// gateway's handlers capture `Arc<PipelineCtl>`, so storing it inside
+    /// the ctl would cycle.
     ///
     /// [`PipelineConfig::gateway`]: crate::pipeline::PipelineConfig::gateway
-    pub(crate) gateway: Option<pilot_gateway::Gateway>,
+    pub(crate) observed: Observability,
 }
 
 impl RunningPipeline {
@@ -244,7 +245,7 @@ impl RunningPipeline {
     ///
     /// [`PipelineConfig::gateway`]: crate::pipeline::PipelineConfig::gateway
     pub fn gateway_addr(&self) -> Option<std::net::SocketAddr> {
-        self.gateway.as_ref().map(|g| g.addr())
+        self.observed.gateway_addr()
     }
 
     /// A handle to the broker carrying this pipeline's topic (the gateway's
@@ -328,9 +329,8 @@ impl RunningPipeline {
     /// or to [`pilot_metrics::chrome_trace_json`] for a Perfetto-loadable
     /// trace with gauge counter tracks.
     pub fn telemetry(&self) -> Vec<TelemetryFrame> {
-        self.ctl
-            .telemetry
-            .as_ref()
+        self.observed
+            .sampler()
             .map(|s| s.frames())
             .unwrap_or_default()
     }
@@ -368,6 +368,14 @@ impl RunningPipeline {
             }
         }
         failure.map_or(Ok(()), Err)
+    }
+
+    /// Once every task has settled: join the reactor threads, so no pool
+    /// thread outlives the run, then shut the observability plane down
+    /// (its sampler's final frame records the quiesced gauge levels).
+    fn shutdown(&mut self) {
+        self.ctl.shutdown_reactors();
+        self.observed.shutdown();
     }
 
     /// Wait for the run to complete: producers finish their streams,
@@ -408,20 +416,7 @@ impl RunningPipeline {
         // not complete until the last one — a retired member may still be
         // inside its last poll — has finished.
         self.stop_and_join(deadline)?;
-        // Every task is settled; join the reactor threads now so a
-        // completed wait() leaves no pool threads behind.
-        self.ctl.shutdown_reactors();
-        // The gateway goes down before the sampler: its SSE streams poll
-        // the sampler, and shutdown() joins the worker threads, so no
-        // handler can observe a stopped telemetry plane.
-        if let Some(mut gw) = self.gateway.take() {
-            gw.shutdown();
-        }
-        // Stop the sampler after every stage drained, so its final frame
-        // records the quiesced gauge levels (zero depth, zero in-flight).
-        if let Some(t) = &self.ctl.telemetry {
-            t.stop();
-        }
+        self.shutdown();
         let ctx = &shared.ctx;
         Ok(RunSummary::from_report(
             ctx.job_id,
@@ -441,14 +436,8 @@ impl Drop for RunningPipeline {
     /// pilots' cores are free for the next pipeline.
     fn drop(&mut self) {
         const GRACE: Duration = Duration::from_secs(5);
-        if let Some(mut gw) = self.gateway.take() {
-            gw.shutdown();
-        }
         let _ = self.stop_and_join(Instant::now() + GRACE);
-        self.ctl.shutdown_reactors();
-        if let Some(t) = &self.ctl.telemetry {
-            t.stop();
-        }
+        self.shutdown();
     }
 }
 

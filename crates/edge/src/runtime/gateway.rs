@@ -1,22 +1,9 @@
-//! The observability front door of a running pipeline (DESIGN.md §16):
-//! wires the generic [`pilot_gateway`] HTTP server onto a live
-//! [`PipelineCtl`].
-//!
-//! The gateway crate knows sockets, HTTP framing, routing, and SSE — it
-//! has never heard of pipelines. This module is the other half: it builds
-//! the endpoint handlers as closures over the pipeline control surface and
-//! hands them to [`pilot_gateway::Gateway::start`]. Opt-in via
-//! [`PipelineConfig::gateway`](crate::pipeline::PipelineConfig::gateway);
-//! with the knob unset (the default) none of this exists — no listener, no
-//! threads, no `gateway.*` gauges.
+//! The pipeline's half of the observability front door (DESIGN.md §16):
+//! its [`RunView`] and its control routes, added to the read-only route
+//! set both entry points serve ([`crate::observe`]).
 //!
 //! | endpoint                 | serves                                          |
 //! |--------------------------|-------------------------------------------------|
-//! | `GET /metrics`           | Prometheus text exposition of every gauge/counter |
-//! | `GET /telemetry/frames`  | the telemetry frame ring as a JSON array        |
-//! | `GET /telemetry/stream`  | SSE: each new frame + periodic bottleneck verdict |
-//! | `GET /top`               | the `pilot_top` table as JSON ([`TopView`])     |
-//! | `GET /trace`             | Chrome `trace_event` JSON, streamed to the socket |
 //! | `GET /control/journal`   | the pipeline's control journal (controller + tunes) |
 //! | `POST /control/tune`     | set `TuneTable` knobs live, bounds-checked      |
 //! | `POST /produce`          | append a record to a topic partition            |
@@ -29,211 +16,52 @@
 
 use super::ctl::PipelineCtl;
 use crate::control::{Action, Cause, ControlBounds, ControlEvent, Knob, Verdict};
+use crate::observe::{Observability, RunView};
 use pilot_broker::{BrokerError, Record};
-use pilot_gateway::{Gateway, GatewayConfig, Request, Response, Router, StopFlag};
-use pilot_metrics::{
-    attribute, frames_json, prometheus_exposition, push_json_string, write_chrome_trace_to, Span,
-    TelemetryFrame, TopView, PIPELINE_GAUGES,
-};
+use pilot_gateway::{GatewayConfig, Request, Response};
+use pilot_metrics::{push_json_string, PIPELINE_GAUGES};
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// SSE frame poll interval.
-const STREAM_POLL: Duration = Duration::from_millis(25);
-/// Minimum spacing between two SSE bottleneck verdicts.
-const VERDICT_EVERY: Duration = Duration::from_millis(250);
-/// Attribution window for `/top` and the SSE verdict events.
-const ATTRIBUTION_WINDOW_US: u64 = 250_000;
-
-/// Start the pipeline's gateway: build every endpoint around `ctl` and
-/// serve on `cfg.bind`. `bounds` gates `POST /control/tune`.
-pub(crate) fn start(
+/// Serve the pipeline's gateway on `cfg.bind`: the read-only routes over
+/// this job's spans and report, plus the control routes around `ctl`.
+/// `bounds` gates `POST /control/tune`.
+pub(crate) fn serve(
+    observed: &mut Observability,
     cfg: &GatewayConfig,
     ctl: &Arc<PipelineCtl>,
     bounds: ControlBounds,
-) -> io::Result<Gateway> {
-    let stop = StopFlag::new();
-    let registry = ctl.shared.metrics().clone();
+) -> io::Result<()> {
     let job_id = ctl.shared.ctx.job_id;
-
-    let metrics_registry = registry.clone();
-    let frames_ctl = Arc::clone(ctl);
-    let stream_ctl = Arc::clone(ctl);
-    let stream_stop = stop.clone();
-    let top_ctl = Arc::clone(ctl);
-    let trace_ctl = Arc::clone(ctl);
-    let journal_ctl = Arc::clone(ctl);
-    let tune_ctl = Arc::clone(ctl);
-    let produce_ctl = Arc::clone(ctl);
-
-    let router = Router::new()
-        .get(
-            "/metrics",
-            Box::new(move |_req: &Request| Response::Full {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: prometheus_exposition(&metrics_registry).into_bytes(),
-            }),
-        )
-        .get(
-            "/telemetry/frames",
-            Box::new(move |_req: &Request| {
-                let frames = frames_ctl
-                    .telemetry_sampler()
-                    .map(|s| s.frames())
-                    .unwrap_or_default();
-                Response::json(frames_json(&frames))
-            }),
-        )
-        .get(
-            "/telemetry/stream",
-            Box::new(move |_req: &Request| {
-                if stream_ctl.telemetry_sampler().is_none() {
-                    return telemetry_off();
-                }
-                let ctl = Arc::clone(&stream_ctl);
-                let stop = stream_stop.clone();
-                Response::Stream {
-                    content_type: "text/event-stream",
-                    write: Box::new(move |w| stream_telemetry(&ctl, &stop, w)),
-                }
-            }),
-        )
-        .get(
-            "/top",
-            Box::new(move |_req: &Request| {
-                let Some(sampler) = top_ctl.telemetry_sampler() else {
-                    return telemetry_off();
-                };
-                let frames = sampler.frames();
-                let Some(latest) = frames.last() else {
-                    return Response::text(503, "no telemetry frame sampled yet\n");
-                };
-                let processed = top_ctl
-                    .shared
-                    .metrics()
-                    .report_for_job(job_id)
-                    .total_messages();
-                let mut view = TopView::from_frame(latest, PIPELINE_GAUGES, processed, None);
-                view.bottleneck = attribute_dominant(&top_ctl, &frames);
-                Response::json(view.to_json())
-            }),
-        )
-        .get(
-            "/trace",
-            Box::new(move |_req: &Request| {
-                let ctl = Arc::clone(&trace_ctl);
-                Response::Stream {
-                    content_type: "application/json",
-                    write: Box::new(move |w| {
-                        let spans = job_spans(&ctl);
-                        let frames = ctl
-                            .telemetry_sampler()
-                            .map(|s| s.frames())
-                            .unwrap_or_default();
-                        write_chrome_trace_to(w, &spans, &frames)
-                    }),
-                }
-            }),
-        )
-        .get(
-            "/control/journal",
-            Box::new(move |_req: &Request| {
-                Response::json(events_json(&journal_ctl.journal_events()))
-            }),
-        )
-        .post(
-            "/control/tune",
-            Box::new(move |req: &Request| apply_tune(req, &tune_ctl, &bounds)),
-        )
-        .post(
-            "/produce",
-            Box::new(move |req: &Request| produce(req, &produce_ctl)),
-        );
-
-    Gateway::start(cfg, router, &registry, stop)
-}
-
-fn telemetry_off() -> Response {
-    Response::text(
-        404,
-        "telemetry plane is off (set telemetry_sample_ms on the pipeline)\n",
-    )
-}
-
-/// Spans of this pipeline's job (other jobs sharing the registry are not
-/// this gateway's business).
-fn job_spans(ctl: &PipelineCtl) -> Vec<Span> {
-    let job_id = ctl.shared.ctx.job_id;
-    ctl.shared
-        .metrics()
-        .snapshot()
-        .into_iter()
-        .filter(|s| s.job_id == job_id)
-        .collect()
-}
-
-/// Dominant component of the most recent attribution window, when enough
-/// signal exists.
-fn attribute_dominant(ctl: &PipelineCtl, frames: &[TelemetryFrame]) -> Option<String> {
-    if frames.len() < 2 {
-        return None;
-    }
-    let spans = job_spans(ctl);
-    if spans.is_empty() {
-        return None;
-    }
-    let attr = attribute(&spans, frames, ATTRIBUTION_WINDOW_US);
-    attr.windows
-        .last()
-        .and_then(|w| w.dominant())
-        .or_else(|| attr.dominant())
-        .map(|c| c.label())
-}
-
-/// The SSE loop: push every new telemetry frame (`event: frame`) and a
-/// periodic bottleneck verdict (`event: verdict`) until the subscriber
-/// hangs up or the gateway stops. The cursor starts one frame back so a
-/// new subscriber sees data immediately instead of waiting a sample tick.
-fn stream_telemetry(ctl: &PipelineCtl, stop: &StopFlag, w: &mut dyn io::Write) -> io::Result<()> {
-    let sampler = ctl.telemetry_sampler().expect("checked by handler");
-    let mut cursor = {
-        let frames = sampler.frames();
-        frames
-            .len()
-            .checked_sub(2)
-            .and_then(|i| frames.get(i))
-            .map(|f| f.t_us)
-            .unwrap_or(0)
+    let (progress_ctl, stopped_ctl) = (Arc::clone(ctl), Arc::clone(ctl));
+    let view = RunView {
+        registry: ctl.shared.metrics().clone(),
+        gauges: PIPELINE_GAUGES,
+        job: Some(job_id),
+        progress: Box::new(move || {
+            let report = progress_ctl.shared.metrics().report_for_job(job_id);
+            (report.total_messages(), None)
+        }),
+        stopped: Box::new(move || stopped_ctl.is_stopped()),
     };
-    let mut last_verdict = Instant::now();
-    let mut first = true;
-    while !stop.is_stopped() && !ctl.is_stopped() {
-        let frames = sampler.frames();
-        for frame in frames.iter() {
-            if frame.t_us <= cursor {
-                continue;
-            }
-            pilot_gateway::write_sse_event(w, Some("frame"), &frame.to_json())?;
-            cursor = frame.t_us;
-        }
-        if first || last_verdict.elapsed() >= VERDICT_EVERY {
-            first = false;
-            last_verdict = Instant::now();
-            let mut data = String::from("{\"t_us\":");
-            data.push_str(&ctl.shared.metrics().now_us().to_string());
-            data.push_str(",\"bottleneck\":");
-            match attribute_dominant(ctl, &frames) {
-                Some(label) => push_json_string(&mut data, &label),
-                None => data.push_str("null"),
-            }
-            data.push('}');
-            pilot_gateway::write_sse_event(w, Some("verdict"), &data)?;
-        }
-        std::thread::sleep(STREAM_POLL);
-    }
-    Ok(())
+    let (journal_ctl, tune_ctl, produce_ctl) = (Arc::clone(ctl), Arc::clone(ctl), Arc::clone(ctl));
+    observed.serve(cfg, view, |router| {
+        router
+            .get(
+                "/control/journal",
+                Box::new(move |_req: &Request| {
+                    Response::json(events_json(&journal_ctl.journal_events()))
+                }),
+            )
+            .post(
+                "/control/tune",
+                Box::new(move |req: &Request| apply_tune(req, &tune_ctl, &bounds)),
+            )
+            .post(
+                "/produce",
+                Box::new(move |req: &Request| produce(req, &produce_ctl)),
+            )
+    })
 }
 
 /// Render a journal as a JSON array (one object per [`ControlEvent`]).

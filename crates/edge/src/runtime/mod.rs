@@ -35,10 +35,10 @@
 //!   [`TuneTable`] — one atomic cell per knob of the knob table
 //!   ([`crate::control::Knob`]), written by the controller, the gateway and
 //!   applications alike;
-//! * `producer` — the `DeviceProducer`, the one producer implementation:
-//!   produce, encode, pace and ship one device's stream as a state machine
-//!   that parks on its next deadline;
-//! * `consumer` — the `ConsumerStage`, the one consumer implementation:
+//! * `producer` — the `DeviceProducer`, the pipeline's producer: produce,
+//!   encode, pace and ship one device's stream as a state machine that
+//!   parks on its next deadline;
+//! * `consumer` — the `ConsumerStage`, the pipeline's consumer:
 //!   membership, fetch, broker→cloud transport, processing and commit as
 //!   a waker-based state machine on a fixed pool of reactor threads
 //!   (DESIGN.md §12); the delivery contract is stated there, once;
@@ -49,7 +49,15 @@
 //! * `spans` — metric message identity and hot-path counters;
 //! * `ctl` — `PipelineCtl` / [`RunningPipeline`]: scaling, hot-swap, the
 //!   pipeline's one control journal (controller decisions and operator
-//!   tunes on one clock), wait/abort/drop shutdown.
+//!   tunes on one clock), wait/abort/drop shutdown;
+//! * `gateway` — the pipeline's control routes, served beside the
+//!   read-only routes both entry points share (`crate::observe`).
+//!
+//! These are the pipeline's producer and consumer, not the only ones: the
+//! federation keeps a second of each (`federation/cell.rs`) that records
+//! no spans. Giving it the pipeline's five-span chain would store
+//! 65,536 × 5 × 80-byte spans ≈ 26 MB per `federation-sat` burst, and the
+//! span store has no bound yet.
 //!
 //! **Termination**: each producer appends an empty *sentinel* record after
 //! its stream ends; a partition is complete once its sentinel is consumed;
@@ -111,6 +119,7 @@ pub use tune::TuneTable;
 
 use crate::control::{Controller, Knob};
 use crate::faas::{Context, SwappableCloudFactory};
+use crate::observe::Observability;
 use crate::pipeline::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
 use pilot_broker::{Broker, GroupCoordinator, RetentionPolicy};
 use pilot_core::Pilot;
@@ -290,14 +299,14 @@ pub(crate) fn start(
     });
     let cfg = &shared.config;
     // The sampler thread snapshots the gauges every `telemetry_sample_ms`;
-    // it is owned by the ctl (not by Shared), stopped on wait()/drop.
+    // the running pipeline's observability plane stops it on wait()/drop.
     let sampler = cfg.telemetry_sample_ms.map(|ms| {
-        TelemetrySampler::spawn(
+        Arc::new(TelemetrySampler::spawn(
             shared.metrics().clone(),
             Duration::from_millis(ms),
             TelemetrySampler::DEFAULT_CAPACITY,
             StageGauges::probes(&shared),
-        )
+        ))
     });
 
     let produce = builder.produce_factory.as_ref().expect("validated");
@@ -313,7 +322,12 @@ pub(crate) fn start(
             (format!("produce-edge-{device}"), Box::new(task) as _)
         }));
 
-    let ctl = Arc::new(PipelineCtl::new(Arc::clone(&shared), edge, cloud, sampler));
+    let ctl = Arc::new(PipelineCtl::new(
+        Arc::clone(&shared),
+        edge,
+        cloud,
+        sampler.clone(),
+    ));
     ctl.spawn_consumers(cfg.processors)?;
     // Close the loop last: the controller's first tick already sees every
     // startup member and the seeded tune table.
@@ -325,7 +339,7 @@ pub(crate) fn start(
         ctl: Arc::clone(&ctl),
         producers,
         controller,
-        gateway: None,
+        observed: Observability::new(sampler),
     };
     // The tune endpoint reuses the controller's bounds when one is
     // configured (external tunes obey the same envelope), defaults
@@ -336,9 +350,8 @@ pub(crate) fn start(
             .as_ref()
             .map(|c| c.bounds.clone())
             .unwrap_or_default();
-        let gw = gateway::start(gw_cfg, &ctl, bounds)
+        gateway::serve(&mut running.observed, gw_cfg, &ctl, bounds)
             .map_err(|e| PipelineError::Task(format!("gateway: {e}")))?;
-        running.gateway = Some(gw);
     }
     Ok(running)
 }

@@ -37,7 +37,6 @@
 pub mod clock;
 pub mod counter;
 pub mod energy;
-pub mod export;
 pub mod histogram;
 pub mod json;
 pub mod prometheus;
@@ -45,26 +44,21 @@ pub mod registry;
 pub mod report;
 pub mod span;
 pub mod telemetry;
-pub mod timeline;
 pub mod top;
 pub mod trace;
 
 pub use clock::Clock;
 pub use counter::Counter;
 pub use energy::{EnergyModel, ResourceClass};
-pub use export::{read_csv, write_csv};
 pub use histogram::Histogram;
 pub use json::{push_json_string, validate_json};
 pub use prometheus::{prometheus_exposition, validate_prometheus};
 pub use registry::{JobSpans, MetricsRegistry};
 pub use report::{ComponentStats, EndToEnd, PipelineReport, ReportBuilder};
-pub use span::{Component, JobId, MsgId, Span, SpanBuilder};
+pub use span::{Component, JobId, MsgId, Span};
 pub use telemetry::{
     attribute, frames_json, Attribution, Gauge, Probe, TelemetryFrame, TelemetrySampler,
     WindowAttribution,
 };
-pub use timeline::{TimeBucket, Timeline};
 pub use top::{TopView, PIPELINE_GAUGES};
-pub use trace::{
-    chrome_trace_json, validate_trace_json, write_chrome_trace, write_chrome_trace_to,
-};
+pub use trace::{chrome_trace_json, validate_trace_json, write_chrome_trace_to};

@@ -4,7 +4,7 @@
 use crate::clock::Clock;
 use crate::counter::Counter;
 use crate::report::{PipelineReport, ReportBuilder};
-use crate::span::{Component, JobId, MsgId, Span, SpanBuilder};
+use crate::span::{Component, JobId, MsgId, Span};
 use crate::telemetry::Gauge;
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -38,8 +38,7 @@ thread_local! {
 /// use pilot_metrics::{Component, MetricsRegistry};
 ///
 /// let registry = MetricsRegistry::new();
-/// let span = registry.start_span(1, 1, Component::Broker).bytes(1024);
-/// registry.finish(span);
+/// registry.for_job(1).record(1, Component::Broker, 0, 250, 1024);
 /// let report = registry.report();
 /// assert_eq!(report.component(&Component::Broker).unwrap().count, 1);
 /// ```
@@ -88,29 +87,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn now_us(&self) -> u64 {
         self.inner.clock.now_micros()
-    }
-
-    /// Begin a span for `(job_id, msg_id)` in `component`, timestamped now.
-    pub fn start_span(&self, job_id: JobId, msg_id: MsgId, component: Component) -> SpanBuilder {
-        SpanBuilder {
-            job_id,
-            msg_id,
-            component,
-            start_us: self.now_us(),
-            bytes: 0,
-        }
-    }
-
-    /// Complete a span successfully (end time = now) and record it.
-    pub fn finish(&self, builder: SpanBuilder) {
-        let span = builder.into_span(self.now_us(), false);
-        self.record_span(span);
-    }
-
-    /// Complete a span as failed and record it.
-    pub fn fail(&self, builder: SpanBuilder) {
-        let span = builder.into_span(self.now_us(), true);
-        self.record_span(span);
     }
 
     /// Record a fully-formed span (e.g. reconstructed from simulated time).
@@ -382,25 +358,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn start_finish_records_one_span() {
-        let reg = MetricsRegistry::new();
-        let b = reg.start_span(1, 1, Component::Broker).bytes(512);
-        reg.finish(b);
-        let spans = reg.snapshot();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].bytes, 512);
-        assert!(!spans[0].error);
-    }
-
-    #[test]
-    fn failed_span_is_marked() {
-        let reg = MetricsRegistry::new();
-        let b = reg.start_span(1, 2, Component::CloudProcessor);
-        reg.fail(b);
-        assert!(reg.snapshot()[0].error);
-    }
-
-    #[test]
     fn job_spans_records_under_bound_job() {
         let reg = MetricsRegistry::new();
         let spans = reg.for_job(7);
@@ -425,7 +382,7 @@ mod tests {
     #[test]
     fn clear_drops_spans_but_keeps_counters() {
         let reg = MetricsRegistry::new();
-        reg.finish(reg.start_span(1, 1, Component::Broker));
+        reg.record(1, 1, Component::Broker, 0, 1, 0);
         reg.counter("c").incr();
         reg.clear();
         assert_eq!(reg.span_count(), 0);

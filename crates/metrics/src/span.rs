@@ -95,40 +95,6 @@ impl Span {
     }
 }
 
-/// Builder for a span whose end time is not yet known. Obtain one from
-/// [`crate::MetricsRegistry::start_span`], then call
-/// [`MetricsRegistry::finish`](crate::MetricsRegistry::finish) (or
-/// [`MetricsRegistry::fail`](crate::MetricsRegistry::fail)) when the work is done.
-#[derive(Debug)]
-pub struct SpanBuilder {
-    pub(crate) job_id: JobId,
-    pub(crate) msg_id: MsgId,
-    pub(crate) component: Component,
-    pub(crate) start_us: u64,
-    pub(crate) bytes: u64,
-}
-
-impl SpanBuilder {
-    /// Set the number of payload bytes this span covers.
-    pub fn bytes(mut self, bytes: u64) -> Self {
-        self.bytes = bytes;
-        self
-    }
-
-    /// Complete the span successfully at `end_us`.
-    pub(crate) fn into_span(self, end_us: u64, error: bool) -> Span {
-        Span {
-            job_id: self.job_id,
-            msg_id: self.msg_id,
-            component: self.component,
-            start_us: self.start_us,
-            end_us: end_us.max(self.start_us),
-            bytes: self.bytes,
-            error,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,19 +133,5 @@ mod tests {
         assert_eq!(Component::EdgeProducer.label(), "edge_producer");
         assert_eq!(Component::Network("wan".into()).label(), "net:wan");
         assert_eq!(Component::Custom("fog".into()).label(), "custom:fog");
-    }
-
-    #[test]
-    fn builder_clamps_end_before_start() {
-        let b = SpanBuilder {
-            job_id: 1,
-            msg_id: 1,
-            component: Component::CloudProcessor,
-            start_us: 500,
-            bytes: 0,
-        };
-        let s = b.into_span(400, false);
-        assert_eq!(s.start_us, 500);
-        assert_eq!(s.end_us, 500);
     }
 }

@@ -12,8 +12,8 @@
 //! The writer streams: [`write_chrome_trace_to`] emits through any
 //! `io::Write` sink in bounded chunks, so the gateway's `GET /trace` can
 //! serialize a million-span run straight to the socket without ever
-//! materializing the full JSON, and the file/String exporters are thin
-//! wrappers over the same code path. No JSON library is taken on as a
+//! materializing the full JSON, and [`chrome_trace_json`] is a thin
+//! wrapper over the same code path. No JSON library is taken on as a
 //! dependency — the events are hand-rolled via [`crate::json`], and
 //! [`validate_trace_json`] proves the export well-formed in tests and CI.
 
@@ -22,7 +22,6 @@ use crate::span::Span;
 use crate::telemetry::TelemetryFrame;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::Path;
 
 /// Flush the chunk buffer to the sink once it grows past this.
 const CHUNK_BYTES: usize = 32 * 1024;
@@ -114,18 +113,6 @@ pub fn chrome_trace_json(spans: &[Span], frames: &[TelemetryFrame]) -> String {
     String::from_utf8(out).expect("trace writer emits UTF-8")
 }
 
-/// Write the Chrome trace for `spans` + `frames` to `path` (streamed
-/// through a buffered file writer).
-pub fn write_chrome_trace(
-    path: impl AsRef<Path>,
-    spans: &[Span],
-    frames: &[TelemetryFrame],
-) -> std::io::Result<()> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_chrome_trace_to(&mut file, spans, frames)?;
-    file.flush()
-}
-
 fn push_event(out: &mut String, first: &mut bool, body: impl FnOnce(&mut String)) {
     if !*first {
         out.push(',');
@@ -210,18 +197,6 @@ mod tests {
         let json = chrome_trace_json(&spans, &[]);
         // 3 spans but only 2 distinct rows → 2 metadata events.
         assert_eq!(validate_trace_json(&json), Ok(5));
-    }
-
-    #[test]
-    fn write_chrome_trace_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join("pilot_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let spans = vec![span(Component::EdgeProducer, 1, 0, 10)];
-        write_chrome_trace(&path, &spans, &[]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(validate_trace_json(&text), Ok(2));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

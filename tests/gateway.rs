@@ -394,9 +394,59 @@ fn federation_gateway_serves_the_read_only_subset() {
     assert_eq!(client.get("/control/journal").unwrap().status, 404);
     assert_eq!(client.post("/produce", b"x").unwrap().status, 404);
 
+    // The stream: monotonic frames and bottleneck verdicts until wait().
+    let (status, mut stream) = HttpClient::connect(addr)
+        .unwrap()
+        .open_stream("GET", "/telemetry/stream")
+        .unwrap();
+    assert_eq!(status, 200);
+    let mut last_t = 0u64;
+    let mut frames = 0;
+    let mut verdicts = 0;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while (frames < 3 || verdicts < 1) && Instant::now() < deadline {
+        match stream.next_event(Duration::from_secs(2)).unwrap() {
+            Some(ev) if ev.event.as_deref() == Some("frame") => {
+                validate_json(&ev.data).expect("frame event is valid JSON");
+                let t = ev
+                    .data
+                    .split("\"t_us\":")
+                    .nth(1)
+                    .and_then(|s| s.split(',').next())
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .expect("frame carries t_us");
+                assert!(t > last_t, "frame timestamps must be strictly monotonic");
+                last_t = t;
+                frames += 1;
+            }
+            Some(ev) if ev.event.as_deref() == Some("verdict") => {
+                validate_json(&ev.data).expect("verdict event is valid JSON");
+                assert!(ev.data.contains("\"bottleneck\""));
+                verdicts += 1;
+            }
+            Some(_) | None => {}
+        }
+    }
+    assert!(frames >= 2, "expected >= 2 SSE frames, saw {frames}");
+    assert!(verdicts >= 1, "expected >= 1 bottleneck verdict");
+
     running.wait(WAIT).unwrap();
     assert!(
         HttpClient::connect(addr).is_err(),
         "gateway must be down after wait()"
     );
+    // The stream has ended: what is left is events already sent, then the
+    // server's close — well before a read would time out.
+    const IDLE: Duration = Duration::from_secs(10);
+    loop {
+        let read_at = Instant::now();
+        match stream.next_event(IDLE) {
+            Ok(Some(_)) => continue,
+            Ok(None) => {
+                assert!(read_at.elapsed() < IDLE, "stream still open after wait()");
+                break;
+            }
+            Err(_) => break,
+        }
+    }
 }

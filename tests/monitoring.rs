@@ -1,12 +1,12 @@
 //! Monitoring-fabric integration: the paper's "step 3" — comprehensive,
 //! linked metrics across all components, bottleneck identification, shared
-//! registries, timelines, and energy accounting, exercised end-to-end.
+//! registries, and energy accounting, exercised end-to-end.
 
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
 use pilot_edge::{CloudFactory, Context, EdgeToCloudPipeline, ProcessOutcome};
-use pilot_metrics::{Component, MetricsRegistry, Timeline};
+use pilot_metrics::{Component, MetricsRegistry};
 use pilot_ml::ModelKind;
 use std::sync::Arc;
 use std::time::Duration;
@@ -136,15 +136,14 @@ fn timeline_covers_the_whole_run() {
         .run(WAIT)
         .unwrap();
     assert_eq!(summary.messages, 40);
-    let tl = Timeline::from_spans(
-        &registry.snapshot(),
-        Some(&Component::CloudProcessor),
-        50_000, // 50 ms buckets over a ~200 ms run
-    );
-    let total: u64 = tl.buckets.iter().map(|b| b.count).sum();
-    assert_eq!(total, 40, "timeline must count every completion");
-    assert!(tl.buckets.len() >= 3, "run spans multiple buckets");
-    assert!(tl.peak_rate() > 0.0);
+    let report = registry.report();
+    let cloud = report
+        .component(&Component::CloudProcessor)
+        .expect("cloud processing spans recorded");
+    assert_eq!(cloud.count, 40, "report must count every completion");
+    // 40 messages at 200 msg/s complete over a ~200 ms run: several 50 ms
+    // buckets of it, not one burst.
+    assert!(cloud.window_us >= 2 * 50_000, "run spans multiple buckets");
 }
 
 #[test]

@@ -170,15 +170,15 @@ fn attributor_names_wan_link_on_transatlantic_profile() {
 
 #[test]
 fn attributor_names_processor_on_compute_heavy_cell() {
-    // Isolation forest on large messages over local links: cloud
-    // processing must dominate the critical path.
+    // Auto-encoder training and scoring on large messages over local
+    // links: cloud processing must dominate the critical path.
     let registry = MetricsRegistry::new();
     let (edge, cloud) = pilots(2, 2);
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud)
         .produce_function(datagen_produce_factory(DataGenConfig::paper(2000), 3))
-        .process_cloud_function(paper_model_factory(ModelKind::IsolationForest, 32))
+        .process_cloud_function(paper_model_factory(ModelKind::AutoEncoder, 32))
         .metrics(registry.clone())
         .devices(2)
         .link_edge_to_broker(profiles::cloud_local("edge->broker", 7).build())
