@@ -24,6 +24,19 @@ use pilot_ml::{
 use pilot_netsim::profiles;
 use std::sync::Arc;
 
+/// Records a trailing consumer group stays behind the appends.
+const TRAIL: u64 = 4096;
+
+/// Append one record to partition 0 of `t`, a commit-floor topic, keeping
+/// it bounded: once a segment, a group commits `TRAIL` records behind.
+fn append_trailed(broker: &Broker, payload: &bytes::Bytes) -> u64 {
+    let offset = broker.append("t", 0, Record::new(payload.clone())).unwrap();
+    if offset.is_multiple_of(pilot_broker::log::SEGMENT_RECORDS as u64) {
+        broker.commit_offset("trail", "t", 0, offset.saturating_sub(TRAIL));
+    }
+    offset
+}
+
 fn bench_broker(c: &mut Criterion) {
     let mut group = c.benchmark_group("broker_append");
     for &size in &[6_400usize, 256_000, 2_560_000] {
@@ -31,10 +44,10 @@ fn bench_broker(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             let broker = Broker::new();
             broker
-                .create_topic("t", 1, RetentionPolicy::by_records(4096))
+                .create_topic("t", 1, RetentionPolicy::default())
                 .unwrap();
             let payload = bytes::Bytes::from(vec![7u8; size]);
-            b.iter(|| broker.append("t", 0, Record::new(payload.clone())).unwrap());
+            b.iter(|| append_trailed(&broker, &payload));
         });
     }
     group.finish();
@@ -379,19 +392,19 @@ fn bench_log_append(c: &mut Criterion) {
             let broker = Broker::new();
             match policy {
                 None => broker
-                    .create_topic("t", 1, RetentionPolicy::by_records(4096))
+                    .create_topic("t", 1, RetentionPolicy::default())
                     .unwrap(),
                 Some(p) => broker
                     .create_topic_durable(
                         "t",
                         1,
-                        RetentionPolicy::by_records(4096),
+                        RetentionPolicy::default(),
                         &DurabilityConfig::new(&dir).with_policy(p),
                     )
                     .unwrap(),
             }
             let payload = bytes::Bytes::from(vec![7u8; SIZE]);
-            b.iter(|| broker.append("t", 0, Record::new(payload.clone())).unwrap());
+            b.iter(|| append_trailed(&broker, &payload));
             drop(broker);
             std::fs::remove_dir_all(&dir).ok();
         });

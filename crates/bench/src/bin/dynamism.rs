@@ -184,7 +184,6 @@ fn run_mode(p: &Params, controller_on: bool) -> Outcome {
                     max_compute: 4,
                     ..ControlBounds::default()
                 },
-                use_attribution: true,
                 ..ControllerConfig::default()
             });
     }

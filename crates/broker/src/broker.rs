@@ -1,4 +1,10 @@
 //! The broker: topic registry + consumer-group offset store.
+//!
+//! It is also where retention lives. A topic created under
+//! [`RetentionPolicy::committed`] (the default) is registered as a floor
+//! topic; every commit on one raises the committed partitions' floors — the
+//! lowest offset any committing group has committed there — and the log
+//! trims up to it. The logs themselves read no policy.
 
 use crate::error::BrokerError;
 use crate::record::{Offset, Record};
@@ -129,7 +135,7 @@ impl Broker {
             }
             return Ok(());
         }
-        let topic = Arc::new(Topic::new(name, partitions, retention));
+        let topic = Arc::new(Topic::new(name, partitions));
         self.register(&mut topics, topic, retention);
         Ok(())
     }
@@ -167,7 +173,7 @@ impl Broker {
             }
             return Ok(());
         }
-        let topic = Topic::new_durable(name, partitions, retention, cfg)
+        let topic = Topic::new_durable(name, partitions, cfg)
             .map_err(|e| BrokerError::Storage(format!("open durable topic '{name}': {e}")))?;
         self.register(&mut topics, Arc::new(topic), retention);
         Ok(())
@@ -685,15 +691,11 @@ mod tests {
     #[test]
     fn fetch_out_of_range_after_retention() {
         let b = Broker::new();
-        b.create_topic(
-            "t",
-            1,
-            RetentionPolicy::by_records(crate::log::SEGMENT_RECORDS as u64),
-        )
-        .unwrap();
+        b.create_topic("t", 1, RetentionPolicy::default()).unwrap();
         for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 1) {
             b.append("t", 0, rec("x")).unwrap();
         }
+        b.commit_offset("g", "t", 0, crate::log::SEGMENT_RECORDS as u64 + 1);
         let err = b.fetch("t", 0, 0, 1).unwrap_err();
         assert!(matches!(err, BrokerError::OffsetOutOfRange { .. }));
     }

@@ -409,16 +409,15 @@ mod tests {
     #[test]
     fn auto_reset_on_trimmed_offset() {
         let b = Broker::new();
-        b.create_topic(
-            "t",
-            1,
-            RetentionPolicy::by_records(crate::log::SEGMENT_RECORDS as u64),
-        )
-        .unwrap();
+        b.create_topic("t", 1, RetentionPolicy::committed())
+            .unwrap();
         let mut c = Consumer::new(b.clone(), "t", "g", &[0]).unwrap();
         for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 1) {
             b.append("t", 0, rec("x")).unwrap();
         }
+        // Another group commits past the head segment; "g" never
+        // committed, so it pins nothing.
+        b.commit_offset("ahead", "t", 0, crate::log::SEGMENT_RECORDS as u64 + 3);
         // Position 0 was trimmed; the poll auto-resets to log start.
         let recs = c.poll(5, Duration::ZERO).unwrap();
         assert!(!recs.is_empty());
@@ -528,17 +527,14 @@ mod tests {
     #[test]
     fn poll_auto_resets_trimmed_offsets_on_every_partition() {
         let b = Broker::new();
-        b.create_topic(
-            "t",
-            2,
-            RetentionPolicy::by_records(crate::log::SEGMENT_RECORDS as u64),
-        )
-        .unwrap();
+        b.create_topic("t", 2, RetentionPolicy::committed())
+            .unwrap();
         let mut c = Consumer::new(b.clone(), "t", "g", &[0, 1]).unwrap();
         for p in 0..2 {
             for _ in 0..(crate::log::SEGMENT_RECORDS * 2 + 3) {
                 b.append("t", p, Record::new(vec![p as u8])).unwrap();
             }
+            b.commit_offset("ahead", "t", p, crate::log::SEGMENT_RECORDS as u64 + 1);
         }
         // Position 0 was trimmed on both partitions; one poll resets both
         // to their log start and returns what is retained from there.

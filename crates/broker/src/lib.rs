@@ -9,12 +9,13 @@
 //! the runtime exercises, from scratch — a commit log and nothing else:
 //!
 //! * [`Record`]s appended to per-partition, segmented, append-only
-//!   [`log::PartitionLog`]s with dense offsets and configurable
-//!   [`RetentionPolicy`], optionally persisted through the [`storage`]
-//!   engine ([`DurabilityConfig`], [`SyncPolicy`]);
+//!   [`log::PartitionLog`]s with dense offsets, optionally persisted
+//!   through the [`storage`] engine ([`DurabilityConfig`], [`SyncPolicy`]);
 //! * a [`Broker`] managing named [`topic::Topic`]s: one append path
 //!   ([`Broker::append`]), a non-blocking single-partition
 //!   [`Broker::fetch`], high watermarks, and consumer-group offset commits;
+//! * one retention rule, the commit floor ([`RetentionPolicy`]): a topic
+//!   keeps only what its committing consumer groups have not committed;
 //! * one way to wait for data — the topic's arrival registry
 //!   ([`topic::Topic::read_many_or_register`]): an append wakes exactly the
 //!   waiters registered on its partition, whether that is a reactor task's

@@ -1,11 +1,13 @@
 //! The per-partition segmented commit log.
 //!
 //! A [`PartitionLog`] is an append-only sequence of [`Record`]s with dense
-//! offsets, stored in fixed-capacity segments. Retention only ever moves
-//! the log start forward, through one routine: the records below the new
-//! start have their payloads released at once (the log start may sit
-//! inside a segment, like Kafka's `DeleteRecords`), and segments wholly
-//! below it are dropped whole — O(1) each, however many records they hold.
+//! offsets, stored in fixed-capacity segments. The log reads no retention
+//! policy: its start moves forward only when the broker raises the
+//! partition's commit floor (see [`retention`](crate::retention)). The
+//! records below the new start have their payloads released at once (the
+//! log start may sit inside a segment, like Kafka's `DeleteRecords`), and
+//! segments wholly below it are dropped whole — O(1) each, however many
+//! records they hold.
 //!
 //! A log is either **memory-only** (the seed structure: every record
 //! resident, nothing survives the process) or **durable**
@@ -27,7 +29,6 @@
 //! whose disk is gone has no useful degraded mode in this simulation.
 
 use crate::record::{Offset, Record};
-use crate::retention::RetentionPolicy;
 use crate::storage::flusher::sync_now;
 use crate::storage::writer::{DiskSegment, PartitionWriter, SyncBatch};
 use crate::storage::{DurableMark, StoreStats, SyncPolicy};
@@ -35,19 +36,18 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per segment. Small enough that retention is reasonably granular,
-/// large enough that segment bookkeeping is negligible.
+/// Records per segment. Small enough that a dropped head segment frees
+/// memory promptly, large enough that segment bookkeeping is negligible.
 pub const SEGMENT_RECORDS: usize = 1024;
 
 /// Why a [`PartitionLog::read`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadError {
-    /// The requested offset precedes the retained log: a size limit dropped
-    /// its segment, or the commit floor (the lowest offset committed by a
-    /// group that has committed on the partition, see
-    /// [`RetentionPolicy::committed`]) passed it. Carries the current log
-    /// start, so callers can auto-reset (Kafka's
-    /// `auto.offset.reset = earliest`).
+    /// The requested offset precedes the retained log: the commit floor
+    /// (the lowest offset committed by a group that has committed on the
+    /// partition, see [`RetentionPolicy::committed`](crate::RetentionPolicy::committed))
+    /// passed it. Carries the current log start, so callers can auto-reset
+    /// (Kafka's `auto.offset.reset = earliest`).
     Trimmed(Offset),
     /// A cold segment's file could not be read back, or its frames no
     /// longer decode — an I/O fault or latent corruption discovered after
@@ -147,11 +147,10 @@ impl std::fmt::Debug for Store {
     }
 }
 
-/// An append-only partition log with head retention.
+/// An append-only partition log whose start the commit floor advances.
 #[derive(Debug)]
 pub struct PartitionLog {
     segments: Vec<Segment>,
-    retention: RetentionPolicy,
     /// Wire bytes of the retained records.
     total_bytes: u64,
     /// Offset of the first retained record; `segments[0]` holds it (or it
@@ -161,12 +160,17 @@ pub struct PartitionLog {
     store: Option<Store>,
 }
 
+impl Default for PartitionLog {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PartitionLog {
-    /// Create an empty memory-only log with the given retention policy.
-    pub fn new(retention: RetentionPolicy) -> Self {
+    /// Create an empty memory-only log.
+    pub fn new() -> Self {
         Self {
             segments: vec![Segment::new(0)],
-            retention,
             total_bytes: 0,
             log_start: 0,
             store: None,
@@ -182,7 +186,6 @@ impl PartitionLog {
     /// recovered is on disk by definition).
     pub fn open_durable(
         dir: PathBuf,
-        retention: RetentionPolicy,
         policy: SyncPolicy,
         stats: Arc<StoreStats>,
         durable: Arc<AtomicU64>,
@@ -214,7 +217,6 @@ impl PartitionLog {
         mark.set(next, 0);
         Ok(Self {
             segments,
-            retention,
             total_bytes,
             log_start,
             store: Some(Store {
@@ -308,7 +310,6 @@ impl PartitionLog {
         seg.count += 1;
         seg.bytes += size;
         self.total_bytes += size;
-        self.enforce_retention();
         offset
     }
 
@@ -346,26 +347,8 @@ impl PartitionLog {
         }
     }
 
-    /// Drop head segments while a size limit is exceeded. The active (last)
-    /// segment is never dropped. One comparison per append when nothing is
-    /// over a limit.
-    fn enforce_retention(&mut self) {
-        let (mut bytes, mut records) = (self.total_bytes, self.len());
-        let mut keep = 0;
-        while keep + 1 < self.segments.len() && self.retention.exceeded(bytes, records) {
-            let seg = &self.segments[keep];
-            bytes -= seg.bytes;
-            records -= seg.next_offset() - self.log_start.max(seg.base_offset);
-            keep += 1;
-        }
-        if keep > 0 {
-            self.advance_start(self.segments[keep].base_offset);
-        }
-    }
-
     /// Move the log start up to `to` (clamped to the high watermark): the
-    /// one trim routine behind every retention criterion — size limits
-    /// ([`Self::enforce_retention`]) and the commit floor
+    /// one trim routine, driven by the commit floor
     /// ([`Topic::raise_floor`](crate::topic::Topic::raise_floor)). Segments
     /// wholly below `to` are dropped, except the active one; in a durable
     /// log their files are unlinked, one `unlink` each. In the segment `to`
@@ -521,10 +504,9 @@ mod tests {
         dir
     }
 
-    fn open(dir: PathBuf, retention: RetentionPolicy) -> PartitionLog {
+    fn open(dir: PathBuf) -> PartitionLog {
         PartitionLog::open_durable(
             dir,
-            retention,
             SyncPolicy::OsOnly,
             Arc::new(StoreStats::default()),
             Arc::new(AtomicU64::new(0)),
@@ -535,7 +517,7 @@ mod tests {
 
     #[test]
     fn offsets_are_dense() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         for i in 0..10 {
             assert_eq!(log.append(rec(8)), i);
         }
@@ -545,7 +527,7 @@ mod tests {
 
     #[test]
     fn read_returns_requested_window() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         for _ in 0..100 {
             log.append(rec(8));
         }
@@ -557,7 +539,7 @@ mod tests {
 
     #[test]
     fn read_at_high_watermark_is_empty() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         log.append(rec(8));
         assert!(log.read(1, 10).unwrap().is_empty());
         assert!(log.read(100, 10).unwrap().is_empty());
@@ -565,7 +547,7 @@ mod tests {
 
     #[test]
     fn read_spans_segments() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         let n = SEGMENT_RECORDS * 2 + 10;
         for _ in 0..n {
             log.append(rec(1));
@@ -578,50 +560,15 @@ mod tests {
     }
 
     #[test]
-    fn retention_trims_head_segments() {
-        // Each record ~1 KB; cap at ~100 KB. Need multiple segments, so
-        // append > SEGMENT_RECORDS records.
-        let mut log = PartitionLog::new(RetentionPolicy::by_records(1500));
-        for _ in 0..(SEGMENT_RECORDS * 3) {
-            log.append(rec(8));
-        }
-        assert!(log.len() <= 1500 + SEGMENT_RECORDS as u64);
-        assert!(log.log_start() > 0);
-        // Offsets keep counting despite trimming.
-        assert_eq!(log.high_watermark(), (SEGMENT_RECORDS * 3) as u64);
-    }
-
-    #[test]
-    fn read_below_log_start_errors_with_new_start() {
-        let mut log = PartitionLog::new(RetentionPolicy::by_records(SEGMENT_RECORDS as u64));
-        for _ in 0..(SEGMENT_RECORDS * 2 + 1) {
-            log.append(rec(8));
-        }
-        let start = log.log_start();
-        assert!(start > 0);
-        assert_eq!(log.read(0, 1), Err(ReadError::Trimmed(start)));
-    }
-
-    #[test]
-    fn active_segment_never_dropped() {
-        let mut log = PartitionLog::new(RetentionPolicy::by_bytes(1));
-        log.append(rec(1000));
-        log.append(rec(1000));
-        // Both records live in the single active segment; policy exceeded
-        // but nothing to trim.
-        assert_eq!(log.len(), 2);
-    }
-
-    #[test]
     fn zero_max_read_is_empty() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         log.append(rec(8));
         assert!(log.read(0, 0).unwrap().is_empty());
     }
 
     #[test]
     fn offset_for_timestamp_finds_first_at_or_after() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         for ts in [10u64, 20, 30, 40] {
             log.append(Record::new(vec![0u8; 4]).with_timestamp(ts));
         }
@@ -633,7 +580,7 @@ mod tests {
 
     #[test]
     fn offset_for_timestamp_spans_segments() {
-        let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+        let mut log = PartitionLog::new();
         let n = SEGMENT_RECORDS * 3 + 7;
         for i in 0..n {
             log.append(Record::new(vec![0u8; 4]).with_timestamp(i as u64 * 2));
@@ -655,8 +602,8 @@ mod tests {
     #[test]
     fn durable_log_reads_match_memory_log() {
         let dir = tmp_dir("parity");
-        let mut mem = PartitionLog::new(RetentionPolicy::unbounded());
-        let mut dur = open(dir.clone(), RetentionPolicy::unbounded());
+        let mut mem = PartitionLog::new();
+        let mut dur = open(dir.clone());
         let n = SEGMENT_RECORDS * 3 + 100; // forces eviction of early segments
         for i in 0..n {
             let r = Record::new(vec![(i % 251) as u8; 1 + i % 60]).with_timestamp(i as u64);
@@ -687,12 +634,12 @@ mod tests {
         let dir = tmp_dir("reopen");
         let n = SEGMENT_RECORDS + 77;
         {
-            let mut log = open(dir.clone(), RetentionPolicy::unbounded());
+            let mut log = open(dir.clone());
             for i in 0..n {
                 log.append(Record::new(vec![i as u8; 33]).with_timestamp(i as u64));
             }
         } // drop flushes the writer buffer (clean shutdown)
-        let log = open(dir.clone(), RetentionPolicy::unbounded());
+        let log = open(dir.clone());
         assert_eq!(log.high_watermark(), n as u64);
         assert_eq!(log.durable_watermark(), n as u64);
         assert_eq!(log.len(), n as u64);
@@ -708,16 +655,14 @@ mod tests {
     }
 
     #[test]
-    fn durable_retention_unlinks_segment_files() {
+    fn durable_floor_unlinks_segment_files() {
         let dir = tmp_dir("retention");
-        let mut log = open(
-            dir.clone(),
-            RetentionPolicy::by_records(SEGMENT_RECORDS as u64),
-        );
+        let mut log = open(dir.clone());
         for _ in 0..(SEGMENT_RECORDS * 3) {
             log.append(rec(8));
         }
-        assert!(log.log_start() > 0);
+        log.advance_start(SEGMENT_RECORDS as u64 * 2);
+        assert_eq!(log.segment_count(), 1);
         let files = std::fs::read_dir(&dir).unwrap().count();
         // Only the retained segments' files remain.
         assert!(
@@ -727,7 +672,7 @@ mod tests {
         );
         // Reopen sees the same trimmed log.
         drop(log);
-        let log = open(dir.clone(), RetentionPolicy::unbounded());
+        let log = open(dir.clone());
         assert_eq!(log.high_watermark(), (SEGMENT_RECORDS * 3) as u64);
         assert!(log.log_start() > 0);
         assert_eq!(log.read(0, 1), Err(ReadError::Trimmed(log.log_start())));
@@ -739,7 +684,7 @@ mod tests {
         let dir = tmp_dir("requeue");
         let n = 10u64;
         {
-            let mut log = open(dir.clone(), RetentionPolicy::unbounded());
+            let mut log = open(dir.clone());
             for i in 0..n {
                 log.append(Record::new(vec![i as u8; 24]).with_timestamp(i));
             }
@@ -760,7 +705,7 @@ mod tests {
             assert_eq!(log.durable_watermark(), 2 * n);
         }
         // Reopen: no hole — the full record set is a clean prefix.
-        let log = open(dir.clone(), RetentionPolicy::unbounded());
+        let log = open(dir.clone());
         assert_eq!(log.high_watermark(), 2 * n);
         let recs = log.read(0, 2 * n as usize).unwrap();
         assert_eq!(recs.len(), 2 * n as usize);
@@ -777,7 +722,6 @@ mod tests {
         let durable = Arc::new(AtomicU64::new(0));
         let mut log = PartitionLog::open_durable(
             dir.clone(),
-            RetentionPolicy::unbounded(),
             SyncPolicy::EachAppend,
             Arc::new(StoreStats::default()),
             Arc::clone(&durable),
@@ -794,7 +738,7 @@ mod tests {
 
     #[test]
     fn read_below_commit_floor_is_trimmed() {
-        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        let mut log = PartitionLog::new();
         for i in 0..10u8 {
             log.append(Record::new(vec![i; 8]));
         }
@@ -813,7 +757,7 @@ mod tests {
 
     #[test]
     fn bytes_and_len_fall_as_commit_floor_rises() {
-        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        let mut log = PartitionLog::new();
         let n = SEGMENT_RECORDS as u64 * 2 + 10;
         for _ in 0..n {
             log.append(rec(8));
@@ -845,7 +789,7 @@ mod tests {
 
     #[test]
     fn offset_for_timestamp_never_below_log_start() {
-        let mut log = PartitionLog::new(RetentionPolicy::committed());
+        let mut log = PartitionLog::new();
         for ts in 0..20u64 {
             log.append(Record::new(vec![0u8; 4]).with_timestamp(ts * 10));
         }
@@ -859,8 +803,8 @@ mod tests {
     #[test]
     fn durable_head_file_unlinked_only_once_floor_passes_it() {
         let dir = tmp_dir("floor");
-        let mut mem = PartitionLog::new(RetentionPolicy::committed());
-        let mut log = open(dir.clone(), RetentionPolicy::committed());
+        let mut mem = PartitionLog::new();
+        let mut log = open(dir.clone());
         let n = SEGMENT_RECORDS * 3 + 5; // the head segment gets evicted
         for i in 0..n {
             let r = Record::new(vec![(i % 251) as u8; 1 + i % 40]);
@@ -896,7 +840,7 @@ mod tests {
         drop(log);
         // Reopen recovers from the next file (the floor itself is not
         // persisted: the log starts at that file's base).
-        let log = open(dir.clone(), RetentionPolicy::committed());
+        let log = open(dir.clone());
         assert_eq!(log.log_start(), head);
         assert_eq!(log.high_watermark(), n as u64);
         let h = head as usize;
@@ -916,7 +860,7 @@ mod tests {
         /// exactly the records asked for, in order.
         #[test]
         fn prop_append_read_consistent(sizes in proptest::collection::vec(1usize..64, 1..200)) {
-            let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+            let mut log = PartitionLog::new();
             for (i, &s) in sizes.iter().enumerate() {
                 let off = log.append(rec(s));
                 prop_assert_eq!(off, i as u64);
@@ -929,18 +873,17 @@ mod tests {
             }
         }
 
-        /// Under any record-count retention and any commit floors raised
-        /// along the way, the high watermark is monotonic, the log start
-        /// never moves back and never passes it, `len`/`bytes` count
-        /// exactly the records from the log start on, reads below the
-        /// start are `Trimmed` and reads from it succeed.
+        /// Under any commit floors raised along the way, the high
+        /// watermark is monotonic, the log start never moves back and
+        /// never passes it, `len`/`bytes` count exactly the records from
+        /// the log start on, reads below the start are `Trimmed` and reads
+        /// from it succeed.
         #[test]
         fn prop_retention_invariants(
             n in 1usize..4000,
-            cap in 1u64..2000,
             commits in proptest::collection::vec((0usize..4000, 0u64..4000), 0..20),
         ) {
-            let mut log = PartitionLog::new(RetentionPolicy::by_records(cap));
+            let mut log = PartitionLog::new();
             let size = rec(4).wire_size() as u64;
             let (mut prev_hwm, mut prev_start) = (0, 0);
             for i in 0..n {
@@ -977,7 +920,7 @@ mod tests {
             gaps in proptest::collection::vec(0u64..5, 1..300),
             probes in proptest::collection::vec(0u64..800, 1..20),
         ) {
-            let mut log = PartitionLog::new(RetentionPolicy::unbounded());
+            let mut log = PartitionLog::new();
             let mut ts = 0u64;
             let mut stamps = Vec::new();
             for g in &gaps {

@@ -226,7 +226,6 @@ mod tests {
     use super::*;
     use crate::log::PartitionLog;
     use crate::record::Record;
-    use crate::retention::RetentionPolicy;
     use crate::storage::SyncPolicy;
     use std::path::PathBuf;
 
@@ -246,7 +245,6 @@ mod tests {
         let mark = Arc::new(DurableMark::default());
         let log = PartitionLog::open_durable(
             dir,
-            RetentionPolicy::unbounded(),
             SyncPolicy::OsOnly,
             Arc::clone(stats),
             Arc::clone(&durable),

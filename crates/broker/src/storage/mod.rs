@@ -3,7 +3,8 @@
 //! Kafka's durability story — and the one the paper's reference deployment
 //! leans on — is an on-disk segmented log per partition: appends go to an
 //! append-only file, fsyncs are batched, fetches of recent data are served
-//! from memory (the page cache), and retention unlinks whole segment files.
+//! from memory (the page cache), and retention unlinks whole segment files
+//! (here: once the commit floor passes them, see [`retention`](crate::retention)).
 //! This module reproduces that engine for the in-process broker:
 //!
 //! * [`segment_file`] — the on-disk record framing: length- and
@@ -159,7 +160,7 @@ pub struct LogStats {
     /// (high watermark − durable watermark; 0 for memory-only topics).
     pub durable_lag: u64,
     /// Wire bytes of the records at or above each partition's log start,
-    /// summed over partitions: what retention still holds.
+    /// summed over partitions: what the commit floor still holds.
     pub retained_bytes: u64,
 }
 

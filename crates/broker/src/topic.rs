@@ -2,11 +2,14 @@
 //! mechanism by which anything waits for data. A reactor task arms its own
 //! [`Waker`] through [`Topic::read_many_or_register`]; a blocking caller
 //! ([`Topic::read_many`]) arms one that unparks its thread.
+//!
+//! A topic takes no retention policy: its logs trim only when the broker,
+//! which registered the topic as trimming, raises a partition's commit
+//! floor (see [`retention`](crate::retention)).
 
 use crate::error::BrokerError;
 use crate::log::{PartitionLog, ReadError};
 use crate::record::{Offset, Record};
-use crate::retention::RetentionPolicy;
 use crate::storage::flusher::{sync_partition, FlushScheduler};
 use crate::storage::{DurabilityConfig, LogStats, PartitionHandle, StoreStats, SyncPolicy};
 use parking_lot::Mutex;
@@ -109,12 +112,12 @@ pub struct Topic {
 
 impl Topic {
     /// Create a memory-only topic with `partitions` empty partitions.
-    pub fn new(name: &str, partitions: usize, retention: RetentionPolicy) -> Self {
+    pub fn new(name: &str, partitions: usize) -> Self {
         assert!(partitions > 0, "a topic needs at least one partition");
         Self {
             name: name.to_string(),
             partitions: (0..partitions)
-                .map(|_| Arc::new(Mutex::new(PartitionLog::new(retention))))
+                .map(|_| Arc::new(Mutex::new(PartitionLog::new())))
                 .collect(),
             arrivals: Mutex::new(ArrivalState::new(partitions)),
             store: None,
@@ -131,7 +134,6 @@ impl Topic {
     pub fn new_durable(
         name: &str,
         partitions: usize,
-        retention: RetentionPolicy,
         cfg: &DurabilityConfig,
     ) -> std::io::Result<Self> {
         assert!(partitions > 0, "a topic needs at least one partition");
@@ -143,7 +145,6 @@ impl Topic {
             let mark = Arc::new(crate::storage::DurableMark::default());
             let log = Arc::new(Mutex::new(PartitionLog::open_durable(
                 cfg.dir.join(format!("p{p}")),
-                retention,
                 cfg.policy,
                 Arc::clone(&stats),
                 Arc::clone(&durable),
@@ -452,9 +453,9 @@ impl Topic {
     }
 
     /// Raise a partition's commit floor: trim its log up to `floor` (see
-    /// [`RetentionPolicy::committed`]). A floor at or below the log start
+    /// [`retention`](crate::retention)). A floor at or below the log start
     /// changes nothing. The broker calls this after a commit on a topic
-    /// created with that policy.
+    /// it registered as trimming.
     pub(crate) fn raise_floor(&self, partition: usize, floor: Offset) {
         if let Some(p) = self.partitions.get(partition) {
             p.lock().advance_start(floor);
@@ -577,7 +578,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn topic(parts: usize) -> Topic {
-        Topic::new("t", parts, RetentionPolicy::unbounded())
+        Topic::new("t", parts)
     }
 
     /// A waker that counts its invocations.
@@ -881,7 +882,7 @@ mod tests {
                 batch_bytes: 1 << 20,
             },
         );
-        let t = Topic::new_durable("d", 2, RetentionPolicy::unbounded(), &cfg).unwrap();
+        let t = Topic::new_durable("d", 2, &cfg).unwrap();
         assert!(t.is_durable());
         for p in 0..2 {
             for _ in 0..10 {
@@ -907,7 +908,7 @@ mod tests {
         let cfg = crate::storage::DurabilityConfig::new(&dir);
         let mut expect = Vec::new();
         {
-            let t = Topic::new_durable("d", 1, RetentionPolicy::unbounded(), &cfg).unwrap();
+            let t = Topic::new_durable("d", 1, &cfg).unwrap();
             for i in 0..50u64 {
                 let payload = vec![(i % 256) as u8; 10 + (i as usize % 20)];
                 expect.push(payload.clone());
@@ -915,7 +916,7 @@ mod tests {
             }
             t.sync();
         }
-        let t = Topic::new_durable("d", 1, RetentionPolicy::unbounded(), &cfg).unwrap();
+        let t = Topic::new_durable("d", 1, &cfg).unwrap();
         assert_eq!(t.high_watermark(0), Some(50));
         assert_eq!(t.durable_watermark(0), Some(50));
         let recs = t.read(0, 0, 100).unwrap().unwrap();
@@ -936,7 +937,7 @@ mod tests {
         // The arrival registry path is policy-independent; pin it anyway.
         let dir = tmp_dir("wake");
         let cfg = crate::storage::DurabilityConfig::new(&dir);
-        let t = Arc::new(Topic::new_durable("d", 1, RetentionPolicy::unbounded(), &cfg).unwrap());
+        let t = Arc::new(Topic::new_durable("d", 1, &cfg).unwrap());
         let t2 = Arc::clone(&t);
         let h = std::thread::spawn(move || t2.read_many(&[(0, 0)], 10, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!   gauges ──▶ TelemetrySampler ──▶ frames ─┐
-//!   spans  ──▶ MetricsRegistry ──▶ snapshot ┼─▶ attribute() ─▶ dominant
+//!   spans  ──▶ MetricsRegistry ──▶ window ──┼─▶ attribute() ─▶ dominant
 //!   broker ──▶ total_lag ────────────────────┘        │
 //!                                                     ▼
 //!                 ControllerCore (hysteresis, cooldowns, bounds)
@@ -92,11 +92,10 @@ pub struct ControllerConfig {
     pub lag_low: u64,
     /// Per-knob bounds: no action ever leaves them.
     pub bounds: ControlBounds,
-    /// Window width for [`pilot_metrics::attribute`], µs.
+    /// Window width for [`pilot_metrics::attribute`], µs. Attribution runs
+    /// exactly when the pipeline's telemetry plane is on; without it the
+    /// controller decides on lag alone.
     pub attribution_window_us: u64,
-    /// Whether to run bottleneck attribution at all (needs the telemetry
-    /// plane; `false` gives the legacy lag-only behaviour at lower cost).
-    pub use_attribution: bool,
     /// Optional model-migration lever.
     pub migration: Option<MigrationPolicy>,
 }
@@ -111,7 +110,6 @@ impl Default for ControllerConfig {
             lag_low: 2,
             bounds: ControlBounds::default(),
             attribution_window_us: 250_000,
-            use_attribution: true,
             migration: None,
         }
     }
@@ -203,8 +201,8 @@ impl Controller {
         }
     }
 
-    /// One sensing pass: when attribution is on and telemetry exists, the
-    /// dominant component of the most recent attribution window, mapped
+    /// One sensing pass: when the telemetry plane is on, the dominant
+    /// component of the most recent attribution window, mapped
     /// onto the planner's stage model via the pipeline's own link names.
     fn sense(
         ctl: &PipelineCtl,
@@ -213,9 +211,6 @@ impl Controller {
         let Some(sampler) = ctl.telemetry_sampler() else {
             return (None, None);
         };
-        if !config.use_attribution {
-            return (None, None);
-        }
         let frames = sampler.frames();
         if frames.len() < 2 {
             return (None, None);
@@ -228,12 +223,10 @@ impl Controller {
             .metrics()
             .now_us()
             .saturating_sub(config.attribution_window_us.saturating_mul(4));
-        let spans: Vec<pilot_metrics::Span> = shared
+        let job = shared.ctx.job_id;
+        let spans = shared
             .metrics()
-            .snapshot()
-            .into_iter()
-            .filter(|s| s.job_id == shared.ctx.job_id && s.end_us >= cutoff)
-            .collect();
+            .spans_where(|s| s.job_id == job && s.end_us >= cutoff);
         if spans.is_empty() {
             return (None, None);
         }

@@ -600,11 +600,7 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         // The cell consumer is the topic's only group: what it has
         // committed is gone from the broker.
         broker
-            .create_topic(
-                CELL_TOPIC,
-                cfg.devices_per_cell,
-                RetentionPolicy::committed(),
-            )
+            .create_topic(CELL_TOPIC, cfg.devices_per_cell, RetentionPolicy::default())
             .map_err(|e| e.to_string())?;
         brokers.push(broker.clone());
         let region = cfg.region_of(cell);

@@ -56,11 +56,8 @@ pub(crate) struct RunView {
 
 impl RunView {
     fn spans(&self) -> Vec<Span> {
-        let mut spans = self.registry.snapshot();
-        if let Some(job) = self.job {
-            spans.retain(|s| s.job_id == job);
-        }
-        spans
+        self.registry
+            .spans_where(|s| self.job.is_none_or(|job| s.job_id == job))
     }
 
     /// Dominant component of the most recent attribution window, when

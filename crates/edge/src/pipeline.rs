@@ -35,9 +35,6 @@ pub struct PipelineConfig {
     pub processors: usize,
     /// Deployment modality.
     pub mode: DeploymentMode,
-    /// Broker topic name; defaults to `pilot-edge-<job>` (the framework's
-    /// "automatically created Kafka topic").
-    pub topic: Option<String>,
     /// Producer rate per device in messages/second (0 = unthrottled).
     pub rate_per_device: f64,
     /// Max records per consumer fetch.
@@ -161,7 +158,6 @@ impl Default for PipelineConfig {
             devices: 1,
             processors: 1,
             mode: DeploymentMode::CloudCentric,
-            topic: None,
             rate_per_device: 0.0,
             fetch_max: 4,
             codec: pilot_datagen::Codec::F64,

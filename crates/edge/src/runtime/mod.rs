@@ -216,14 +216,14 @@ pub(crate) fn start(
         .start_param_server()
         .map_err(|e| PipelineError::Task(e.to_string()))?;
     let metrics = builder.metrics.clone().unwrap_or_default();
-    let topic = cfg
-        .topic
-        .clone()
-        .unwrap_or_else(|| format!("pilot-edge-{job_id}"));
-    // Durable broker log (off by default): with `log_dir` set the topic
-    // persists through the broker's segmented storage engine — group-commit
-    // fsync, crash recovery, O(1) segment-file retention. Without it the
-    // topic is the seed's memory-only structure, byte for byte.
+    // The framework's "automatically created Kafka topic". It trims at the
+    // consumer group's commit floor, so the log holds only what the group
+    // has not processed yet. Durable broker log (off by default): with
+    // `log_dir` set the topic persists through the broker's segmented
+    // storage engine — group-commit fsync, crash recovery, and segment
+    // files unlinked as the floor passes them. Without it the topic is
+    // memory-only.
+    let topic = format!("pilot-edge-{job_id}");
     match cfg.durability() {
         Some(durability) => broker.create_topic_durable(
             &topic,

@@ -75,6 +75,11 @@ pub const GAUGE_LOG_SEGMENT_COUNT: &str = "broker.log.segment_count";
 /// partitions (high watermark − durable watermark). Bounded by one commit
 /// window of traffic when the group-commit flusher keeps up.
 pub const GAUGE_LOG_DURABLE_LAG: &str = "broker.log.durable_lag";
+/// Stable gauge name: wire bytes the broker's logs still hold, summed over
+/// topics and partitions — what their consumer groups have not yet
+/// committed. On a broker serving only this pipeline it reads 0 once the
+/// run has drained.
+pub const GAUGE_LOG_RETAINED_BYTES: &str = "broker.log.retained_bytes";
 
 /// The per-partition lag gauge name.
 pub fn partition_lag_gauge(partition: usize) -> String {
@@ -106,12 +111,13 @@ pub(crate) struct StageGauges {
     /// Reactor ready-queue depth and cumulative poll time (pull).
     reactor_ready_depth: Arc<Gauge>,
     reactor_poll_us: Arc<Gauge>,
-    /// Storage-engine gauges (pull; all but `segment_count` stay zero
-    /// unless the durable log is on).
+    /// Storage-engine gauges (pull; all but `segment_count` and
+    /// `retained_bytes` stay zero unless the durable log is on).
     log_dirty_bytes: Arc<Gauge>,
     log_fsync_us: Arc<Gauge>,
     log_segment_count: Arc<Gauge>,
     log_durable_lag: Arc<Gauge>,
+    log_retained_bytes: Arc<Gauge>,
 }
 
 impl StageGauges {
@@ -137,6 +143,7 @@ impl StageGauges {
             log_fsync_us: registry.gauge(GAUGE_LOG_FSYNC_US),
             log_segment_count: registry.gauge(GAUGE_LOG_SEGMENT_COUNT),
             log_durable_lag: registry.gauge(GAUGE_LOG_DURABLE_LAG),
+            log_retained_bytes: registry.gauge(GAUGE_LOG_RETAINED_BYTES),
         }
     }
 
@@ -206,6 +213,7 @@ impl StageGauges {
                 g.log_fsync_us.set(stats.fsync_us as i64);
                 g.log_segment_count.set(stats.segment_count as i64);
                 g.log_durable_lag.set(stats.durable_lag as i64);
+                g.log_retained_bytes.set(stats.retained_bytes as i64);
             }),
         ]
     }

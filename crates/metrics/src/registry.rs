@@ -215,9 +215,17 @@ impl MetricsRegistry {
 
     /// Snapshot all spans recorded so far (cloned, in no particular order).
     pub fn snapshot(&self) -> Vec<Span> {
+        self.spans_where(|_| true)
+    }
+
+    /// The spans recorded so far that satisfy `keep` (cloned, in no
+    /// particular order). Each shard is filtered under its own lock, so a
+    /// reader that wants one job or one recent window copies only that,
+    /// not the whole store.
+    pub fn spans_where(&self, keep: impl Fn(&Span) -> bool) -> Vec<Span> {
         let mut out = Vec::new();
         for shard in &self.inner.shards {
-            out.extend(shard.lock().iter().cloned());
+            out.extend(shard.lock().iter().filter(|s| keep(s)).cloned());
         }
         out
     }
@@ -414,6 +422,32 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(reg.span_count(), 8000);
+    }
+
+    #[test]
+    fn spans_where_equals_snapshot_then_filter() {
+        let reg = MetricsRegistry::new();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let reg = reg.clone();
+                std::thread::spawn(move || {
+                    for i in 0..500u64 {
+                        reg.record(t % 2, i, Component::Broker, i, i + t, 8);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let keep = |s: &Span| s.job_id == 1 && s.end_us >= 250;
+        let key = |s: &Span| (s.job_id, s.msg_id, s.start_us, s.end_us);
+        let mut expected: Vec<Span> = reg.snapshot().into_iter().filter(keep).collect();
+        let mut got = reg.spans_where(keep);
+        expected.sort_by_key(key);
+        got.sort_by_key(key);
+        assert!(!got.is_empty());
+        assert_eq!(got, expected);
     }
 
     #[test]

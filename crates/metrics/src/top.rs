@@ -19,6 +19,7 @@ pub const PIPELINE_GAUGES: &[&str] = &[
     "producer.inflight_batch_bytes",
     "consumer.prefetch_occupancy",
     "broker.lag.total",
+    "broker.log.retained_bytes",
     "net.edge_broker.pending_us",
     "net.broker_cloud.pending_us",
     "cloud.compute_pool_occupancy",

@@ -94,7 +94,6 @@ proptest! {
             cooldown,
             lag_bound: 50,
             lag_low: 5,
-            use_attribution: true,
             ..ControllerConfig::default()
         };
         let mut core = ControllerCore::from_config(&config);
@@ -145,7 +144,6 @@ proptest! {
                 min_fetch_max: 8,
                 max_fetch_max: 8,
             },
-            use_attribution: true,
             ..ControllerConfig::default()
         };
         let mut core = ControllerCore::from_config(&config);
@@ -208,7 +206,6 @@ fn bottleneck_routes_to_the_matching_knob() {
         cooldown: Duration::ZERO,
         lag_bound: 10,
         lag_low: 1,
-        use_attribution: true,
         ..ControllerConfig::default()
     };
     let decide = |state: KnobState, stage: Option<BottleneckStage>| {
@@ -403,7 +400,6 @@ fn controller_scales_up_under_lag_and_journals_the_cause() {
                 max_processors: 4,
                 ..ControlBounds::default()
             },
-            use_attribution: true,
             ..ControllerConfig::default()
         })
         .start()
@@ -477,7 +473,6 @@ fn pinned_bounds_controller_only_scales_processors_within_max() {
                 min_fetch_max: PipelineConfig::default().fetch_max,
                 max_fetch_max: PipelineConfig::default().fetch_max,
             },
-            use_attribution: false,
             ..ControllerConfig::default()
         })
         .start()

@@ -4,6 +4,9 @@
 //! and is joined before `drop` returns. No leaked threads, no lost
 //! sentinels, and the pilots' cores are immediately reusable.
 
+mod common;
+
+use common::Witness;
 use pilot_core::{Pilot, PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{baseline_factory, datagen_produce_factory};
@@ -54,15 +57,17 @@ fn drop_mid_run(
     configure: impl FnOnce(EdgeToCloudPipeline) -> EdgeToCloudPipeline,
 ) {
     let (edge, cloud) = pilots(devices.min(4), 2);
+    let witness = Witness::default();
     let builder = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud.clone())
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 100_000))
+        .produce_function(witness.gate(datagen_produce_factory(DataGenConfig::paper(10), 100_000)))
         .process_cloud_function(baseline_factory())
         .devices(devices)
         .processors(2)
         .rate_per_device(50.0); // ~2000 s stream: the drop is always mid-run
     let running = configure(builder).start().unwrap();
+    witness.pin(&running, devices);
     let topic = running.topic().to_string();
     std::thread::sleep(Duration::from_millis(100));
     let t = Instant::now();

@@ -213,7 +213,6 @@ fn live_controller_is_observationally_identical_to_static_knobs() {
             max_compute: 4,
             ..pilot_edge::ControlBounds::default()
         },
-        use_attribution: true,
         ..pilot_edge::ControllerConfig::default()
     };
     let controlled = run_combo_controlled(None, 2, None, Some(twitchy));

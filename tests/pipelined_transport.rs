@@ -5,6 +5,9 @@
 //! and complete per-message span chains — while only changing *when* the
 //! link time is paid.
 
+mod common;
+
+use common::Witness;
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::faas::{CloudFactory, ProcessOutcome};
@@ -492,13 +495,14 @@ fn credit_smaller_than_one_message_delivers_the_serial_message_set() {
     assert_eq!(link.bdp_bytes(Duration::from_millis(1)), 6_000);
     let run = |batched: bool| {
         let (edge, cloud) = pilots(1, 1);
+        let witness = Witness::default();
         let mut b = EdgeToCloudPipeline::builder()
             .pilot_edge(edge)
             .pilot_cloud_processing(cloud)
-            .produce_function(datagen_produce_factory(
+            .produce_function(witness.gate(datagen_produce_factory(
                 DataGenConfig::paper(100).with_seed(5),
                 8,
-            ))
+            )))
             .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
             .devices(DEVICES)
             .link_edge_to_broker(link.clone().build());
@@ -508,6 +512,7 @@ fn credit_smaller_than_one_message_delivers_the_serial_message_set() {
                 .linger(Duration::from_millis(1));
         }
         let running = b.start().unwrap();
+        witness.pin(&running, DEVICES);
         let (broker, topic) = (running.broker(), running.topic().to_string());
         let summary = running.wait(WAIT).unwrap();
         assert_eq!(summary.messages as usize, DEVICES * 8);
@@ -531,10 +536,11 @@ fn stop_drains_devices_parked_on_credit() {
     const DEVICES: usize = 4;
     let (edge, cloud) = pilots(2, 2);
     let registry = MetricsRegistry::new();
+    let witness = Witness::default();
     let running = EdgeToCloudPipeline::builder()
         .pilot_edge(edge)
         .pilot_cloud_processing(cloud)
-        .produce_function(datagen_produce_factory(DataGenConfig::paper(20), 100_000))
+        .produce_function(witness.gate(datagen_produce_factory(DataGenConfig::paper(20), 100_000)))
         .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
         .metrics(registry.clone())
         .devices(DEVICES)
@@ -545,6 +551,7 @@ fn stop_drains_devices_parked_on_credit() {
         .telemetry_sample_ms(5)
         .start()
         .unwrap();
+    witness.pin(&running, DEVICES);
     let (broker, topic) = (running.broker(), running.topic().to_string());
     let t = Instant::now();
     while registry.gauge_value(GAUGE_CREDIT_WAIT_DEPTH).unwrap_or(0) == 0 {

@@ -22,7 +22,6 @@
 
 use parking_lot::Mutex;
 use pilot_broker::record::Record;
-use pilot_broker::retention::RetentionPolicy;
 use pilot_broker::topic::Topic;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,11 +53,7 @@ impl Wake for Unparker {
 fn registration_never_loses_a_wakeup_under_append_races() {
     const PARTITIONS: usize = 256;
     const APPENDS: usize = 10_000;
-    let topic = Arc::new(Topic::new(
-        "stress",
-        PARTITIONS,
-        RetentionPolicy::unbounded(),
-    ));
+    let topic = Arc::new(Topic::new("stress", PARTITIONS));
     let waiter = topic.arrival_waiter();
 
     let appender = {
@@ -112,7 +107,7 @@ fn registration_never_loses_a_wakeup_under_append_races() {
             continue;
         }
         for (p, result) in ready {
-            let records = result.expect("offsets never trimmed under unbounded retention");
+            let records = result.expect("offsets never trimmed: no broker raises a floor");
             offsets[p] += records.len() as u64;
             seen += records.len();
         }
@@ -139,11 +134,7 @@ fn concurrent_waiters_each_observe_their_own_partitions() {
     const WAITERS: usize = 8;
     const PER_WAITER: usize = 32; // partitions per waiter
     const APPENDS_PER_PARTITION: usize = 40;
-    let topic = Arc::new(Topic::new(
-        "stress-multi",
-        WAITERS * PER_WAITER,
-        RetentionPolicy::unbounded(),
-    ));
+    let topic = Arc::new(Topic::new("stress-multi", WAITERS * PER_WAITER));
     let observed: Arc<Mutex<HashSet<(usize, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
     let consumers: Vec<_> = (0..WAITERS)
         .map(|w| {

@@ -7,7 +7,7 @@ use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
 use pilot_edge::runtime::telemetry::{
     GAUGE_BROKER_LAG_TOTAL, GAUGE_CREDIT_WAIT_DEPTH, GAUGE_INFLIGHT_BATCH_BYTES,
-    GAUGE_PREFETCH_OCCUPANCY, GAUGE_PRODUCER_QUEUE_DEPTH,
+    GAUGE_LOG_RETAINED_BYTES, GAUGE_PREFETCH_OCCUPANCY, GAUGE_PRODUCER_QUEUE_DEPTH,
 };
 use pilot_edge::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
 use pilot_metrics::{attribute, validate_trace_json, Component, MetricsRegistry};
@@ -131,6 +131,49 @@ fn gauges_read_zero_after_drain() {
             "{name} should drain to zero"
         );
     }
+}
+
+#[test]
+fn pipeline_topic_retains_nothing_after_drain() {
+    // The pipeline topic trims at the consumer group's commit floor: once
+    // `wait()` returns, every record is committed and the log holds no
+    // bytes — memory-only, and durable with its sealed segment files gone.
+    // Over 1024 messages a partition, so each one seals a segment.
+    const DEVICES: usize = 2;
+    let dir = std::env::temp_dir().join(format!("pilot-retained-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for log_dir in [None, Some(dir.clone())] {
+        let registry = MetricsRegistry::new();
+        let (edge, cloud) = pilots(2, 2);
+        let mut builder = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge)
+            .pilot_cloud_processing(cloud)
+            .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 1100))
+            .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+            .metrics(registry.clone())
+            .devices(DEVICES)
+            .batch_max_bytes(64 * 1024)
+            .telemetry_sample_ms(5);
+        if let Some(dir) = &log_dir {
+            builder = builder.log_dir(dir.clone());
+        }
+        let running = builder.start().unwrap();
+        let (broker, topic) = (running.broker(), running.topic().to_string());
+        let summary = running.wait(WAIT).unwrap();
+        assert_eq!(summary.messages as usize, DEVICES * 1100);
+        let stats = broker.topic(&topic).unwrap().log_stats();
+        assert_eq!(stats.retained_bytes, 0, "log_dir={log_dir:?}");
+        assert_eq!(
+            stats.segment_count, DEVICES as u64,
+            "log_dir={log_dir:?}: only the active segments remain"
+        );
+        assert_eq!(
+            registry.gauge_value(GAUGE_LOG_RETAINED_BYTES),
+            Some(0),
+            "log_dir={log_dir:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
