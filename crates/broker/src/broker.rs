@@ -209,13 +209,6 @@ impl Broker {
         out
     }
 
-    /// Force an fsync cycle on every durable topic (clean-shutdown hook).
-    /// Returns total bytes retired.
-    pub fn sync_all(&self) -> u64 {
-        let topics: Vec<Arc<Topic>> = self.inner.topics.read().values().cloned().collect();
-        topics.iter().map(|t| t.sync()).sum()
-    }
-
     /// Look up a topic handle.
     pub fn topic(&self, name: &str) -> Result<Arc<Topic>, BrokerError> {
         self.inner

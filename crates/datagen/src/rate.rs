@@ -76,16 +76,6 @@ impl RateLimiter {
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
-
-    /// Observed rate since construction (messages/second).
-    pub fn observed_rate(&self) -> f64 {
-        let secs = self.start.elapsed().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.emitted as f64 / secs
-        }
-    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //! into the live knob table (DESIGN.md §15).
 //!
 //! ```text
-//!   gauges ──▶ TelemetrySampler ──▶ frames ─┐
-//!   spans  ──▶ MetricsRegistry ──▶ window ──┼─▶ attribute() ─▶ dominant
-//!   broker ──▶ total_lag ────────────────────┘        │
-//!                                                     ▼
+//!   spans  ──▶ MetricsRegistry ──▶ observe::bottleneck() ─▶ dominant
+//!   broker ──▶ total_lag ─────────────────────────────┐        │
+//!                                                     ▼        ▼
 //!                 ControllerCore (hysteresis, cooldowns, bounds)
 //!                                                     │ Action
 //!                     ┌───────────────┬───────────────┼──────────────┐
@@ -16,8 +15,9 @@
 //! ```
 //!
 //! A controller thread ticks at `tick`, samples total consumer-group lag,
-//! runs [`pilot_metrics::attribute`] over the recent span/frame window to
-//! find the dominant component, and feeds the [`ControllerCore`] decision
+//! reads the run's bottleneck verdict — the one `GET /top` and the SSE
+//! stream serve: the dominant component of the newest attribution window
+//! over the recent spans — and feeds the [`ControllerCore`] decision
 //! machine. Released actions are applied to the live pipeline and appended
 //! to the pipeline's one journal of [`ControlEvent`]s — the same journal,
 //! on the same clock, that operator tunes through the gateway append to.
@@ -41,6 +41,7 @@ pub use core::{BottleneckStage, ControlBounds, ControllerCore, Observation};
 pub use knob::Knob;
 
 use crate::faas::CloudFactory;
+use crate::observe;
 use crate::runtime::PipelineCtl;
 use pilot_metrics::Component;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,10 +93,6 @@ pub struct ControllerConfig {
     pub lag_low: u64,
     /// Per-knob bounds: no action ever leaves them.
     pub bounds: ControlBounds,
-    /// Window width for [`pilot_metrics::attribute`], µs. Attribution runs
-    /// exactly when the pipeline's telemetry plane is on; without it the
-    /// controller decides on lag alone.
-    pub attribution_window_us: u64,
     /// Optional model-migration lever.
     pub migration: Option<MigrationPolicy>,
 }
@@ -109,7 +106,6 @@ impl Default for ControllerConfig {
             lag_bound: 16,
             lag_low: 2,
             bounds: ControlBounds::default(),
-            attribution_window_us: 250_000,
             migration: None,
         }
     }
@@ -128,9 +124,6 @@ impl ControllerConfig {
                 "controller lag_low {} exceeds lag_bound {}",
                 self.lag_low, self.lag_bound
             ));
-        }
-        if self.attribution_window_us == 0 {
-            return Err("controller attribution_window_us must be > 0".into());
         }
         self.bounds.validate()
     }
@@ -175,15 +168,20 @@ impl Controller {
         let actions_gauge = metrics.gauge(GAUGE_CONTROL_ACTIONS);
         let cause_gauge = metrics.gauge(GAUGE_CONTROL_LAST_CAUSE);
         let tune = &ctl.shared.tune;
+        let job = Some(ctl.shared.ctx.job_id);
         let mut core = ControllerCore::from_config(config);
         while !stop.load(Ordering::Relaxed) && !ctl.is_stopped() && !ctl.all_done() {
             std::thread::sleep(config.tick);
-            let (bottleneck, label) = Self::sense(ctl, config);
+            // Attribution runs exactly when the telemetry plane is on;
+            // without it the controller decides on lag alone.
+            let dominant = ctl
+                .telemetry_sampler()
+                .and_then(|sampler| observe::bottleneck(metrics, sampler, job));
             let obs = Observation {
                 now: ctl.elapsed(),
                 lag: ctl.total_lag(),
-                bottleneck,
-                bottleneck_label: label,
+                bottleneck: dominant.as_ref().map(|c| map_component(ctl, c)),
+                bottleneck_label: dominant.map(|c| c.label()),
                 processors: ctl.processor_count(),
                 compute_width: ctl.shared.ctx.compute.threads(),
                 batch_max_bytes: tune.batch_max_bytes(),
@@ -199,47 +197,6 @@ impl Controller {
                 ctl.journal(cause, &[action]);
             }
         }
-    }
-
-    /// One sensing pass: when the telemetry plane is on, the dominant
-    /// component of the most recent attribution window, mapped
-    /// onto the planner's stage model via the pipeline's own link names.
-    fn sense(
-        ctl: &PipelineCtl,
-        config: &ControllerConfig,
-    ) -> (Option<BottleneckStage>, Option<String>) {
-        let Some(sampler) = ctl.telemetry_sampler() else {
-            return (None, None);
-        };
-        let frames = sampler.frames();
-        if frames.len() < 2 {
-            return (None, None);
-        }
-        let shared = &ctl.shared;
-        // Only recent spans: the controller wants the bottleneck *now*,
-        // not the run-to-date average (a drained early phase must not
-        // outvote the current one).
-        let cutoff = shared
-            .metrics()
-            .now_us()
-            .saturating_sub(config.attribution_window_us.saturating_mul(4));
-        let job = shared.ctx.job_id;
-        let spans = shared
-            .metrics()
-            .spans_where(|s| s.job_id == job && s.end_us >= cutoff);
-        if spans.is_empty() {
-            return (None, None);
-        }
-        let attr = pilot_metrics::attribute(&spans, &frames, config.attribution_window_us);
-        let dominant = attr
-            .windows
-            .last()
-            .and_then(|w| w.dominant())
-            .or_else(|| attr.dominant())
-            .cloned();
-        let stage = dominant.as_ref().map(|c| map_component(ctl, c));
-        let label = dominant.as_ref().map(|c| c.label());
-        (stage, label)
     }
 
     /// Apply a released action to the live pipeline; `false` when it

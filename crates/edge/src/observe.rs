@@ -1,6 +1,7 @@
 //! The observability front door of a run (DESIGN.md §16): the one
-//! read-only route set both entry points serve, and the one value that
-//! owns a run's telemetry sampler and gateway.
+//! read-only route set both entry points serve, the one value that owns a
+//! run's telemetry sampler and gateway, and the one bottleneck verdict the
+//! controller, the SSE stream and `GET /top` all read ([`bottleneck`]).
 //!
 //! The gateway crate knows sockets, HTTP framing, routing and SSE — it has
 //! never heard of pipelines or federations. This module builds the
@@ -24,8 +25,8 @@
 
 use pilot_gateway::{Gateway, GatewayConfig, Handler, Request, Response, Router, StopFlag};
 use pilot_metrics::{
-    attribute, frames_json, prometheus_exposition, push_json_string, write_chrome_trace_to, JobId,
-    MetricsRegistry, Span, TelemetryFrame, TelemetrySampler, TopView,
+    attribute, frames_json, prometheus_exposition, push_json_string, write_chrome_trace_to,
+    Component, JobId, MetricsRegistry, Span, TelemetryFrame, TelemetrySampler, TopView,
 };
 use std::io;
 use std::net::SocketAddr;
@@ -36,8 +37,35 @@ use std::time::{Duration, Instant};
 const STREAM_POLL: Duration = Duration::from_millis(25);
 /// Minimum spacing between two SSE bottleneck verdicts.
 const VERDICT_EVERY: Duration = Duration::from_millis(250);
-/// Attribution window for `/top` and the SSE verdict events.
+/// Attribution window of the bottleneck verdict, µs: the verdict reads
+/// the spans that ended within the last four windows.
 const ATTRIBUTION_WINDOW_US: u64 = 250_000;
+
+/// The run's bottleneck now: the dominant component of the newest
+/// attribution window over the spans of `job` (every span with `None`)
+/// that ended within the last four windows. Only recent spans, so a
+/// drained early phase cannot outvote the current one — and an idle or
+/// finished run has no verdict. `None` until the sampler holds two frames.
+/// Copies no frame.
+pub(crate) fn bottleneck(
+    registry: &MetricsRegistry,
+    sampler: &TelemetrySampler,
+    job: Option<JobId>,
+) -> Option<Component> {
+    if sampler.frame_count() < 2 {
+        return None;
+    }
+    let cutoff = registry.now_us().saturating_sub(4 * ATTRIBUTION_WINDOW_US);
+    let spans =
+        registry.spans_where(|s| s.end_us >= cutoff && job.is_none_or(|job| s.job_id == job));
+    // The newest window holds the span that ended last, so it always has
+    // a dominant component.
+    attribute(&spans, ATTRIBUTION_WINDOW_US)
+        .windows
+        .last()?
+        .dominant()
+        .cloned()
+}
 
 /// What the read-only routes read of one run.
 pub(crate) struct RunView {
@@ -60,22 +88,9 @@ impl RunView {
             .spans_where(|s| self.job.is_none_or(|job| s.job_id == job))
     }
 
-    /// Dominant component of the most recent attribution window, when
-    /// enough signal exists.
-    fn bottleneck(&self, frames: &[TelemetryFrame]) -> Option<String> {
-        if frames.len() < 2 {
-            return None;
-        }
-        let spans = self.spans();
-        if spans.is_empty() {
-            return None;
-        }
-        let attr = attribute(&spans, frames, ATTRIBUTION_WINDOW_US);
-        attr.windows
-            .last()
-            .and_then(|w| w.dominant())
-            .or_else(|| attr.dominant())
-            .map(|c| c.label())
+    /// The [`bottleneck`] verdict's label.
+    fn verdict(&self, sampler: &TelemetrySampler) -> Option<String> {
+        bottleneck(&self.registry, sampler, self.job).map(|c| c.label())
     }
 }
 
@@ -152,6 +167,7 @@ struct Served {
 }
 
 impl Served {
+    /// The whole frame ring, for the outputs that are the whole ring.
     fn frames(&self) -> Vec<TelemetryFrame> {
         self.sampler
             .as_ref()
@@ -186,28 +202,27 @@ fn metrics(served: &Arc<Served>) -> Response {
 }
 
 fn telemetry_stream(served: &Arc<Served>) -> Response {
-    if served.sampler.is_none() {
+    let Some(sampler) = served.sampler.clone() else {
         return telemetry_off();
-    }
+    };
     let served = Arc::clone(served);
     Response::Stream {
         content_type: "text/event-stream",
-        write: Box::new(move |w| stream_telemetry(&served, w)),
+        write: Box::new(move |w| stream_telemetry(&served, &sampler, w)),
     }
 }
 
 fn top(served: &Arc<Served>) -> Response {
-    if served.sampler.is_none() {
+    let Some(sampler) = served.sampler.as_deref() else {
         return telemetry_off();
-    }
-    let frames = served.frames();
-    let Some(latest) = frames.last() else {
+    };
+    let Some(latest) = sampler.latest() else {
         return Response::text(503, "no telemetry frame sampled yet\n");
     };
     let view = &served.view;
     let (processed, expected) = (view.progress)();
-    let mut top = TopView::from_frame(latest, view.gauges, processed, expected);
-    top.bottleneck = view.bottleneck(&frames);
+    let mut top = TopView::from_frame(&latest, view.gauges, processed, expected);
+    top.bottleneck = view.verdict(sampler);
     Response::json(top.to_json())
 }
 
@@ -228,28 +243,20 @@ fn telemetry_off() -> Response {
 
 /// The SSE loop: push every new telemetry frame (`event: frame`) and a
 /// periodic bottleneck verdict (`event: verdict`) until the subscriber
-/// hangs up, the gateway stops or the run stops. The cursor starts one
-/// frame back so a new subscriber sees data immediately instead of waiting
-/// a sample tick.
-fn stream_telemetry(served: &Served, w: &mut dyn io::Write) -> io::Result<()> {
+/// hangs up, the gateway stops or the run stops. Each poll copies only the
+/// frames after the cursor, which starts just before the newest frame so a
+/// new subscriber sees data immediately instead of waiting a sample tick.
+fn stream_telemetry(
+    served: &Served,
+    sampler: &TelemetrySampler,
+    w: &mut dyn io::Write,
+) -> io::Result<()> {
     let view = &served.view;
-    let mut cursor = {
-        let frames = served.frames();
-        frames
-            .len()
-            .checked_sub(2)
-            .and_then(|i| frames.get(i))
-            .map(|f| f.t_us)
-            .unwrap_or(0)
-    };
+    let mut cursor = sampler.latest().map_or(0, |f| f.t_us.saturating_sub(1));
     let mut last_verdict = Instant::now();
     let mut first = true;
     while !served.stop.is_stopped() && !(view.stopped)() {
-        let frames = served.frames();
-        for frame in frames.iter() {
-            if frame.t_us <= cursor {
-                continue;
-            }
+        for frame in sampler.frames_since(cursor) {
             pilot_gateway::write_sse_event(w, Some("frame"), &frame.to_json())?;
             cursor = frame.t_us;
         }
@@ -259,7 +266,7 @@ fn stream_telemetry(served: &Served, w: &mut dyn io::Write) -> io::Result<()> {
             let mut data = String::from("{\"t_us\":");
             data.push_str(&view.registry.now_us().to_string());
             data.push_str(",\"bottleneck\":");
-            match view.bottleneck(&frames) {
+            match view.verdict(sampler) {
                 Some(label) => push_json_string(&mut data, &label),
                 None => data.push_str("null"),
             }

@@ -63,6 +63,12 @@ struct CreditState {
     queued: Vec<bool>,
 }
 
+impl CreditState {
+    fn in_flight(&self) -> u64 {
+        self.acquired - self.released
+    }
+}
+
 impl LinkCredit {
     pub(crate) fn new(link: &LinkSpec, devices: usize) -> Self {
         Self {
@@ -81,7 +87,7 @@ impl LinkCredit {
     fn admit(&self, device: usize, linger: Duration, waker: &Waker) -> bool {
         let budget = self.link.bdp_bytes(linger);
         let mut st = self.state.lock();
-        if st.acquired - st.released < budget {
+        if st.in_flight() < budget {
             return true;
         }
         if !std::mem::replace(&mut st.queued[device], true) {
@@ -101,7 +107,7 @@ impl LinkCredit {
         let woken = {
             let mut st = self.state.lock();
             st.released += bytes;
-            if st.waiting.is_empty() || st.acquired - st.released >= budget {
+            if st.waiting.is_empty() || st.in_flight() >= budget {
                 return;
             }
             let woken = std::mem::take(&mut st.waiting);
@@ -113,6 +119,12 @@ impl LinkCredit {
         for (_, waker) in woken {
             waker.wake();
         }
+    }
+
+    /// Bytes aboard shipped batches that have not landed yet (the
+    /// `producer.inflight_batch_bytes` gauge).
+    pub(crate) fn in_flight_bytes(&self) -> u64 {
+        self.state.lock().in_flight()
     }
 
     /// `(acquired, released)` bytes since the start: equal once nothing is
@@ -247,9 +259,6 @@ impl Batcher {
         let reservation = shared.link_edge_broker.reserve_batch(&sizes);
         let bytes: u64 = sizes.iter().sum();
         shared.credit.acquire(bytes);
-        if let Some(g) = shared.stage_gauges() {
-            g.inflight_batch_bytes.add(bytes as i64);
-        }
         self.in_flight.push_back(InFlightBatch {
             reservation,
             net_start_us,
@@ -273,9 +282,6 @@ impl Batcher {
         {
             let batch = self.in_flight.pop_front().expect("front checked above");
             shared.credit.release(batch.bytes, shared.tune.linger());
-            if let Some(g) = shared.stage_gauges() {
-                g.inflight_batch_bytes.sub(batch.bytes as i64);
-            }
             let net_end_us = spans.now_us();
             for msg in batch.msgs {
                 let bytes = msg.payload.len() as u64;

@@ -184,7 +184,7 @@ impl PipelineCtl {
     }
 
     /// The telemetry sampler, when the telemetry plane is on (the
-    /// controller reads frames and attribution input through this).
+    /// controller's bottleneck verdict waits for its first frames).
     pub(crate) fn telemetry_sampler(&self) -> Option<&TelemetrySampler> {
         self.telemetry.as_deref()
     }
@@ -321,13 +321,12 @@ impl RunningPipeline {
 
     /// Telemetry frames sampled so far (usable mid-run). Each frame is one
     /// timestamped snapshot of every stage gauge — deadline-queue depth,
-    /// in-flight batch bytes, prefetch occupancy, per-partition lag, link
+    /// in-flight batch bytes, prefetch occupancy, total lag, link
     /// backlog/busy time, compute-pool occupancy — taken every
     /// `telemetry_sample_ms` milliseconds. Empty when the telemetry plane
     /// is off (the default). Feed these and the span stream to
-    /// [`pilot_metrics::attribute`] for an online bottleneck attribution,
-    /// or to [`pilot_metrics::chrome_trace_json`] for a Perfetto-loadable
-    /// trace with gauge counter tracks.
+    /// [`pilot_metrics::chrome_trace_json`] for a Perfetto-loadable trace
+    /// with gauge counter tracks.
     pub fn telemetry(&self) -> Vec<TelemetryFrame> {
         self.observed
             .sampler()

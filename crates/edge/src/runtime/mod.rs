@@ -254,7 +254,7 @@ pub(crate) fn start(
     // any stage runs, so the first sampler frame already has every name.
     let gauges = cfg
         .telemetry_sample_ms
-        .map(|_| Arc::new(StageGauges::new(&metrics, cfg.devices)));
+        .map(|_| Arc::new(StageGauges::new(&metrics)));
     // Two fixed pools of reactor threads, one per pilot, drive every device
     // and every consumer member as polled state machines: the pilot's cores
     // unless overridden, however many tasks the pipeline runs on them. They

@@ -5,10 +5,10 @@
 //! one [`Gauge`] per instrumentation point under a stable name in the job's
 //! [`MetricsRegistry`] and stores the handles here. **Push** gauges are
 //! updated inline by the stage that owns the state (deadline-queue and
-//! credit-wait depth by the device tasks, in-flight batch bytes by the batcher, prefetch
-//! occupancy by the consumer) — one relaxed atomic add on a path that
-//! already crosses a simulated network link. **Pull** gauges (link
-//! reservation queues, compute-pool occupancy, per-partition consumer lag)
+//! credit-wait depth by the device tasks, prefetch occupancy by the
+//! consumer) — one relaxed atomic add on a path that already crosses a
+//! simulated network link. **Pull** gauges (link reservation queues and
+//! credit, compute-pool occupancy, consumer lag, the pipeline topic's log)
 //! are refreshed by `StageGauges::probes` closures the
 //! [`TelemetrySampler`](pilot_metrics::TelemetrySampler) runs before each
 //! snapshot, so the hot path never pays for state it does not own.
@@ -32,7 +32,8 @@ pub const GAUGE_PRODUCER_QUEUE_DEPTH: &str = "producer.deadline_queue_depth";
 /// edge→broker link's byte credit (the in-flight window binds).
 pub const GAUGE_CREDIT_WAIT_DEPTH: &str = "producer.credit_wait_depth";
 /// Stable gauge name: encoded bytes aboard in-flight producer batches
-/// (reservation issued, messages not yet appended).
+/// (reservation issued, messages not yet appended) — the edge→broker
+/// link's byte credit in use.
 pub const GAUGE_INFLIGHT_BATCH_BYTES: &str = "producer.inflight_batch_bytes";
 /// Stable gauge name: batches in flight on the broker→cloud link ahead of
 /// the one each consumer is waiting for or processing (the look-ahead
@@ -51,8 +52,7 @@ pub const GAUGE_NET_BROKER_CLOUD_PENDING: &str = "net.broker_cloud.pending_us";
 /// Stable gauge name: cumulative busy time of the broker→cloud link.
 pub const GAUGE_NET_BROKER_CLOUD_BUSY: &str = "net.broker_cloud.busy_us";
 /// Stable gauge name: total consumer-group lag (records behind the
-/// watermarks, summed over partitions). Per-partition gauges live under
-/// `broker.lag.p<N>`.
+/// watermarks, summed over partitions).
 pub const GAUGE_BROKER_LAG_TOTAL: &str = "broker.lag.total";
 /// Stable gauge name: reactor tasks queued ready to poll (consumer members
 /// with data or an expired timer, waiting for a reactor thread).
@@ -68,23 +68,19 @@ pub const GAUGE_LOG_DIRTY_BYTES: &str = "broker.log.dirty_bytes";
 /// fsync — when this grows as fast as wall clock, the platter is the choke
 /// point and the bottleneck attributor should say so.
 pub const GAUGE_LOG_FSYNC_US: &str = "broker.log.fsync_us";
-/// Stable gauge name: log segments across all topics and partitions
+/// Stable gauge name: log segments across the pipeline topic's partitions
 /// (resident and on-disk alike).
 pub const GAUGE_LOG_SEGMENT_COUNT: &str = "broker.log.segment_count";
-/// Stable gauge name: records appended but not yet durable, summed over
-/// partitions (high watermark − durable watermark). Bounded by one commit
-/// window of traffic when the group-commit flusher keeps up.
+/// Stable gauge name: records appended to the pipeline topic but not yet
+/// durable, summed over partitions (high watermark − durable watermark).
+/// Bounded by one commit window of traffic when the group-commit flusher
+/// keeps up.
 pub const GAUGE_LOG_DURABLE_LAG: &str = "broker.log.durable_lag";
-/// Stable gauge name: wire bytes the broker's logs still hold, summed over
-/// topics and partitions — what their consumer groups have not yet
-/// committed. On a broker serving only this pipeline it reads 0 once the
-/// run has drained.
+/// Stable gauge name: wire bytes the pipeline topic's logs still hold,
+/// summed over partitions — what its consumer group has not yet
+/// committed. It reads 0 once the run has drained, whatever other topics
+/// the broker hosts.
 pub const GAUGE_LOG_RETAINED_BYTES: &str = "broker.log.retained_bytes";
-
-/// The per-partition lag gauge name.
-pub fn partition_lag_gauge(partition: usize) -> String {
-    format!("broker.lag.p{partition}")
-}
 
 /// The pipeline's registered gauge handles. Lives in `Shared::gauges` (as
 /// `Option<Arc<_>>`); `None` means telemetry is off and every hot-path
@@ -94,10 +90,10 @@ pub(crate) struct StageGauges {
     pub(crate) producer_queue_depth: Arc<Gauge>,
     /// Device tasks parked on the link's credit.
     pub(crate) credit_wait_depth: Arc<Gauge>,
-    /// Bytes aboard in-flight producer batches.
-    pub(crate) inflight_batch_bytes: Arc<Gauge>,
     /// Look-ahead batches in flight ahead of the consumers' front batch.
     pub(crate) prefetch_occupancy: Arc<Gauge>,
+    /// The edge→broker link's credit in use (pull).
+    inflight_batch_bytes: Arc<Gauge>,
     /// Compute-pool occupancy (pull — refreshed by the sampler probe).
     compute_pool_occupancy: Arc<Gauge>,
     /// Link backlog / busy-time gauges (pull).
@@ -105,9 +101,8 @@ pub(crate) struct StageGauges {
     net_edge_broker_busy: Arc<Gauge>,
     net_broker_cloud_pending: Arc<Gauge>,
     net_broker_cloud_busy: Arc<Gauge>,
-    /// Consumer lag, one gauge per partition plus the total (pull).
+    /// Total consumer lag (pull).
     lag_total: Arc<Gauge>,
-    lag_partitions: Vec<Arc<Gauge>>,
     /// Reactor ready-queue depth and cumulative poll time (pull).
     reactor_ready_depth: Arc<Gauge>,
     reactor_poll_us: Arc<Gauge>,
@@ -121,8 +116,9 @@ pub(crate) struct StageGauges {
 }
 
 impl StageGauges {
-    /// Register every stage gauge under its stable name.
-    pub(crate) fn new(registry: &MetricsRegistry, devices: usize) -> Self {
+    /// Register every stage gauge under its stable name. Their number does
+    /// not depend on the pipeline's shape, so neither does a frame's width.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
         Self {
             producer_queue_depth: registry.gauge(GAUGE_PRODUCER_QUEUE_DEPTH),
             credit_wait_depth: registry.gauge(GAUGE_CREDIT_WAIT_DEPTH),
@@ -134,9 +130,6 @@ impl StageGauges {
             net_broker_cloud_pending: registry.gauge(GAUGE_NET_BROKER_CLOUD_PENDING),
             net_broker_cloud_busy: registry.gauge(GAUGE_NET_BROKER_CLOUD_BUSY),
             lag_total: registry.gauge(GAUGE_BROKER_LAG_TOTAL),
-            lag_partitions: (0..devices)
-                .map(|p| registry.gauge(&partition_lag_gauge(p)))
-                .collect(),
             reactor_ready_depth: registry.gauge(GAUGE_REACTOR_READY_DEPTH),
             reactor_poll_us: registry.gauge(GAUGE_REACTOR_POLL_US),
             log_dirty_bytes: registry.gauge(GAUGE_LOG_DIRTY_BYTES),
@@ -148,10 +141,10 @@ impl StageGauges {
     }
 
     /// The sampler probes refreshing the pull gauges before each snapshot:
-    /// link backlog and busy time, compute-pool occupancy, and consumer
-    /// lag via the broker's `partition_lags` accessor. The probes capture
-    /// the pipeline's `Shared` — the sampler is owned by `PipelineCtl`,
-    /// not by `Shared`, so no reference cycle forms.
+    /// link backlog, busy time and credit in use, compute-pool occupancy,
+    /// consumer lag, reactor activity, and the pipeline topic's log. The
+    /// probes capture the pipeline's `Shared` — the sampler is owned by
+    /// `PipelineCtl`, not by `Shared`, so no reference cycle forms.
     pub(crate) fn probes(shared: &Arc<Shared>) -> Vec<Probe> {
         let links = Arc::clone(shared);
         let pool = Arc::clone(shared);
@@ -171,6 +164,8 @@ impl StageGauges {
                     .set(links.link_broker_cloud.pending_us() as i64);
                 g.net_broker_cloud_busy
                     .set(links.link_broker_cloud.busy_us() as i64);
+                g.inflight_batch_bytes
+                    .set(links.credit.in_flight_bytes() as i64);
             }),
             Box::new(move || {
                 let Some(g) = pool.gauges.as_deref() else {
@@ -183,17 +178,9 @@ impl StageGauges {
                 let Some(g) = lag.gauges.as_deref() else {
                     return;
                 };
-                let Ok(lags) = lag.broker.partition_lags(&lag.group(), &lag.topic) else {
-                    return;
-                };
-                let mut total = 0i64;
-                for pl in &lags {
-                    total += pl.lag() as i64;
-                    if let Some(gauge) = g.lag_partitions.get(pl.partition) {
-                        gauge.set(pl.lag() as i64);
-                    }
+                if let Ok(lags) = lag.broker.lag(&lag.group(), &lag.topic) {
+                    g.lag_total.set(lags.iter().sum::<u64>() as i64);
                 }
-                g.lag_total.set(total);
             }),
             Box::new(move || {
                 let Some(g) = reactor.gauges.as_deref() else {
@@ -208,7 +195,10 @@ impl StageGauges {
                 let Some(g) = storage.gauges.as_deref() else {
                     return;
                 };
-                let stats = storage.broker.log_stats();
+                let Ok(topic) = storage.broker.topic(&storage.topic) else {
+                    return;
+                };
+                let stats = topic.log_stats();
                 g.log_dirty_bytes.set(stats.dirty_bytes as i64);
                 g.log_fsync_us.set(stats.fsync_us as i64);
                 g.log_segment_count.set(stats.segment_count as i64);

@@ -19,9 +19,7 @@ pub type MsgId = u64;
 
 /// The pipeline component a span was recorded in.
 ///
-/// The variants mirror the components of Fig. 1 of the paper. `Custom` covers
-/// application-defined stages (e.g. an extra fog tier in a multi-layer
-/// deployment).
+/// The variants mirror the components of Fig. 1 of the paper.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Component {
     /// The edge data source (`produce_edge`).
@@ -37,8 +35,6 @@ pub enum Component {
     CloudProcessor,
     /// Parameter-server operations (model get/put/merge).
     ParamServer,
-    /// Application-defined component.
-    Custom(String),
 }
 
 impl Component {
@@ -51,7 +47,6 @@ impl Component {
             Component::Network(link) => format!("net:{link}"),
             Component::CloudProcessor => "cloud_processor".to_string(),
             Component::ParamServer => "param_server".to_string(),
-            Component::Custom(name) => format!("custom:{name}"),
         }
     }
 }
@@ -132,6 +127,5 @@ mod tests {
     fn component_labels_are_stable() {
         assert_eq!(Component::EdgeProducer.label(), "edge_producer");
         assert_eq!(Component::Network("wan".into()).label(), "net:wan");
-        assert_eq!(Component::Custom("fog".into()).label(), "custom:fog");
     }
 }

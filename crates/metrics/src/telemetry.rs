@@ -16,10 +16,10 @@
 //!   lag read from the broker) and snapshots every registered gauge into
 //!   a bounded ring of [`TelemetryFrame`]s, retrievable mid-run.
 //! * [`attribute`] — the online bottleneck attributor: folds the span
-//!   stream (and, when available, the gauge frames) into per-window
-//!   per-component busy time and the critical-path share over the linked
-//!   per-message span chains, naming the dominant component — the
-//!   paper's bottleneck-identification claim, made executable.
+//!   stream into per-window per-component busy time and the
+//!   critical-path share over the linked per-message span chains, naming
+//!   the dominant component — the paper's bottleneck-identification
+//!   claim, made executable.
 
 use crate::span::{Component, Span};
 use parking_lot::{Condvar, Mutex};
@@ -213,6 +213,15 @@ impl TelemetrySampler {
         self.shared.frames.lock().iter().cloned().collect()
     }
 
+    /// The frames stamped strictly after `t_us`, oldest first: a reader
+    /// that remembers the last frame it saw copies only what is new, not
+    /// the ring.
+    pub fn frames_since(&self, t_us: u64) -> Vec<TelemetryFrame> {
+        let frames = self.shared.frames.lock();
+        let first = frames.partition_point(|f| f.t_us <= t_us);
+        frames.range(first..).cloned().collect()
+    }
+
     /// The most recent frame, if any.
     pub fn latest(&self) -> Option<TelemetryFrame> {
         self.shared.frames.lock().back().cloned()
@@ -288,8 +297,6 @@ pub struct WindowAttribution {
     /// Busy microseconds per component within the window (span durations
     /// clipped to the window), descending.
     pub busy_us: Vec<(Component, u64)>,
-    /// Mean gauge levels over the frames falling inside the window.
-    pub mean_gauges: Vec<(Arc<str>, f64)>,
 }
 
 impl WindowAttribution {
@@ -312,9 +319,9 @@ impl WindowAttribution {
     }
 }
 
-/// The attributor's verdict over a span stream (plus optional gauge
-/// frames): windowed busy time and the critical-path share of each
-/// component over the linked per-message chains.
+/// The attributor's verdict over a span stream: windowed busy time and
+/// the critical-path share of each component over the linked per-message
+/// chains.
 #[derive(Debug, Clone)]
 pub struct Attribution {
     /// Window width used, µs.
@@ -345,12 +352,12 @@ impl Attribution {
     }
 }
 
-/// Fold spans (and optional gauge frames) into an [`Attribution`]: busy
-/// time per component per `window_us` window, and the critical-path share
-/// over the linked `(job_id, msg_id)` chains. Error spans count toward
-/// busy time (a component drowning in failures is busy) but windows and
-/// shares are otherwise insensitive to span order.
-pub fn attribute(spans: &[Span], frames: &[TelemetryFrame], window_us: u64) -> Attribution {
+/// Fold spans into an [`Attribution`]: busy time per component per
+/// `window_us` window, and the critical-path share over the linked
+/// `(job_id, msg_id)` chains. Error spans count toward busy time (a
+/// component drowning in failures is busy) but windows and shares are
+/// otherwise insensitive to span order.
+pub fn attribute(spans: &[Span], window_us: u64) -> Attribution {
     assert!(window_us > 0, "attribution window must be > 0");
     if spans.is_empty() {
         return Attribution {
@@ -389,14 +396,11 @@ pub fn attribute(spans: &[Span], frames: &[TelemetryFrame], window_us: u64) -> A
         .into_iter()
         .enumerate()
         .map(|(w, busy)| {
-            let start_us = (first + w as u64) * window_us;
-            let end_us = start_us + window_us;
             let mut busy_us: Vec<(Component, u64)> = busy.into_iter().collect();
             busy_us.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             WindowAttribution {
-                start_us,
+                start_us: (first + w as u64) * window_us,
                 busy_us,
-                mean_gauges: mean_gauges_in(frames, start_us, end_us),
             }
         })
         .collect();
@@ -420,28 +424,6 @@ pub fn attribute(spans: &[Span], frames: &[TelemetryFrame], window_us: u64) -> A
         windows,
         critical_path,
     }
-}
-
-/// Mean level of every gauge over the frames within `[start_us, end_us)`.
-fn mean_gauges_in(frames: &[TelemetryFrame], start_us: u64, end_us: u64) -> Vec<(Arc<str>, f64)> {
-    let mut sums: Vec<(Arc<str>, i64, u64)> = Vec::new();
-    for f in frames
-        .iter()
-        .filter(|f| f.t_us >= start_us && f.t_us < end_us)
-    {
-        for (name, v) in &f.values {
-            match sums.iter_mut().find(|(n, _, _)| n == name) {
-                Some((_, sum, cnt)) => {
-                    *sum += v;
-                    *cnt += 1;
-                }
-                None => sums.push((Arc::clone(name), *v, 1)),
-            }
-        }
-    }
-    sums.into_iter()
-        .map(|(n, sum, cnt)| (n, sum as f64 / cnt as f64))
-        .collect()
 }
 
 #[cfg(test)]
@@ -524,6 +506,27 @@ mod tests {
     }
 
     #[test]
+    fn frames_since_copies_only_newer_frames() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("g");
+        let sampler = TelemetrySampler::spawn(reg, Duration::from_micros(100), 64, Vec::new());
+        while sampler.frame_count() < 8 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sampler.stop();
+        let ring = sampler.frames();
+        let newer =
+            |t: u64| -> Vec<u64> { ring.iter().map(|f| f.t_us).filter(|&f| f > t).collect() };
+        let stamps =
+            |frames: Vec<TelemetryFrame>| -> Vec<u64> { frames.iter().map(|f| f.t_us).collect() };
+        let (mid, last) = (ring[ring.len() / 2].t_us, ring[ring.len() - 1].t_us);
+        for t in [0, ring[0].t_us, mid, last - 1, last] {
+            assert_eq!(stamps(sampler.frames_since(t)), newer(t), "since {t}");
+        }
+        assert!(sampler.frames_since(last).is_empty());
+    }
+
+    #[test]
     fn stop_is_idempotent_and_takes_final_frame() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("g");
@@ -562,7 +565,7 @@ mod tests {
                 ..span(Component::CloudProcessor, base + 910, base + 1000)
             });
         }
-        let a = attribute(&spans, &[], 1000);
+        let a = attribute(&spans, 1000);
         assert_eq!(a.dominant(), Some(&Component::Network("wan".into())));
         assert!(a.critical_path[0].1 > 0.8, "{:?}", a.critical_path);
         assert_eq!(a.windows.len(), 10);
@@ -580,7 +583,7 @@ mod tests {
         // One 3-window span: busy time must split 500/1000/1000 with no
         // empty trailing window for the boundary-exact end.
         let spans = vec![span(Component::Broker, 500, 3000)];
-        let a = attribute(&spans, &[], 1000);
+        let a = attribute(&spans, 1000);
         assert_eq!(a.windows.len(), 3);
         let busy: Vec<u64> = a
             .windows
@@ -592,31 +595,8 @@ mod tests {
     }
 
     #[test]
-    fn attributor_folds_gauge_frames() {
-        let spans = vec![span(Component::Broker, 0, 2000)];
-        let name: Arc<str> = Arc::from("depth");
-        let frames = vec![
-            TelemetryFrame {
-                t_us: 100,
-                values: vec![(Arc::clone(&name), 4)],
-            },
-            TelemetryFrame {
-                t_us: 900,
-                values: vec![(Arc::clone(&name), 8)],
-            },
-            TelemetryFrame {
-                t_us: 1500,
-                values: vec![(Arc::clone(&name), 2)],
-            },
-        ];
-        let a = attribute(&spans, &frames, 1000);
-        assert_eq!(a.windows[0].mean_gauges[0].1, 6.0);
-        assert_eq!(a.windows[1].mean_gauges[0].1, 2.0);
-    }
-
-    #[test]
     fn empty_spans_empty_attribution() {
-        let a = attribute(&[], &[], 1000);
+        let a = attribute(&[], 1000);
         assert!(a.windows.is_empty());
         assert!(a.dominant().is_none());
     }
@@ -627,7 +607,7 @@ mod tests {
             span(Component::Broker, 0, 100),
             span(Component::CloudProcessor, 100, 400),
         ];
-        let table = attribute(&spans, &[], 1000).to_table();
+        let table = attribute(&spans, 1000).to_table();
         assert!(table.starts_with("component,"));
         assert!(table.contains("cloud_processor,0.75"));
     }

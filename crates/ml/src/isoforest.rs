@@ -354,12 +354,6 @@ impl IsolationForest {
         self.trees = units.into_iter().flatten().collect();
         self.effective_subsample = psi;
     }
-
-    /// Mean path length over the ensemble for one point.
-    pub fn mean_path_length(&self, point: &[f64]) -> f64 {
-        assert!(self.is_trained(), "score before training");
-        self.trees.iter().map(|t| t.walk([point])[0]).sum::<f64>() / self.trees.len() as f64
-    }
 }
 
 impl OutlierModel for IsolationForest {

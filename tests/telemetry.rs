@@ -2,6 +2,7 @@
 //! gauges, the sampler, the bottleneck attributor, and the Chrome trace
 //! export — plus the zero-overhead contract when the plane is off.
 
+use pilot_broker::{Record, RetentionPolicy};
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
@@ -177,6 +178,77 @@ fn pipeline_topic_retains_nothing_after_drain() {
 }
 
 #[test]
+fn storage_gauges_read_the_pipeline_topic_only() {
+    // The `broker.log.*` gauges describe the pipeline's own topic: another
+    // topic on the same broker pilot, holding records nobody consumes, must
+    // not show up in them once the pipeline has drained.
+    let registry = MetricsRegistry::new();
+    let (edge, cloud) = pilots(2, 2);
+    let broker = cloud.start_broker().unwrap();
+    broker
+        .create_topic("side", 1, RetentionPolicy::unbounded())
+        .unwrap();
+    for _ in 0..16 {
+        broker
+            .append("side", 0, Record::new(vec![7u8; 256]))
+            .unwrap();
+    }
+    let running = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 20))
+        .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+        .metrics(registry.clone())
+        .devices(2)
+        .telemetry_sample_ms(5)
+        .start()
+        .unwrap();
+    assert_eq!(
+        running.broker().topic_names().len(),
+        2,
+        "one broker, two topics"
+    );
+    let summary = running.wait(WAIT).unwrap();
+    assert_eq!(summary.messages, 40);
+    assert!(broker.topic("side").unwrap().log_stats().retained_bytes > 0);
+    assert_eq!(registry.gauge_value(GAUGE_LOG_RETAINED_BYTES), Some(0));
+}
+
+#[test]
+fn frame_width_does_not_grow_with_devices() {
+    // Every stage gauge is one per pipeline, so a frame is as wide at 64
+    // devices as at 2.
+    let width = |devices: usize| {
+        let registry = MetricsRegistry::new();
+        let (edge, cloud) = pilots(2, 2);
+        let running = EdgeToCloudPipeline::builder()
+            .pilot_edge(edge)
+            .pilot_cloud_processing(cloud)
+            .produce_function(datagen_produce_factory(DataGenConfig::paper(10), 2))
+            .process_cloud_function(paper_model_factory(ModelKind::Baseline, 32))
+            .metrics(registry.clone())
+            .devices(devices)
+            .telemetry_sample_ms(5)
+            .start()
+            .unwrap();
+        let mut frames = running.telemetry();
+        while frames.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+            frames = running.telemetry();
+        }
+        running.wait(WAIT).unwrap();
+        let widths: Vec<usize> = frames.iter().map(|f| f.values.len()).collect();
+        (registry.gauge_count(), widths)
+    };
+    let (narrow_gauges, narrow_frames) = width(2);
+    let (wide_gauges, wide_frames) = width(64);
+    assert_eq!(wide_gauges, narrow_gauges);
+    for w in narrow_frames.iter().chain(&wide_frames) {
+        assert_eq!(*w, narrow_gauges, "a frame holds every gauge once");
+    }
+}
+
+#[test]
 fn attributor_names_wan_link_on_transatlantic_profile() {
     // Baseline model + transatlantic edge→broker hop: the WAN link must
     // dominate the critical path.
@@ -195,14 +267,13 @@ fn attributor_names_wan_link_on_transatlantic_profile() {
         .start()
         .unwrap();
     let job_id = running.job_id();
-    let frames = running.telemetry();
     running.wait(WAIT).unwrap();
     let spans: Vec<_> = registry
         .snapshot()
         .into_iter()
         .filter(|s| s.job_id == job_id)
         .collect();
-    let attribution = attribute(&spans, &frames, 50_000);
+    let attribution = attribute(&spans, 50_000);
     match attribution.dominant() {
         Some(Component::Network(name)) => assert!(name.contains("wan"), "{name}"),
         other => panic!("expected the WAN link to dominate, got {other:?}"),
@@ -230,14 +301,13 @@ fn attributor_names_processor_on_compute_heavy_cell() {
         .start()
         .unwrap();
     let job_id = running.job_id();
-    let frames = running.telemetry();
     running.wait(WAIT).unwrap();
     let spans: Vec<_> = registry
         .snapshot()
         .into_iter()
         .filter(|s| s.job_id == job_id)
         .collect();
-    let attribution = attribute(&spans, &frames, 50_000);
+    let attribution = attribute(&spans, 50_000);
     assert_eq!(
         attribution.dominant(),
         Some(&Component::CloudProcessor),
