@@ -139,8 +139,8 @@ fn main() {
     loop {
         std::thread::sleep(Duration::from_millis(100));
         let processed = cell.pipeline.report().total_messages();
-        if let Some(frame) = cell.pipeline.telemetry().last() {
-            let view = TopView::from_frame(frame, PIPELINE_GAUGES, processed, Some(expected));
+        if let Some(frame) = cell.pipeline.sampler().and_then(|s| s.latest()) {
+            let view = TopView::from_frame(&frame, PIPELINE_GAUGES, processed, Some(expected));
             print!("{}", view.to_text());
         }
         if processed >= expected || Instant::now() > deadline {

@@ -19,7 +19,7 @@
 //!   features) whose sizes reproduce the paper's 7 KB–2.6 MB range.
 //! * [`RateLimiter`] — paces a producing loop at a target message rate.
 //! * [`RatePattern`] / [`PatternedRate`] — time-varying arrival patterns
-//!   (seasonal, burst, step) modelling the paper's workload dynamism.
+//!   (constant, burst, step) modelling the paper's workload dynamism.
 
 pub mod codec;
 pub mod config;

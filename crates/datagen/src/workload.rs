@@ -16,14 +16,6 @@ use std::time::{Duration, Instant};
 pub enum RatePattern {
     /// Fixed rate forever.
     Constant { rate: f64 },
-    /// Seasonal/diurnal load: a sinusoid between `base` and `peak` with
-    /// the given period. Models the paper's "seasonal peak loads" at
-    /// laptop-scale periods.
-    Seasonal {
-        base: f64,
-        peak: f64,
-        period: Duration,
-    },
     /// A burst: `base` rate, jumping to `burst` within `[start, start+len)`.
     /// Models a discrete external event (e.g. "the discovery of a
     /// significant data pattern").
@@ -47,16 +39,6 @@ impl RatePattern {
     pub fn rate_at(&self, elapsed: Duration) -> f64 {
         match *self {
             RatePattern::Constant { rate } => rate,
-            RatePattern::Seasonal { base, peak, period } => {
-                let phase = if period.is_zero() {
-                    0.0
-                } else {
-                    elapsed.as_secs_f64() / period.as_secs_f64()
-                };
-                let mid = (base + peak) / 2.0;
-                let amp = (peak - base) / 2.0;
-                mid + amp * (std::f64::consts::TAU * phase).sin()
-            }
             RatePattern::Burst {
                 base,
                 burst,
@@ -83,7 +65,6 @@ impl RatePattern {
     pub fn peak_rate(&self) -> f64 {
         match *self {
             RatePattern::Constant { rate } => rate,
-            RatePattern::Seasonal { base, peak, .. } => base.max(peak),
             RatePattern::Burst { base, burst, .. } => base.max(burst),
             RatePattern::Step { before, after, .. } => before.max(after),
         }
@@ -164,22 +145,6 @@ mod tests {
         assert_eq!(p.rate_at(Duration::ZERO), 50.0);
         assert_eq!(p.rate_at(Duration::from_secs(100)), 50.0);
         assert_eq!(p.peak_rate(), 50.0);
-    }
-
-    #[test]
-    fn seasonal_oscillates_between_base_and_peak() {
-        let p = RatePattern::Seasonal {
-            base: 10.0,
-            peak: 110.0,
-            period: Duration::from_secs(4),
-        };
-        // Quarter period: sin = 1 → peak.
-        assert!((p.rate_at(Duration::from_secs(1)) - 110.0).abs() < 1e-9);
-        // Three-quarter period: sin = −1 → base.
-        assert!((p.rate_at(Duration::from_secs(3)) - 10.0).abs() < 1e-9);
-        // Start: midpoint.
-        assert!((p.rate_at(Duration::ZERO) - 60.0).abs() < 1e-9);
-        assert_eq!(p.peak_rate(), 110.0);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | cloud    | `region:<r>`| region aggregator | cloud aggregator  |
 //! | cloud    | `global`    | cloud aggregator  | region aggregators|
 
+use crate::runtime::Shared;
 use pilot_dataflow::{ReactorPoll, ReactorTask};
 use pilot_metrics::{Counter, Gauge};
 use pilot_ml::federated::FedAvgAccumulator;
@@ -119,10 +120,14 @@ pub(crate) struct RegionAggregatorTask {
     core: MergeCore,
     publish_key: String,
     merge_interval: Duration,
-    /// Cells of this region that have completed (written by their
-    /// consumer tasks *after* their last publish).
-    cells_done: Arc<AtomicUsize>,
-    cells: usize,
+    /// This region's cells. A cell has finished once its sentinel tracker
+    /// has seen every partition's sentinel, which is marked only after the
+    /// partition's last batch is processed and committed — so after the
+    /// cell's last publish.
+    cells: Vec<Arc<Shared>>,
+    /// `cells[..finished]` have finished (cells finish in any order; this
+    /// is the longest finished prefix, so a poll re-reads one tracker).
+    finished: usize,
     /// Regions that have fully completed (read by the cloud task).
     regions_done: Arc<AtomicUsize>,
     global_since: Version,
@@ -138,23 +143,26 @@ impl RegionAggregatorTask {
         region: usize,
         regional: ParameterServer,
         cloud: ParameterServer,
-        cell_ids: Vec<u64>,
+        cells: Vec<Arc<Shared>>,
         merge_interval: Duration,
-        cells_done: Arc<AtomicUsize>,
         regions_done: Arc<AtomicUsize>,
         merged_ctr: Arc<Counter>,
         published_ctr: Arc<Counter>,
         abort: Arc<AtomicBool>,
     ) -> Self {
-        let cells = cell_ids.len();
         Self {
             regional,
             cloud,
-            core: MergeCore::new(cell_ids.iter().map(|c| format!("cell:{c}")).collect()),
+            core: MergeCore::new(
+                cells
+                    .iter()
+                    .map(|c| format!("cell:{}", c.ctx.job_id))
+                    .collect(),
+            ),
             publish_key: format!("region:{region}"),
             merge_interval,
-            cells_done,
             cells,
+            finished: 0,
             regions_done,
             global_since: 0,
             rounds: 0,
@@ -170,10 +178,17 @@ impl ReactorTask for RegionAggregatorTask {
         if self.abort.load(Ordering::Acquire) {
             return ReactorPoll::Complete(Ok(self.rounds));
         }
-        // Observe completion *before* the freshness read: consumers
-        // publish their final update before bumping cells_done, so a
+        // Observe completion *before* the freshness read: a cell publishes
+        // its final update before its last sentinel is marked, so a
         // `final_round` pass is guaranteed to see every last update.
-        let final_round = self.cells_done.load(Ordering::Acquire) >= self.cells;
+        while self
+            .cells
+            .get(self.finished)
+            .is_some_and(|c| c.sentinels.all_done())
+        {
+            self.finished += 1;
+        }
+        let final_round = self.finished == self.cells.len();
         let news = self.core.refresh(&self.regional);
         self.merged_ctr.add(news);
         if news > 0 || final_round {

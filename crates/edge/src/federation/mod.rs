@@ -9,6 +9,13 @@
 //! cell onto shared infrastructure so cost grows O(k) in threads while the
 //! cell count grows to 1024:
 //!
+//! * **One cell state, one consumer.** A cell is the pipeline's own cell
+//!   state (`runtime::Shared`, built by the same constructor) with one
+//!   group member — the pipeline's `ConsumerStage` — plus a producer task
+//!   for all of its devices (`cell.rs`). A cell has finished once its
+//!   sentinel tracker has seen every partition's sentinel; a failing
+//!   invocation of the cell function counts in `process_errors` and the
+//!   stream goes on, as in the pipeline.
 //! * **One reactor.** All cells' producer and consumer tasks are
 //!   [`pilot_dataflow::ReactorTask`] state machines on a single
 //!   [`pilot_dataflow::LocalExecutor`] — `reactor_threads` OS threads
@@ -22,7 +29,7 @@
 //!   shared reactor, so a 1024-pilot fleet adds no threads. The whole
 //!   fleet activates on **one** lifecycle thread
 //!   ([`pilot_core::PilotComputeService::submit_fleet`]).
-//! * **Per-cell brokers.** Each cell appends to its own [`Broker`]
+//! * **Per-cell brokers.** Each cell appends to its own [`pilot_broker::Broker`]
 //!   instance — no cross-cell broker lock, and consumer wakeups stay exact
 //!   (a cell's consumer is woken by its own producer's append, nothing
 //!   else).
@@ -46,25 +53,22 @@ pub use aggregate::{GLOBAL_KEY, REGION_KEY};
 
 use crate::faas::{CloudFactory, Context, ProcessOutcome, ProduceFn};
 use crate::observe::{Observability, RunView};
+use crate::pipeline::PipelineConfig;
 use crate::processors::datagen_produce_factory;
+use crate::runtime::{spawn_members, Shared};
 use aggregate::{CloudAggregatorTask, RegionAggregatorTask};
-use cell::{CellCompletion, CellConsumerTask, CellProducerTask, CellProgress};
-use pilot_broker::{Broker, RetentionPolicy};
+use cell::CellProducerTask;
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_dataflow::{ComputePool, LocalExecutor, ReactorHandle};
 use pilot_datagen::DataGenConfig;
 use pilot_gateway::GatewayConfig;
 use pilot_metrics::{Counter, MetricsRegistry, Probe, TelemetrySampler};
+use pilot_netsim::Link;
 use pilot_params::ParameterServer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Topic every cell's broker carries (one partition per device).
-pub const CELL_TOPIC: &str = "cell";
-/// Consumer group of the cell consumer tasks.
-pub const FED_GROUP: &str = "fed";
 
 /// Gauge: cloud merge rounds completed.
 pub const GAUGE_FED_ROUNDS: &str = "federation.rounds";
@@ -88,8 +92,10 @@ pub const GAUGE_PARAMS_PUTS: &str = "params.puts";
 
 /// Counter: messages appended across all cells.
 pub const CTR_PRODUCED: &str = "fed.produced";
-/// Counter: messages processed across all cells.
-pub const CTR_PROCESSED: &str = "fed.processed";
+/// Counter: messages processed across all cells — the pipeline's
+/// `messages_processed` counter, which every cell's consumer stage bumps
+/// (a failed invocation counts in `process_errors` instead).
+pub const CTR_PROCESSED: &str = "messages_processed";
 /// Counter: model updates cells published to their regional server.
 pub const CTR_UPDATES_PUBLISHED: &str = "fed.updates_published";
 /// Counter: fresh cell updates folded by region aggregators.
@@ -151,9 +157,9 @@ pub struct FederationConfig {
     pub merge_interval: Duration,
     /// Max records per partition a cell consumer fetches per poll.
     pub fetch_max: usize,
-    /// Per-cell producer watermark: park while `appended − processed`
-    /// is at or above this (0 = unbounded). The consumer's next committed
-    /// round wakes a parked producer.
+    /// Per-cell producer watermark: park while `appended − committed`
+    /// is at or above this (0 = unbounded). The consumer's next commit
+    /// wakes a parked producer.
     pub backpressure: usize,
     /// Sample interval for the telemetry thread; `None` = no telemetry
     /// thread at all.
@@ -164,7 +170,9 @@ pub struct FederationConfig {
     /// `Some(cfg)` opens the observability front door over the federation
     /// (DESIGN.md §16): `GET /metrics`, `/telemetry/frames`,
     /// `/telemetry/stream`, `/top`, and `/trace` over the run's registry.
-    /// `None` (the default) builds nothing.
+    /// It is also what makes the cells record their consumer spans, which
+    /// `/trace` and `/top` read. `None` (the default) builds nothing and
+    /// records no span.
     pub gateway: Option<GatewayConfig>,
 }
 
@@ -372,8 +380,8 @@ pub struct RunningFederation {
     cloud_task: ReactorHandle,
     region_servers: Vec<ParameterServer>,
     cloud_server: ParameterServer,
-    /// One broker per cell (index = cell).
-    brokers: Vec<Broker>,
+    /// Every cell's state (index = cell).
+    cells: Vec<Arc<Shared>>,
     produced: Arc<Counter>,
     processed: Arc<Counter>,
     started: Instant,
@@ -433,7 +441,8 @@ impl RunningFederation {
 
     /// Block until every tier completes (producers → consumers → regions →
     /// cloud), then tear the run down and summarize it. On any task error
-    /// the whole federation aborts and the first error is returned.
+    /// (a failed append or decode; a failing cell function is not one) the
+    /// whole federation aborts and the first error is returned.
     pub fn wait(mut self, timeout: Duration) -> Result<FederationSummary, String> {
         let deadline = Instant::now() + timeout;
         let mut first_error: Option<String> = None;
@@ -445,7 +454,7 @@ impl RunningFederation {
         let regions = std::mem::take(&mut self.region_tasks);
         for handle in producers.iter().chain(&consumers) {
             if let Err(e) = self.join(handle, deadline)? {
-                first_error.get_or_insert(e);
+                first_error.get_or_insert(format!("{}: {e}", handle.name()));
             }
         }
         for handle in &regions {
@@ -483,7 +492,7 @@ impl RunningFederation {
             params_puts: puts,
             reactor_polls: self.executor.poll_count(),
             reactor_threads,
-            retained_bytes: retained_bytes(&self.brokers),
+            retained_bytes: retained_bytes(&self.cells),
             global: self.global_model(),
         })
     }
@@ -518,6 +527,18 @@ impl RunningFederation {
     }
 }
 
+impl Drop for RunningFederation {
+    /// Abort whatever still runs and join the reactor threads here: a task
+    /// holds its cell, and the cell the executor, so the executor must not
+    /// be left for a finishing task to drop on one of its own threads.
+    /// After [`RunningFederation::wait`] every task has settled and this
+    /// joins nothing.
+    fn drop(&mut self) {
+        self.abort.store(true, Ordering::Release);
+        self.executor.shutdown();
+    }
+}
+
 fn split_payload(value: Option<Arc<Vec<f64>>>) -> Option<(f64, Vec<f64>)> {
     let v = value?;
     if v.len() < 2 {
@@ -526,8 +547,11 @@ fn split_payload(value: Option<Arc<Vec<f64>>>) -> Option<(f64, Vec<f64>)> {
     Some((v[0], v[1..].to_vec()))
 }
 
-fn retained_bytes(brokers: &[Broker]) -> u64 {
-    brokers.iter().map(|b| b.log_stats().retained_bytes).sum()
+fn retained_bytes(cells: &[Arc<Shared>]) -> u64 {
+    cells
+        .iter()
+        .map(|c| c.broker.log_stats().retained_bytes)
+        .sum()
 }
 
 fn param_traffic(regions: &[ParameterServer], cloud: &ParameterServer) -> (u64, u64) {
@@ -582,32 +606,29 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
     let produced = registry.counter(CTR_PRODUCED);
     let processed = registry.counter(CTR_PROCESSED);
     let abort = Arc::new(AtomicBool::new(false));
-    let cells_done = Arc::new(AtomicUsize::new(0));
-    let region_done: Vec<Arc<AtomicUsize>> = (0..cfg.regions)
-        .map(|_| Arc::new(AtomicUsize::new(0)))
-        .collect();
     let regions_done = Arc::new(AtomicUsize::new(0));
     let factory: CloudFactory = cfg
         .cell_factory
         .clone()
         .unwrap_or_else(|| streaming_mean_factory(cfg.round_every));
+    // Spans are recorded only for a reader: the gateway's `/trace` and
+    // `/top`. `federation-sat` (no gateway) stores none.
+    let record_spans = cfg.gateway.is_some();
+    let cell_config = PipelineConfig {
+        devices: cfg.devices_per_cell,
+        processors: 1,
+        fetch_max: cfg.fetch_max,
+        ..PipelineConfig::default()
+    };
 
     let mut producers = Vec::with_capacity(cfg.cells);
     let mut consumers = Vec::with_capacity(cfg.cells);
-    let mut brokers = Vec::with_capacity(cfg.cells);
+    let mut cells = Vec::with_capacity(cfg.cells);
     for (cell, cell_pilot) in cell_pilots.iter().enumerate() {
-        let broker: Broker = cell_pilot.start_broker().map_err(|e| e.to_string())?;
-        // The cell consumer is the topic's only group: what it has
-        // committed is gone from the broker.
-        broker
-            .create_topic(CELL_TOPIC, cfg.devices_per_cell, RetentionPolicy::default())
-            .map_err(|e| e.to_string())?;
-        brokers.push(broker.clone());
-        let region = cfg.region_of(cell);
         let ctx = Context::new(
             cell as u64,
             cfg.devices_per_cell,
-            region_servers[region].clone(),
+            region_servers[cfg.region_of(cell)].clone(),
             registry.clone(),
             HashMap::new(),
         )
@@ -617,51 +638,41 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         let streams: Vec<ProduceFn> = (0..cfg.devices_per_cell)
             .map(|d| produce_factory(&ctx, d))
             .collect();
-        let process = factory(&ctx);
-        let progress = Arc::new(CellProgress::default());
-        let producer = CellProducerTask::new(
-            ctx.clone(),
-            broker.clone(),
-            CELL_TOPIC.to_string(),
-            streams,
-            progress.clone(),
-            cfg.backpressure,
-            produced.clone(),
-            abort.clone(),
-        );
-        let consumer = CellConsumerTask::new(
+        // The cell's member is its topic's only group: what it has
+        // committed is gone from the cell's broker.
+        let shared = Shared::new(
             ctx,
-            broker,
-            CELL_TOPIC,
-            FED_GROUP,
-            cfg.devices_per_cell,
-            process,
-            cfg.fetch_max,
-            progress,
-            processed.clone(),
-            CellCompletion {
-                region_done: region_done[region].clone(),
-                cells_done: cells_done.clone(),
-            },
+            cell_pilot.start_broker().map_err(|e| e.to_string())?,
+            cell_config.clone(),
+            (Link::loopback(), Link::loopback()),
+            factory.clone(),
+            (executor.clone(), executor.clone()),
             abort.clone(),
-        )?;
+            record_spans,
+        )
+        .map_err(|e| e.to_string())?;
+        let producer =
+            CellProducerTask::new(shared.clone(), streams, cfg.backpressure, produced.clone());
         producers.push(executor.spawn(&format!("fed-cell-{cell}-produce"), Box::new(producer)));
-        consumers.push(executor.spawn(&format!("fed-cell-{cell}-consume"), Box::new(consumer)));
+        let member = spawn_members(&shared, vec![format!("cell-{cell}")])?;
+        consumers.extend(member.into_iter().map(|(_, _, handle)| handle));
+        cells.push(shared);
     }
 
     let mut region_tasks = Vec::with_capacity(cfg.regions);
     for (r, server) in region_servers.iter().enumerate() {
-        let cell_ids: Vec<u64> = (0..cfg.cells)
-            .filter(|c| cfg.region_of(*c) == r)
-            .map(|c| c as u64)
+        let region_cells: Vec<Arc<Shared>> = cells
+            .iter()
+            .enumerate()
+            .filter(|(c, _)| cfg.region_of(*c) == r)
+            .map(|(_, shared)| shared.clone())
             .collect();
         let task = RegionAggregatorTask::new(
             r,
             server.clone(),
             cloud_server.clone(),
-            cell_ids,
+            region_cells,
             cfg.merge_interval,
-            region_done[r].clone(),
             regions_done.clone(),
             registry.counter(CTR_UPDATES_MERGED),
             registry.counter(CTR_REGION_PUBLISHES),
@@ -684,12 +695,10 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
     let sampler = cfg.telemetry_sample_ms.map(|ms| {
         let probes: Vec<Probe> = vec![federation_probe(
             &registry,
-            &cfg,
             executor.clone(),
             region_servers.clone(),
             cloud_server.clone(),
-            brokers.clone(),
-            cells_done,
+            cells.clone(),
         )];
         Arc::new(TelemetrySampler::spawn(
             registry.clone(),
@@ -704,8 +713,9 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         let (processed, expected) = (processed.clone(), cfg.expected_messages());
         let stopped = abort.clone();
         // The read-only routes alone: the federation has no tune table and
-        // no external ingestion path. It records no spans under a job id,
-        // so its spans are the whole private registry.
+        // no external ingestion path. Its cells record their spans under
+        // their cell ids in the run's private registry, so the run's spans
+        // are the whole registry.
         let view = RunView {
             registry: registry.clone(),
             gauges: FEDERATION_GAUGES,
@@ -731,7 +741,7 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
         cloud_task,
         region_servers,
         cloud_server,
-        brokers,
+        cells,
         produced,
         processed,
         started: Instant::now(),
@@ -744,12 +754,10 @@ pub fn start(cfg: FederationConfig) -> Result<RunningFederation, String> {
 /// scenario reads these).
 fn federation_probe(
     registry: &MetricsRegistry,
-    cfg: &FederationConfig,
     executor: Arc<LocalExecutor>,
     region_servers: Vec<ParameterServer>,
     cloud_server: ParameterServer,
-    brokers: Vec<Broker>,
-    cells_done: Arc<AtomicUsize>,
+    cells: Vec<Arc<Shared>>,
 ) -> Probe {
     let produced = registry.counter(CTR_PRODUCED);
     let processed = registry.counter(CTR_PROCESSED);
@@ -766,13 +774,13 @@ fn federation_probe(
     let params_puts = registry.gauge(GAUGE_PARAMS_PUTS);
     let ready_depth = registry.gauge(crate::runtime::telemetry::GAUGE_REACTOR_READY_DEPTH);
     let poll_us = registry.gauge(crate::runtime::telemetry::GAUGE_REACTOR_POLL_US);
-    let cells = cfg.cells;
     Box::new(move || {
         lag_cells.set(produced.get().saturating_sub(processed.get()) as i64);
-        retained.set(retained_bytes(&brokers) as i64);
+        retained.set(retained_bytes(&cells) as i64);
         lag_regions.set(published.get().saturating_sub(merged.get()) as i64);
         lag_cloud.set(region_pubs.get().saturating_sub(region_merges.get()) as i64);
-        cells_active.set(cells.saturating_sub(cells_done.load(Ordering::Relaxed)) as i64);
+        let active = cells.iter().filter(|c| !c.sentinels.all_done()).count();
+        cells_active.set(active as i64);
         let (gets, puts) = param_traffic(&region_servers, &cloud_server);
         params_gets.set(gets as i64);
         params_puts.set(puts as i64);

@@ -1,9 +1,12 @@
-//! The consumer stage: one group member as a polled state machine on the
-//! pipeline's reactor — the only way a pipeline consumes.
+//! The consumer stage: one group member as a polled state machine on a
+//! reactor — the only consumer there is, for a pipeline's members and for
+//! every federation cell's one member alike.
 //!
 //! Every member is a [`ConsumerStage`], a [`ReactorTask`] driven by the
-//! [`pilot_dataflow::LocalExecutor`]'s fixed pool of threads (the cloud
-//! pilot's cores unless `reactor_threads` overrides it). The stage never
+//! cell's cloud [`pilot_dataflow::LocalExecutor`]: a fixed pool of threads
+//! (the cloud pilot's cores unless `reactor_threads` overrides it, or the
+//! federation's one executor). Members join and spawn through
+//! [`spawn_members`]. The stage never
 //! blocks a reactor thread waiting for data or for a link reservation:
 //!
 //! * **Fetch** goes through [`Fetcher::poll_ready`] → the broker's arrival
@@ -40,6 +43,9 @@
 //!   their committed offsets only once none of them is claimed. A resize
 //!   of a healthy pool therefore delivers nothing twice; redelivery is
 //!   left to members that fail or are aborted mid-batch.
+//! * After each commit the cell's backpressure progress advances by the
+//!   batch's record count, failed records included, and a producer parked
+//!   at its watermark is woken.
 
 use super::sentinel;
 use super::spans::{metric_msg_id, HotCounters};
@@ -47,7 +53,7 @@ use super::Shared;
 use crate::faas::CloudFn;
 use pilot_broker::consumer::PartitionBatches;
 use pilot_broker::{Consumer, GroupId, Offset, Record, TopicId};
-use pilot_dataflow::{ReactorPoll, ReactorTask};
+use pilot_dataflow::{ReactorHandle, ReactorPoll, ReactorTask};
 use pilot_metrics::Component;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -246,10 +252,10 @@ impl Processor {
     }
 
     /// Decode one non-sentinel record and run the cloud function on it,
-    /// recording the Network span over the batch's transfer window and a
-    /// CloudProcessor span covering decode + invoke. Returns 1 on success,
-    /// 0 when the invocation failed (the error span is recorded; the
-    /// stream continues — fault isolation).
+    /// recording — when the run records spans — the Network span over the
+    /// batch's transfer window and a CloudProcessor span covering decode +
+    /// invoke. Returns 1 on success, 0 when the invocation failed (counted
+    /// in `process_errors`; the stream continues — fault isolation).
     fn process(
         &mut self,
         shared: &Shared,
@@ -258,42 +264,44 @@ impl Processor {
         flight: &Flight,
     ) -> Result<u64, String> {
         let ctx = &shared.ctx;
-        let spans = shared.spans();
+        let spans = shared.record_spans.then(|| shared.spans());
         let bytes = record.value.len() as u64;
         // Cloud processing: deserialization is part of the processing
         // service time (it is what the paper's Dask consumer tasks spend
         // their floor cost on).
-        let p0 = spans.now_us();
-        let _produced_at = match pilot_datagen::decode_any_into(&record.value, &mut self.scratch) {
-            Ok(v) => v,
-            Err(e) => {
-                self.counters.decode_errors.incr();
-                return Err(format!("wire decode failed: {e}"));
-            }
-        };
+        let p0 = spans.as_ref().map_or(0, |s| s.now_us());
+        if let Err(e) = pilot_datagen::decode_any_into(&record.value, &mut self.scratch) {
+            self.counters.decode_errors.incr();
+            return Err(format!("wire decode failed: {e}"));
+        }
         let mid = metric_msg_id(partition, self.scratch.msg_id);
-        spans.record(
-            mid,
-            Component::Network(shared.link_broker_cloud.name().to_string()),
-            flight.net_start_us,
-            flight.net_end_us,
-            bytes,
-        );
-        match (self.func)(ctx, &self.scratch) {
-            Ok(_outcome) => {
-                spans.record(mid, Component::CloudProcessor, p0, spans.now_us(), bytes);
-                self.counters.messages_processed.incr();
-                Ok(1)
-            }
-            Err(_msg) => {
-                // A failing function invocation is recorded and the stream
-                // continues — one bad message must not kill the processor
-                // (fault isolation).
-                spans.record_error(mid, Component::CloudProcessor, p0, spans.now_us(), bytes);
-                self.counters.process_errors.incr();
-                Ok(0)
+        if let Some(spans) = &spans {
+            spans.record(
+                mid,
+                Component::Network(shared.link_broker_cloud.name().to_string()),
+                flight.net_start_us,
+                flight.net_end_us,
+                bytes,
+            );
+        }
+        // A failing function invocation is counted (and its error span
+        // recorded) and the stream continues — one bad message must not
+        // kill the processor (fault isolation).
+        let ok = (self.func)(ctx, &self.scratch).is_ok();
+        if let Some(spans) = &spans {
+            let p1 = spans.now_us();
+            if ok {
+                spans.record(mid, Component::CloudProcessor, p0, p1, bytes);
+            } else {
+                spans.record_error(mid, Component::CloudProcessor, p0, p1, bytes);
             }
         }
+        if ok {
+            self.counters.messages_processed.incr();
+        } else {
+            self.counters.process_errors.incr();
+        }
+        Ok(ok as u64)
     }
 }
 
@@ -550,6 +558,9 @@ impl ReactorTask for ConsumerStage {
             // was being processed the rest of the window was ahead of it.
             self.set_reserved(self.reserved - 1);
             self.fetcher.commit_through(partition, batch.next_offset);
+            shared.progress.advance(batch.records.len() as u64);
+            // Marked done only once processed and committed: whoever reads
+            // the tracker sees every effect of the partition's last batch.
             if batch.ends_stream {
                 shared.sentinels.mark_done(partition);
             }
@@ -561,4 +572,36 @@ impl ReactorTask for ConsumerStage {
             }
         }
     }
+}
+
+/// A spawned member: its name, its stop flag (raised to retire it), and
+/// its task handle.
+pub(crate) type Member = (String, Arc<AtomicBool>, ReactorHandle);
+
+/// Add `members` to the cell's consumer group. All of them join in **one**
+/// coordinator rebalance — O(n), where n sequential joins cost O(n²)
+/// assignment writes (minutes at 64k members) — and *before* any of their
+/// tasks is spawned, so a member's first poll already sees the final
+/// assignment (no startup rebalance, no redelivery). Each member then runs
+/// as a [`ConsumerStage`] task on the cell's cloud reactor.
+pub(crate) fn spawn_members(
+    shared: &Arc<Shared>,
+    members: Vec<String>,
+) -> Result<Vec<Member>, String> {
+    shared.coordinator.join_many(&members);
+    let mut stops = Vec::with_capacity(members.len());
+    let mut stages = Vec::with_capacity(members.len());
+    for member in &members {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = ConsumerStage::new(Arc::clone(shared), member.clone(), Arc::clone(&stop))?;
+        stops.push(stop);
+        stages.push((format!("process-cloud-{member}"), Box::new(stage) as _));
+    }
+    let handles = shared.cloud_reactor.spawn_all(stages);
+    Ok(members
+        .into_iter()
+        .zip(stops)
+        .zip(handles)
+        .map(|((member, stop), handle)| (member, stop, handle))
+        .collect())
 }

@@ -12,7 +12,7 @@
 //! decisions and operator tunes append to it, stamped on one clock (time
 //! since the pipeline started).
 
-use super::consumer::ConsumerStage;
+use super::consumer::{spawn_members, Member};
 use super::Shared;
 use crate::control::{Action, Cause, ControlEvent, ControllerHandle};
 use crate::faas::{CloudFactory, Context};
@@ -38,7 +38,7 @@ pub(crate) struct PipelineCtl {
     cloud: Pilot,
     billed: AtomicBool,
     /// Live members: name, per-member stop flag, reactor task handle.
-    consumers: Mutex<Vec<(String, Arc<AtomicBool>, ReactorHandle)>>,
+    consumers: Mutex<Vec<Member>>,
     /// Members retired by a scale-down, joined at `wait()`/drop.
     retired: Mutex<Vec<ReactorHandle>>,
     next_member: AtomicUsize,
@@ -103,12 +103,9 @@ impl PipelineCtl {
         self.journal.lock().clone()
     }
 
-    /// Add `n` consumer members. All of them join the group in **one**
-    /// coordinator rebalance — O(n), where n sequential joins cost O(n²)
-    /// assignment writes (minutes at 64k members) — and *before* any of
-    /// their tasks is spawned, so a member's first poll already sees the
-    /// final assignment (no startup rebalance, no redelivery). Each member
-    /// then runs as a task on the pipeline's reactor.
+    /// Add `n` consumer members, named in spawn order, through
+    /// [`spawn_members`]: one rebalance, then one task each on the
+    /// pipeline's cloud reactor.
     pub(crate) fn spawn_consumers(&self, n: usize) -> Result<(), PipelineError> {
         let members: Vec<String> = (0..n)
             .map(|_| {
@@ -118,22 +115,8 @@ impl PipelineCtl {
                 )
             })
             .collect();
-        self.shared.coordinator.join_many(&members);
-        let mut stops = Vec::with_capacity(n);
-        let mut stages = Vec::with_capacity(n);
-        for member in &members {
-            let stop = Arc::new(AtomicBool::new(false));
-            let stage =
-                ConsumerStage::new(Arc::clone(&self.shared), member.clone(), Arc::clone(&stop))
-                    .map_err(PipelineError::Task)?;
-            stops.push(stop);
-            stages.push((format!("process-cloud-{member}"), Box::new(stage) as _));
-        }
-        let handles = self.shared.cloud_reactor.spawn_all(stages);
-        let spawned = members.into_iter().zip(stops).zip(handles);
-        self.consumers
-            .lock()
-            .extend(spawned.map(|((member, stop), handle)| (member, stop, handle)));
+        let spawned = spawn_members(&self.shared, members).map_err(PipelineError::Task)?;
+        self.consumers.lock().extend(spawned);
         Ok(())
     }
 
@@ -332,6 +315,13 @@ impl RunningPipeline {
             .sampler()
             .map(|s| s.frames())
             .unwrap_or_default()
+    }
+
+    /// The telemetry sampler, when `telemetry_sample_ms` was set: its
+    /// `latest()` frame costs one frame's copy where
+    /// [`RunningPipeline::telemetry`] copies the whole ring.
+    pub fn sampler(&self) -> Option<&TelemetrySampler> {
+        self.observed.sampler()
     }
 
     /// Stop everything without waiting for stream completion.

@@ -38,7 +38,7 @@
 //! * `producer` — the `DeviceProducer`, the pipeline's producer: produce,
 //!   encode, pace and ship one device's stream as a state machine that
 //!   parks on its next deadline;
-//! * `consumer` — the `ConsumerStage`, the pipeline's consumer:
+//! * `consumer` — the `ConsumerStage`, the consumer of both entry points:
 //!   membership, fetch, broker→cloud transport, processing and commit as
 //!   a waker-based state machine on a fixed pool of reactor threads
 //!   (DESIGN.md §12); the delivery contract is stated there, once;
@@ -53,11 +53,19 @@
 //! * `gateway` — the pipeline's control routes, served beside the
 //!   read-only routes both entry points share (`crate::observe`).
 //!
-//! These are the pipeline's producer and consumer, not the only ones: the
-//! federation keeps a second of each (`federation/cell.rs`) that records
-//! no spans. Giving it the pipeline's five-span chain would store
-//! 65,536 × 5 × 80-byte spans ≈ 26 MB per `federation-sat` burst, and the
-//! span store has no bound yet.
+//! The state the stages share is one `Shared`, built by one constructor
+//! for a pipeline and for every federation cell (DESIGN.md §14); members
+//! join and spawn through one `consumer::spawn_members`. `ConsumerStage`
+//! is the crate's only consumer. Only the producer is still second: a
+//! federation cell's `CellProducerTask` (`federation/cell.rs`) multiplexes
+//! the cell's devices into one task.
+//!
+//! **Spans are recorded only when something reads them** — one `bool`,
+//! derived by the entry point: always for a pipeline, whose
+//! [`RunSummary`](crate::summary::RunSummary) is folded from spans; for a
+//! federation only when its gateway serves `/trace` and `/top`. The span
+//! store has no bound yet, and 65,536 messages × 2 consumer spans × 80 B
+//! is ≈ 10 MB per `federation-sat` burst that nothing would read.
 //!
 //! **Termination**: each producer appends an empty *sentinel* record after
 //! its stream ends; a partition is complete once its sentinel is consumed;
@@ -113,29 +121,34 @@ pub mod tune;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use consumer::spawn_members;
 pub(crate) use ctl::PipelineCtl;
 pub use ctl::RunningPipeline;
 pub use tune::TuneTable;
 
 use crate::control::{Controller, Knob};
-use crate::faas::{Context, SwappableCloudFactory};
+use crate::faas::{CloudFactory, Context, SwappableCloudFactory};
 use crate::observe::Observability;
 use crate::pipeline::{EdgeToCloudPipeline, PipelineConfig, PipelineError};
-use pilot_broker::{Broker, GroupCoordinator, RetentionPolicy};
+use parking_lot::Mutex;
+use pilot_broker::{Broker, BrokerError, GroupCoordinator, RetentionPolicy};
 use pilot_core::Pilot;
+use pilot_dataflow::LocalExecutor;
 use pilot_metrics::{JobSpans, MetricsRegistry, TelemetrySampler};
 use pilot_netsim::Link;
 use sentinel::SentinelTracker;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 use telemetry::StageGauges;
 
 /// Process-global job-id source so concurrent pipelines never collide.
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Everything the stages of one pipeline share: context, broker, links,
-/// the validated config, and the termination state.
+/// Everything the stages of one cell share — a pipeline, or one cell of a
+/// federation: context, broker, links, the validated config, and the
+/// termination state.
 pub(crate) struct Shared {
     pub(crate) ctx: Context,
     pub(crate) broker: Broker,
@@ -152,7 +165,12 @@ pub(crate) struct Shared {
     pub(crate) sentinels: SentinelTracker,
     /// Which partitions have a batch between processing and commit.
     pub(crate) claims: consumer::Claims,
-    pub(crate) stop_all: AtomicBool,
+    /// Records committed so far, and where a producer at a backpressure
+    /// watermark parks.
+    pub(crate) progress: Progress,
+    /// Raised to stop every task of the cell — and, when the flag is
+    /// shared, of every cell that shares it.
+    pub(crate) stop_all: Arc<AtomicBool>,
     /// Live knob cells the stages re-read at loop/poll boundaries; seeded
     /// from `config`, so an untouched table reads the configured values.
     pub(crate) tune: Arc<TuneTable>,
@@ -160,35 +178,102 @@ pub(crate) struct Shared {
     /// `telemetry_sample_ms` is unset) keeps every hot-path update a single
     /// null check.
     pub(crate) gauges: Option<Arc<StageGauges>>,
-    /// The reactor driving every device task: the edge pilot's cores.
-    pub(crate) edge_reactor: pilot_dataflow::LocalExecutor,
-    /// The reactor driving every consumer member: the cloud pilot's cores.
-    pub(crate) cloud_reactor: pilot_dataflow::LocalExecutor,
+    /// Whether the consumer stage records its spans (see the module docs).
+    /// The one producer that records spans, `DeviceProducer`, runs only in
+    /// pipelines, where this is always `true`.
+    pub(crate) record_spans: bool,
+    /// The reactor driving every device task.
+    pub(crate) edge_reactor: Arc<LocalExecutor>,
+    /// The reactor driving every consumer member.
+    pub(crate) cloud_reactor: Arc<LocalExecutor>,
 }
 
 impl Shared {
+    /// The one cell constructor: create the cell's topic (durable when
+    /// `config.log_dir` is set) on `broker`, named after the job like its
+    /// consumer group, and build the group coordinator, the sentinel
+    /// tracker, the claims and the tune table over `config.devices`
+    /// partitions. The entry point decides the rest: the context, the two
+    /// links (edge→broker, broker→cloud), the cloud function, the two
+    /// reactors (edge, cloud), the stop flag and whether spans are
+    /// recorded.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        ctx: Context,
+        broker: Broker,
+        config: PipelineConfig,
+        (link_edge_broker, link_broker_cloud): (Link, Link),
+        cloud: CloudFactory,
+        (edge_reactor, cloud_reactor): (Arc<LocalExecutor>, Arc<LocalExecutor>),
+        stop_all: Arc<AtomicBool>,
+        record_spans: bool,
+    ) -> Result<Arc<Self>, BrokerError> {
+        // The framework's "automatically created Kafka topic". It trims at
+        // the consumer group's commit floor, so the log holds only what the
+        // group has not processed yet. With `log_dir` set the topic persists
+        // through the broker's segmented storage engine — group-commit
+        // fsync, crash recovery, and segment files unlinked as the floor
+        // passes them. Without it the topic is memory-only.
+        let topic = format!("pilot-edge-{}", ctx.job_id);
+        let partitions = config.devices;
+        match config.durability() {
+            Some(durability) => broker.create_topic_durable(
+                &topic,
+                partitions,
+                RetentionPolicy::default(),
+                &durability,
+            )?,
+            None => broker.create_topic(&topic, partitions, RetentionPolicy::default())?,
+        }
+        // Telemetry plane (off by default): register the stage gauges before
+        // any stage runs, so the first sampler frame already has every name.
+        let gauges = config
+            .telemetry_sample_ms
+            .map(|_| Arc::new(StageGauges::new(&ctx.metrics)));
+        Ok(Arc::new(Self {
+            ctx,
+            broker,
+            topic,
+            credit: batch::LinkCredit::new(link_edge_broker.spec(), partitions),
+            link_edge_broker,
+            link_broker_cloud,
+            cloud_slot: SwappableCloudFactory::new(cloud),
+            coordinator: GroupCoordinator::new(partitions),
+            sentinels: SentinelTracker::new(partitions),
+            claims: consumer::Claims::new(partitions),
+            progress: Progress::default(),
+            stop_all,
+            tune: Arc::new(TuneTable::new(&config)),
+            gauges,
+            record_spans,
+            edge_reactor,
+            cloud_reactor,
+            config,
+        }))
+    }
+
     pub(crate) fn metrics(&self) -> &MetricsRegistry {
         &self.ctx.metrics
     }
 
-    /// A span recorder bound to this pipeline's job id.
+    /// A span recorder bound to this cell's job id.
     pub(crate) fn spans(&self) -> JobSpans<'_> {
         self.ctx.metrics.for_job(self.ctx.job_id)
     }
 
-    /// The consumer-group name of this pipeline.
+    /// The consumer-group name of this cell.
     pub(crate) fn group(&self) -> String {
         format!("pilot-edge-{}", self.ctx.job_id)
     }
 
-    /// Whether the pipeline-wide stop flag is raised.
+    /// Whether the stop flag is raised.
     pub(crate) fn stopping(&self) -> bool {
         self.stop_all.load(Ordering::Relaxed)
     }
 
-    /// Raise the pipeline-wide stop flag and re-queue every task of both
-    /// reactors, so a device parked on its next send or on the link's
-    /// credit and a member parked on the arrival registry observe it now.
+    /// Raise the stop flag and re-queue every task of both reactors, so a
+    /// device parked on its next send or on the link's credit and a member
+    /// parked on the arrival registry observe it now.
     pub(crate) fn stop(&self) {
         self.stop_all.store(true, Ordering::Relaxed);
         self.edge_reactor.wake_all();
@@ -198,6 +283,39 @@ impl Shared {
     /// The stage gauges, when the telemetry plane is on.
     pub(crate) fn stage_gauges(&self) -> Option<&StageGauges> {
         self.gauges.as_deref()
+    }
+}
+
+/// A cell's backpressure state: the records its consumer has committed,
+/// and the slot a producer at its watermark leaves its waker in. The
+/// consumer stage advances it after every commit and wakes the slot, so a
+/// blocked producer costs no timer poll.
+#[derive(Default)]
+pub(crate) struct Progress {
+    committed: AtomicU64,
+    parked: Mutex<Option<Waker>>,
+}
+
+impl Progress {
+    /// Records appended (`appended` of them so far) but not yet committed.
+    pub(crate) fn lag(&self, appended: u64) -> u64 {
+        appended.saturating_sub(self.committed.load(Ordering::Relaxed))
+    }
+
+    /// Park `waker` until the next commit.
+    pub(crate) fn park(&self, waker: &Waker) {
+        *self.parked.lock() = Some(waker.clone());
+    }
+
+    /// `records` more were committed — failed ones too: wake a parked
+    /// producer.
+    pub(crate) fn advance(&self, records: u64) {
+        self.committed.fetch_add(records, Ordering::Relaxed);
+        // Take under the lock, wake outside it.
+        let parked = self.parked.lock().take();
+        if let Some(w) = parked {
+            w.wake();
+        }
     }
 }
 
@@ -216,23 +334,6 @@ pub(crate) fn start(
         .start_param_server()
         .map_err(|e| PipelineError::Task(e.to_string()))?;
     let metrics = builder.metrics.clone().unwrap_or_default();
-    // The framework's "automatically created Kafka topic". It trims at the
-    // consumer group's commit floor, so the log holds only what the group
-    // has not processed yet. Durable broker log (off by default): with
-    // `log_dir` set the topic persists through the broker's segmented
-    // storage engine — group-commit fsync, crash recovery, and segment
-    // files unlinked as the floor passes them. Without it the topic is
-    // memory-only.
-    let topic = format!("pilot-edge-{job_id}");
-    match cfg.durability() {
-        Some(durability) => broker.create_topic_durable(
-            &topic,
-            cfg.devices,
-            RetentionPolicy::default(),
-            &durability,
-        )?,
-        None => broker.create_topic(&topic, cfg.devices, RetentionPolicy::default())?,
-    }
     // One intra-task compute pool per cloud pilot, sized from its cores
     // unless overridden: a 1-core pilot gets a width-1 (inline) pool, a
     // multi-core one lets each model invocation fan out. All consumers of
@@ -250,23 +351,19 @@ pub(crate) fn start(
         ),
         None => pilot_dataflow::ComputePool::new(compute_width),
     };
-    // Telemetry plane (off by default): register the stage gauges before
-    // any stage runs, so the first sampler frame already has every name.
-    let gauges = cfg
-        .telemetry_sample_ms
-        .map(|_| Arc::new(StageGauges::new(&metrics)));
     // Two fixed pools of reactor threads, one per pilot, drive every device
     // and every consumer member as polled state machines: the pilot's cores
     // unless overridden, however many tasks the pipeline runs on them. They
     // share no thread, so a `produce_edge` that blocks never stalls a
     // consumer.
-    let edge_reactor = pilot_dataflow::LocalExecutor::new(
-        cfg.producer_threads
-            .unwrap_or_else(|| edge.description().cores),
-    );
-    let cloud_reactor = pilot_dataflow::LocalExecutor::new(
-        cfg.reactor_threads
-            .unwrap_or_else(|| cloud.description().cores),
+    let reactor = |threads: Option<usize>, pilot: &Pilot| {
+        Arc::new(LocalExecutor::new(
+            threads.unwrap_or_else(|| pilot.description().cores),
+        ))
+    };
+    let reactors = (
+        reactor(cfg.producer_threads, &edge),
+        reactor(cfg.reactor_threads, &cloud),
     );
     let ctx = Context::new(
         job_id,
@@ -276,27 +373,21 @@ pub(crate) fn start(
         builder.settings.clone(),
     )
     .with_compute_pool(Arc::new(compute_pool));
-    let tune = Arc::new(TuneTable::new(&cfg));
-    let shared = Arc::new(Shared {
+    // A pipeline always has a span reader: its run summary is folded from
+    // them.
+    let shared = Shared::new(
         ctx,
         broker,
-        topic,
-        link_edge_broker: builder.link_edge_broker.clone(),
-        credit: batch::LinkCredit::new(builder.link_edge_broker.spec(), cfg.devices),
-        link_broker_cloud: builder.link_broker_cloud.clone(),
-        cloud_slot: SwappableCloudFactory::new(
-            builder.cloud_factory.clone().expect("validated by builder"),
+        cfg,
+        (
+            builder.link_edge_broker.clone(),
+            builder.link_broker_cloud.clone(),
         ),
-        coordinator: GroupCoordinator::new(cfg.devices),
-        sentinels: SentinelTracker::new(cfg.devices),
-        claims: consumer::Claims::new(cfg.devices),
-        stop_all: AtomicBool::new(false),
-        tune,
-        gauges,
-        edge_reactor,
-        cloud_reactor,
-        config: cfg,
-    });
+        builder.cloud_factory.clone().expect("validated by builder"),
+        reactors,
+        Arc::new(AtomicBool::new(false)),
+        true,
+    )?;
     let cfg = &shared.config;
     // The sampler thread snapshots the gauges every `telemetry_sample_ms`;
     // the running pipeline's observability plane stops it on wait()/drop.

@@ -110,21 +110,23 @@ impl ReportBuilder {
         e.4 = e.4.min(s.start_us);
         e.5 = e.5.max(s.end_us);
 
-        if !s.error {
+        // ParamServer spans stay in their component row but out of the
+        // message join. A processing function records them under the
+        // block's own per-device id, not the message's metric id, so on a
+        // multi-device run they would join other devices' messages or make
+        // phantom ones; and they carry model weights, not the message
+        // payload (an 11,552-weight auto-encoder publishes 92 KB per 6 KB
+        // message).
+        if !s.error && s.component != Component::ParamServer {
             let e = self
                 .per_msg
                 .entry((s.job_id, s.msg_id))
                 .or_insert((u64::MAX, 0, 0));
             e.0 = e.0.min(s.start_us);
             e.1 = e.1.max(s.end_us);
-            // Per-message payload size: the max bytes any *transport/
-            // processing* span carried. ParamServer spans carry model
-            // weights, not the message payload — counting them would
-            // inflate small-message throughput (an 11,552-weight
-            // auto-encoder publishes 92 KB per 6 KB message).
-            if s.component != Component::ParamServer {
-                e.2 = e.2.max(s.bytes);
-            }
+            // Per-message payload size: the max bytes any transport or
+            // processing span carried.
+            e.2 = e.2.max(s.bytes);
         }
     }
 
@@ -365,13 +367,29 @@ mod tests {
         let spans = vec![
             span(1, 1, C::EdgeProducer, 0, 100, 6_400),
             span(1, 1, C::ParamServer, 100, 200, 92_416),
-            span(1, 2, C::EdgeProducer, 200, 300, 6_400),
-            span(1, 2, C::ParamServer, 300, 1_000_000, 92_416),
+            span(1, 2, C::EdgeProducer, 200, 1_000_000, 6_400),
+            span(1, 2, C::ParamServer, 300, 400, 92_416),
         ];
         let r = PipelineReport::from_spans(&spans);
         // 2 msgs * 6,400 B over 1 s — the 92 KB weight uploads are not
         // message payload.
         assert!((r.end_to_end.throughput_mb - 0.0128).abs() < 1e-6);
+    }
+
+    #[test]
+    fn param_server_spans_stay_out_of_the_message_join() {
+        // A processing function keys its ParamServer span by the block's
+        // per-device id, which need not be any message's metric id.
+        let spans = vec![
+            span(1, 1, C::CloudProcessor, 0, 100, 6_400),
+            span(1, 1, C::ParamServer, 100, 5_000, 92_416),
+            span(1, 2, C::ParamServer, 200, 300, 92_416),
+        ];
+        let r = PipelineReport::from_spans(&spans);
+        assert_eq!(r.total_messages(), 1, "no phantom message 2");
+        assert_eq!(r.end_to_end.latency_us.max(), 100);
+        let ps = r.component(&C::ParamServer).expect("param_server row");
+        assert_eq!((ps.count, ps.bytes), (2, 2 * 92_416));
     }
 
     #[test]

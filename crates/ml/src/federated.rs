@@ -144,69 +144,6 @@ impl FedAvgAccumulator {
     }
 }
 
-/// A multi-round FedAvg coordinator tracking the global model.
-#[derive(Debug, Clone)]
-pub struct FedAvgServer {
-    global: Vec<f64>,
-    round: u64,
-    /// Pending updates for the current round.
-    pending: Vec<ClientUpdate>,
-    /// Clients required per round before aggregation fires.
-    clients_per_round: usize,
-}
-
-impl FedAvgServer {
-    /// Start from an initial global model.
-    pub fn new(initial: Vec<f64>, clients_per_round: usize) -> Self {
-        assert!(clients_per_round > 0, "clients_per_round must be > 0");
-        Self {
-            global: initial,
-            round: 0,
-            pending: Vec::new(),
-            clients_per_round,
-        }
-    }
-
-    /// The current global model.
-    pub fn global(&self) -> &[f64] {
-        &self.global
-    }
-
-    /// Completed aggregation rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Updates waiting for the current round.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submit a client update. When `clients_per_round` updates have
-    /// arrived, the round aggregates and the new global model is returned.
-    /// Shape-mismatched updates are rejected with `Err`.
-    pub fn submit(&mut self, update: ClientUpdate) -> Result<Option<&[f64]>, String> {
-        if update.weights.len() != self.global.len() {
-            return Err(format!(
-                "update has {} weights, global model has {}",
-                update.weights.len(),
-                self.global.len()
-            ));
-        }
-        self.pending.push(update);
-        if self.pending.len() >= self.clients_per_round {
-            let aggregated = fed_avg(&self.pending)
-                .ok_or_else(|| "aggregation failed (zero samples?)".to_string())?;
-            self.global = aggregated;
-            self.pending.clear();
-            self.round += 1;
-            Ok(Some(&self.global))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,57 +184,6 @@ mod tests {
             samples: 0,
         }];
         assert_eq!(fed_avg(&zero), None);
-    }
-
-    #[test]
-    fn server_aggregates_when_round_fills() {
-        let mut server = FedAvgServer::new(vec![0.0], 2);
-        assert!(server
-            .submit(ClientUpdate {
-                weights: vec![10.0],
-                samples: 1,
-            })
-            .unwrap()
-            .is_none());
-        assert_eq!(server.pending(), 1);
-        let global = server
-            .submit(ClientUpdate {
-                weights: vec![20.0],
-                samples: 3,
-            })
-            .unwrap()
-            .unwrap()
-            .to_vec();
-        // (1·10 + 3·20)/4 = 17.5
-        assert_eq!(global, vec![17.5]);
-        assert_eq!(server.round(), 1);
-        assert_eq!(server.pending(), 0);
-    }
-
-    #[test]
-    fn server_rejects_shape_mismatch() {
-        let mut server = FedAvgServer::new(vec![0.0, 0.0], 1);
-        assert!(server
-            .submit(ClientUpdate {
-                weights: vec![1.0],
-                samples: 1,
-            })
-            .is_err());
-    }
-
-    #[test]
-    fn multiple_rounds_progress() {
-        let mut server = FedAvgServer::new(vec![0.0], 1);
-        for r in 1..=3 {
-            server
-                .submit(ClientUpdate {
-                    weights: vec![r as f64],
-                    samples: 1,
-                })
-                .unwrap();
-            assert_eq!(server.round(), r);
-            assert_eq!(server.global(), &[r as f64]);
-        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!    until its consumer's next committed round wakes it, so a cell's lag
 //!    never passes the watermark; and once every cell has committed past
 //!    its sentinels its broker holds nothing.
+//! 5. **One consumer.** A cell consumes through the pipeline's consumer
+//!    stage: a failing cell function is isolated as in the pipeline, and
+//!    spans are recorded only when a gateway is there to read them.
 
 use parking_lot::Mutex;
 use pilot_core::{PilotComputeService, PilotDescription};
@@ -24,10 +27,11 @@ use pilot_edge::faas::{CloudFactory, Context, ProcessOutcome};
 use pilot_edge::federation::{self, FederationConfig};
 use pilot_edge::processors::datagen_produce_factory;
 use pilot_edge::EdgeToCloudPipeline;
+use pilot_gateway::GatewayConfig;
 use pilot_metrics::MetricsRegistry;
 use pilot_params::ParameterServer;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -293,4 +297,75 @@ fn cell_brokers_retain_nothing_once_committed() {
     let summary = federation::run(cfg, WAIT).expect("federation run");
     assert_eq!(summary.processed, expected);
     assert_eq!(summary.retained_bytes, 0);
+}
+
+/// Fault isolation, as in the pipeline: a cell function that fails on one
+/// message costs that message — counted in `process_errors` — and the
+/// stream, the cell and the run go on.
+#[test]
+fn failing_cell_function_is_isolated_like_the_pipeline() {
+    let fired = Arc::new(AtomicBool::new(false));
+    let cfg = FederationConfig {
+        cells: 3,
+        regions: 2,
+        devices_per_cell: 2,
+        messages_per_device: 10,
+        points: 4,
+        reactor_threads: 2,
+        cell_factory: Some(Arc::new(move |ctx: &Context| {
+            let fired = Arc::clone(&fired);
+            let cell = ctx.job_id;
+            Box::new(move |_ctx: &Context, block: &pilot_datagen::Block| {
+                if cell == 1 && block.msg_id == 3 && !fired.swap(true, Ordering::Relaxed) {
+                    return Err("injected fault".into());
+                }
+                Ok(ProcessOutcome::default())
+            })
+        })),
+        ..FederationConfig::default()
+    };
+    let expected = cfg.expected_messages();
+    let running = federation::start(cfg).expect("federation start");
+    let registry = running.registry().clone();
+    let summary = running
+        .wait(WAIT)
+        .expect("one failing invocation must not end the run");
+    assert_eq!(summary.produced, expected);
+    assert_eq!(summary.processed, expected - 1);
+    assert_eq!(registry.counter("process_errors").get(), 1);
+    assert_eq!(
+        summary.retained_bytes, 0,
+        "the failed message is committed too"
+    );
+}
+
+/// Spans are recorded only when something reads them: without a gateway
+/// a federation stores none (what keeps `federation-sat`'s memory flat);
+/// with one, every message has its consumer's Network and CloudProcessor
+/// spans for `/trace` and `/top`.
+#[test]
+fn cells_record_spans_only_when_a_gateway_reads_them() {
+    let cfg = |gateway| FederationConfig {
+        cells: 3,
+        regions: 1,
+        devices_per_cell: 2,
+        messages_per_device: 8,
+        points: 4,
+        reactor_threads: 2,
+        gateway,
+        ..FederationConfig::default()
+    };
+    for gateway in [None, Some(GatewayConfig::default())] {
+        let spans_per_message = if gateway.is_some() { 2 } else { 0 };
+        let cfg = cfg(gateway);
+        let expected = cfg.expected_messages();
+        let running = federation::start(cfg).expect("federation start");
+        let registry = running.registry().clone();
+        let summary = running.wait(WAIT).expect("federation run");
+        assert_eq!(summary.processed, expected);
+        assert_eq!(
+            registry.span_count() as u64,
+            spans_per_message * summary.processed
+        );
+    }
 }

@@ -5,7 +5,7 @@
 use pilot_core::{PilotComputeService, PilotDescription};
 use pilot_datagen::DataGenConfig;
 use pilot_edge::processors::{datagen_produce_factory, paper_model_factory};
-use pilot_edge::{CloudFactory, Context, EdgeToCloudPipeline, ProcessOutcome};
+use pilot_edge::{CloudFactory, Context, EdgeToCloudPipeline, ProcessOutcome, ProduceFactory};
 use pilot_metrics::{Component, MetricsRegistry};
 use pilot_ml::ModelKind;
 use std::sync::Arc;
@@ -207,4 +207,33 @@ fn custom_counters_flow_through_context() {
     let ctx = running.context().clone();
     running.wait(WAIT).unwrap();
     assert_eq!(ctx.counter("app_custom_metric").get(), 42);
+}
+
+#[test]
+fn param_server_publishes_are_not_counted_as_messages() {
+    // A model processor records its ParamServer span under the block's
+    // per-device id, not the message's metric id: device 1's ids 0–3 name
+    // device 0's message or none at all. The message count must still be
+    // the messages the devices sent: 1 + 4.
+    let svc = PilotComputeService::new();
+    let (edge, cloud) = pilots(&svc);
+    let produce: ProduceFactory = Arc::new(|ctx: &Context, device: usize| {
+        let messages = if device == 0 { 1 } else { 4 };
+        datagen_produce_factory(DataGenConfig::paper(50), messages)(ctx, device)
+    });
+    let summary = EdgeToCloudPipeline::builder()
+        .pilot_edge(edge)
+        .pilot_cloud_processing(cloud)
+        .produce_function(produce)
+        .process_cloud_function(paper_model_factory(ModelKind::KMeans, 32))
+        .devices(2)
+        .run(WAIT)
+        .unwrap();
+    assert_eq!(summary.messages, 5);
+    assert_eq!(summary.errors, 0);
+    let published = summary
+        .report
+        .component(&Component::ParamServer)
+        .expect("k-means publishes its centroids");
+    assert_eq!(published.count, 5);
 }
